@@ -42,7 +42,10 @@ class UsageError(Exception):
 
 
 def _build_variant(args) -> tuple[Variant, int]:
-    variant = Variant(VARIANT_FLAGS[args.variant], r=args.r, s=args.s, t=args.t)
+    try:
+        variant = Variant(VARIANT_FLAGS[args.variant], r=args.r, s=args.s, t=args.t)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     n = args.n
     if n is None:
         if variant.kind == "exponential":
@@ -281,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except closedform.UnsupportedVariantError as exc:
+    except (closedform.UnsupportedVariantError, explorer.StateKeyLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:

@@ -9,20 +9,24 @@ one, levels are graded and deduplication stays within a level.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
-from ._kernels import PAD, labeled_count, labeled_fill
 from .engine import (CapExceededError, LabeledConfiguration, ScriptedValuesStrategy,
                      HoldStrategy, Trace, run_to_completion, standard_initial)
 from .variants import Variant
 
 DEFAULT_STATE_CAP = 5_000_000
+KEY_OFFSET = 128  # byte keys store site + 128 and value + 128
+KEY_LIMIT = 120   # largest |site| reach and |value| a byte key is allowed to hold
 
 # canonical state: ((site, (values...)), ...) sorted by site
 CanonicalState = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+class StateKeyLimitError(ValueError):
+    """The initial configuration could reach sites or holds values a byte key cannot hold."""
 
 
 def canonicalize(config: LabeledConfiguration) -> CanonicalState:
@@ -38,28 +42,40 @@ def is_weakly_sorted_state(state: CanonicalState) -> bool:
     return all(a <= b for a, b in zip(flat, flat[1:]))
 
 
-def successor_outcomes(state: CanonicalState, variant: Variant) -> set[CanonicalState]:
-    """All one-move successors over every enabled site and distinct value choice.
+def _successors(state: CanonicalState, variant: Variant):
+    """Yield ``(site, chosen, child)`` for every distinct move, in site order.
 
-    Distinct choices that split identically merge into one outcome.
+    Value choices come from ``itertools.combinations`` over the sorted
+    values at the site, so ``chosen`` is sorted and only its first
+    occurrence is kept.
     """
-    occ = {site: list(values) for site, values in state}
-    out: set[CanonicalState] = set()
+    occ = dict(state)
     for site, values in state:
         th = variant.threshold(site)
         if len(values) < th:
             continue
         left, loop, right = variant.split(site)
-        for chosen in {c for c in combinations(values, th)}:
-            nxt = {s: list(v) for s, v in occ.items()}
-            pool = nxt[site]
+        seen = set()
+        for chosen in combinations(values, th):
+            if chosen in seen:
+                continue
+            seen.add(chosen)
+            pool = list(values)
             for v in chosen:
                 pool.remove(v)
-            pool.extend(chosen[left:left + loop])
-            nxt.setdefault(site - 1, []).extend(chosen[:left])
-            nxt.setdefault(site + 1, []).extend(chosen[left + loop:])
-            out.add(tuple((s, tuple(sorted(v))) for s, v in sorted(nxt.items()) if v))
-    return out
+            nxt = dict(occ)
+            nxt[site] = tuple(sorted(pool + list(chosen[left:left + loop])))
+            nxt[site - 1] = tuple(sorted(occ.get(site - 1, ()) + chosen[:left]))
+            nxt[site + 1] = tuple(sorted(occ.get(site + 1, ()) + chosen[left + loop:]))
+            yield site, chosen, tuple((s, v) for s, v in sorted(nxt.items()) if v)
+
+
+def successor_outcomes(state: CanonicalState, variant: Variant) -> set[CanonicalState]:
+    """All one-move successors over every enabled site and distinct value choice.
+
+    Distinct choices that split identically merge into one outcome.
+    """
+    return {child for _, _, child in _successors(state, variant)}
 
 
 @dataclass
@@ -91,108 +107,81 @@ class ExplorationReport:
         }
 
 
-def _encode(state: CanonicalState, nchips: int) -> np.ndarray:
-    row = np.empty(2 * nchips, np.int8)
-    i = 0
-    for site, values in state:
-        for v in values:
-            row[2 * i] = site
-            row[2 * i + 1] = v
-            i += 1
-    assert i == nchips
-    return row
+def _key(state: CanonicalState) -> bytes:
+    """Flat ``(site, value)`` sequence offset by KEY_OFFSET, one byte each.
+
+    Keys of equal length sort like the signed sequences they encode.
+    """
+    return bytes(x + KEY_OFFSET for site, values in state for v in values for x in (site, v))
 
 
-def _decode(row: np.ndarray) -> CanonicalState:
+def _unkey(key: bytes) -> CanonicalState:
     occ: dict[int, list[int]] = {}
-    for i in range(row.shape[0] // 2):
-        occ.setdefault(int(row[2 * i]), []).append(int(row[2 * i + 1]))
-    return tuple((s, tuple(v)) for s, v in sorted(occ.items()))
-
-
-def _site_tables(variant: Variant, radius: int):
-    size = 2 * radius + 1
-    left = np.empty(size, np.int64)
-    right = np.empty(size, np.int64)
-    thresh = np.empty(size, np.int64)
-    for site in range(-radius, radius + 1):
-        left[site + radius] = variant.left_mult(site)
-        right[site + radius] = variant.right_mult(site)
-        thresh[site + radius] = variant.threshold(site)
-    return left, right, thresh
-
-
-@dataclass
-class _Level:
-    states: np.ndarray
-    parents: np.ndarray | None = None
-    move_site: np.ndarray | None = None
-    move_vals: np.ndarray | None = None
+    for i in range(0, len(key), 2):
+        occ.setdefault(key[i] - KEY_OFFSET, []).append(key[i + 1] - KEY_OFFSET)
+    return tuple((s, tuple(v)) for s, v in occ.items())
 
 
 def _explore_levels(initial: LabeledConfiguration, variant: Variant,
                     state_cap: int, record_parents: bool):
+    """Graded BFS over byte keys.
+
+    Each level is the sorted list of its keys.  A child's parent index and
+    move are those of its first occurrence when the previous level is
+    expanded in order, and only the parent index is kept (per level, when
+    ``record_parents``).  Returns (levels, parents, terminals, visited),
+    terminals as (level, index, state) in visiting order.
+    """
     start = canonicalize(initial)
     nchips = initial.total_chips()
-    if nchips == 0:
-        level = _Level(np.zeros((1, 0), np.int8))
-        return [level], [(0, 0, ())], 1
-    span = max(abs(site) for site, _ in start)
-    radius = span + nchips + 2
-    maxval = max(max(abs(v) for v in vals) for _, vals in start)
-    if radius > 120 or maxval > 120:
-        raise ValueError("state encoding supports |site|, |value| <= 120")
-    left, right, thresh = _site_tables(variant, radius)
-    max_th = int(thresh.max())
-
-    levels = [_Level(_encode(start, nchips).reshape(1, -1))]
-    terminals: list[tuple[int, int, CanonicalState]] = []  # (level, row, state)
-    visited = 1
-    dummy_s = np.empty((1, 2 * nchips), np.int8)
-    dummy_v = np.empty((1, max_th), np.int8)
+    if nchips:
+        radius = max(abs(site) for site, _ in start) + nchips + 2
+        maxval = max(abs(v) for _, vals in start for v in vals)
+        if radius > KEY_LIMIT or maxval > KEY_LIMIT:
+            raise StateKeyLimitError(
+                f"labeled states are byte keys: need |site|, |value| <= {KEY_LIMIT}, "
+                f"got reach {radius} and max |value| {maxval}")
+    levels = [[_key(start)]]
+    parents: list[array] = [array("i")]
+    frontier = [start]
+    terminals: list[tuple[int, int, CanonicalState]] = []
+    visited = depth = 1
     while True:
-        frontier = levels[-1].states
-        counts = labeled_count(frontier, thresh, radius, dummy_s, dummy_v)
-        for r in np.flatnonzero(counts == 0):
-            terminals.append((len(levels) - 1, int(r), _decode(frontier[r])))
-        total = int(counts.sum())
-        if total == 0:
+        children: dict[bytes, tuple[int, CanonicalState]] = {}
+        for r, state in enumerate(frontier):
+            moved = False
+            for _, _, child in _successors(state, variant):
+                moved = True
+                children.setdefault(_key(child), (r, child))
+            if not moved:
+                terminals.append((depth - 1, r, state))
+        if not children:
             break
-        offsets = np.zeros(frontier.shape[0], np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        out_states = np.empty((total, 2 * nchips), np.int8)
-        out_parent = np.empty(total, np.int64)
-        out_site = np.empty(total, np.int8)
-        out_vals = np.full((total, max_th), PAD, np.int8)
-        labeled_fill(frontier, left, right, thresh, radius, offsets,
-                     out_states, out_parent, out_site, out_vals)
-        uniq, first = np.unique(out_states, axis=0, return_index=True)
-        visited += uniq.shape[0]
+        keys = sorted(children)
+        visited += len(keys)
         if visited > state_cap:
             raise CapExceededError(
                 f"labeled exploration exceeded {state_cap} states",
                 states_visited=visited)
-        level = _Level(uniq)
+        frontier = [children[k][1] for k in keys]
+        depth += 1
         if record_parents:
-            level.parents = out_parent[first]
-            level.move_site = out_site[first]
-            level.move_vals = out_vals[first]
-        levels.append(level)
-        if not record_parents:
-            levels[-2] = _Level(np.zeros((0, 0), np.int8))  # drop old frontier
-    return levels, terminals, visited
+            levels.append(keys)
+            parents.append(array("i", (children[k][0] for k in keys)))
+    return levels, parents, terminals, visited
 
 
-def _witness_moves(levels: list[_Level], level_idx: int, row_idx: int):
+def _witness_moves(levels: list[list[bytes]], parents: list[array], variant: Variant,
+                   level_idx: int, idx: int):
+    """Moves from the start to ``levels[level_idx][idx]``, re-expanding each parent."""
     moves = []
-    li, ri = level_idx, row_idx
-    while li > 0:
-        level = levels[li]
-        site = int(level.move_site[ri])
-        vals = tuple(int(v) for v in level.move_vals[ri] if v != PAD)
-        moves.append((site, vals))
-        ri = int(level.parents[ri])
-        li -= 1
+    key = levels[level_idx][idx]
+    for li in range(level_idx, 0, -1):
+        idx = parents[li][idx]
+        parent = levels[li - 1][idx]
+        moves.append(next((site, chosen) for site, chosen, child
+                          in _successors(_unkey(parent), variant) if _key(child) == key))
+        key = parent
     moves.reverse()
     return moves
 
@@ -207,15 +196,15 @@ def explore(initial: LabeledConfiguration, variant: Variant,
     non-weakly-sorted terminal when one exists (at the cost of keeping the
     whole level history in memory).
     """
-    levels, term_locs, visited = _explore_levels(initial, variant, state_cap,
-                                                 record_parents=witness_unsorted)
+    levels, parents, term_locs, visited = _explore_levels(
+        initial, variant, state_cap, record_parents=witness_unsorted)
     terminals = []
     witness = None
     for li, ri, state in term_locs:
         terminals.append(state)
         if (witness_unsorted and witness is None
                 and not is_weakly_sorted_state(state)):
-            witness = _witness_moves(levels, li, ri)
+            witness = _witness_moves(levels, parents, variant, li, ri)
     terminals = tuple(sorted(set(terminals)))
     sorted_count = sum(is_weakly_sorted_state(t) for t in terminals)
     return ExplorationReport(

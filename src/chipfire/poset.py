@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import closedform
-from ._kernels import fire_count_expand
 from .engine import CapExceededError, ChipFiringError
 from .variants import Variant
 
@@ -105,6 +104,15 @@ def chips_at(state: dict[int, int], site: int, variant: Variant,
     return val
 
 
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """Distinct rows in lexicographic order, as ``np.unique(a, axis=0)`` returns
+    them; sorting column by column is much faster than its sort of whole rows."""
+    a = a[np.lexsort(a.T[::-1])]
+    keep = np.ones(a.shape[0], np.bool_)
+    keep[1:] = np.any(a[1:] != a[:-1], axis=1)
+    return a[keep]
+
+
 def reachable_states(variant: Variant, n: int,
                      state_cap: int = DEFAULT_STATE_CAP) -> FireCountSpace:
     """Breadth-first closure of all fire-count vectors reachable from zero.
@@ -122,48 +130,48 @@ def reachable_states(variant: Variant, n: int,
     if w == 0:
         return FireCountSpace(variant, n, sites, totals, initial,
                               np.zeros((1, 0), np.int16))
-    leftx = np.empty(w + 2, np.int64)
-    rightx = np.empty(w + 2, np.int64)
-    threshx = np.empty(w + 2, np.int64)
-    for j in range(-1, w + 1):
-        site = sites[0] + j
-        leftx[j + 1] = variant.left_mult(site)
-        rightx[j + 1] = variant.right_mult(site)
-        threshx[j + 1] = variant.threshold(site)
+    # chips over the window plus one virtual site on each side: init_ext + F @ flow
+    ext = range(sites[0] - 1, sites[0] + w + 1)
+    init_ext = np.concatenate(([0], initial, [0]))
+    thresh_ext = np.array([variant.threshold(s) for s in ext], np.int64)
+    flow = np.zeros((w, w + 2), np.int64)
+    for i, site in enumerate(ext[1:-1]):
+        flow[i, i] = variant.left_mult(site)
+        flow[i, i + 1] = -(variant.left_mult(site) + variant.right_mult(site))
+        flow[i, i + 2] = variant.right_mult(site)
 
     frontier = np.zeros((1, w), np.int16)
     levels = [frontier]
     visited = 1
     while True:
-        out = np.empty((frontier.shape[0] * w, w), np.int16)
-        had_succ = np.empty(frontier.shape[0], np.uint8)
-        m, err = fire_count_expand(frontier, initial, leftx, rightx, threshx,
-                                   totals, out, had_succ)
-        if err == 1:
-            raise ChipFiringError("a site outside the closed-form window became enabled")
-        if err == 2:
-            raise ChipFiringError("a site exceeded its closed-form total fire count")
-        if err == 3:
+        chips = init_ext + frontier @ flow
+        if np.any(chips < 0):
             raise ChipFiringError("negative chip count reached: corrupt state space")
-        if m == 0:
+        enabled = chips >= thresh_ext
+        if enabled[:, 0].any() or enabled[:, -1].any():
+            raise ChipFiringError("a site outside the closed-form window became enabled")
+        enabled = enabled[:, 1:-1]
+        if np.any(enabled & (frontier >= totals)):
+            raise ChipFiringError("a site exceeded its closed-form total fire count")
+        rows, cols = np.nonzero(enabled)
+        if rows.size == 0:
             if frontier.shape[0] != 1:
                 raise ChipFiringError(
                     f"{frontier.shape[0]} distinct terminal fire-count states; expected 1")
             break
-        if not had_succ.all():
+        if not enabled.any(axis=1).all():
             raise ChipFiringError("a non-final state had no successors (premature deadlock)")
-        frontier = np.unique(out[:m], axis=0)
+        succ = frontier[rows]
+        succ[np.arange(rows.size), cols] += 1
+        frontier = _unique_rows(succ)
         visited += frontier.shape[0]
         if visited > state_cap:
             raise CapExceededError(
                 f"fire-count space exceeded {state_cap} states", states_visited=visited)
         levels.append(frontier)
-    states = np.vstack(levels)
-    space = FireCountSpace(variant, n, sites, totals, initial, states)
-    terminal = states[-frontier.shape[0]:][0]
-    if not np.array_equal(terminal.astype(np.int64), totals):
+    if not np.array_equal(frontier[0], totals):
         raise ChipFiringError("terminal fire-count state differs from closed-form totals")
-    return space
+    return FireCountSpace(variant, n, sites, totals, initial, np.vstack(levels))
 
 
 # --- precedence relation ----------------------------------------------------

@@ -65,6 +65,12 @@ def test_verify_usage_error():
     assert main(["verify", "--variant", "multi-edge", "--r", "2", "--n", "7"]) == 2
 
 
+def test_invalid_variant_parameter_is_usage_error(capsys):
+    assert main(["simulate", "--variant", "multi-edge", "--r", "0", "--n", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_poset_grid(tmp_path):
     dot = tmp_path / "poset.dot"
     report = tmp_path / "grid.json"
@@ -103,6 +109,12 @@ def test_explore_reports(tmp_path):
     assert data["witness"] is not None
     header = data["witness"][0]
     assert header["n"] == 5 and "initial" in header
+
+
+def test_explore_beyond_key_limit_is_usage_error(capsys):
+    assert main(["explore", "--n", "130"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "<= 120" in err and err.count("\n") == 1
 
 
 def test_explore_cap_exit():

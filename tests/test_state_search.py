@@ -1,0 +1,148 @@
+"""Both breadth-first searches against simple references and pinned outputs.
+
+The labeled search in ``explorer`` and the fire-count search in ``poset``
+must keep their visiting order exactly, because witnesses, reports and DOT
+files are derived from it.  The pinned values below were recorded before
+the searches were rewritten and must not change.
+"""
+
+import hashlib
+import json
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from chipfire import closedform, explorer, poset
+from chipfire.engine import ChipFiringError, standard_initial
+from chipfire.explorer import canonicalize, explore, successor_outcomes
+from chipfire.poset import chips_at, reachable_states
+from chipfire.variants import (Variant, base, exponential, loops_everywhere, multi_edge,
+                               origin_loops)
+
+DATA = Path(__file__).parent / "data"
+
+
+# --- fire-count search ------------------------------------------------------
+
+def dict_bfs(variant, n):
+    """Every reachable fire-count vector as sorted ``(site, fires)`` pairs."""
+    initial = {0: n}
+    seen = {()}
+    frontier = [{}]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            lo, hi = min(state, default=0) - 1, max(state, default=0) + 1
+            for site in range(lo, hi + 1):
+                if chips_at(state, site, variant, initial) >= variant.threshold(site):
+                    child = {**state, site: state.get(site, 0) + 1}
+                    key = tuple(sorted(child.items()))
+                    if key not in seen:
+                        seen.add(key)
+                        nxt.append(child)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("variant,n", [(base(), n) for n in range(2, 11)] + [
+    (multi_edge(2), 8), (multi_edge(2), 12), (loops_everywhere(), 7),
+    (loops_everywhere(), 11), (origin_loops(1), 9), (exponential(1), 8)])
+def test_reachable_states_match_dict_bfs(variant, n):
+    space = reachable_states(variant, n)
+    got = [tuple((s, int(c)) for s, c in zip(space.sites, row) if c) for row in space.states]
+    assert len(got) == len(set(got))
+    assert set(got) == dict_bfs(variant, n)
+
+
+def test_reachable_states_rows_pinned():
+    space = reachable_states(base(), 14)
+    assert space.states.shape == (23_744, 13) and space.states.dtype == np.int16
+    assert (hashlib.sha1(space.states.tobytes()).hexdigest()
+            == "e68973d98b9e1388c21321c1a0fa477ea836bdc7")
+
+
+def _patch_table(monkeypatch, edit):
+    table = closedform.fire_count_table
+
+    def patched(variant, n):
+        out = dict(table(variant, n))
+        edit(out)
+        return out
+    monkeypatch.setattr(poset.closedform, "fire_count_table", patched)
+
+
+def test_narrowed_window_is_detected(monkeypatch):
+    _patch_table(monkeypatch, lambda t: t.pop(max(t)))
+    with pytest.raises(ChipFiringError, match="outside the closed-form window"):
+        reachable_states(base(), 6)
+
+
+def test_lowered_total_is_detected(monkeypatch):
+    _patch_table(monkeypatch, lambda t: t.update({0: t[0] - 1}))
+    with pytest.raises(ChipFiringError, match="exceeded its closed-form total"):
+        reachable_states(base(), 6)
+
+
+def test_raised_total_is_detected(monkeypatch):
+    _patch_table(monkeypatch, lambda t: t.update({0: t[0] + 1}))
+    with pytest.raises(ChipFiringError, match="differs from closed-form totals"):
+        reachable_states(base(), 6)
+
+
+class _Leaky(Variant):
+    """Fires with a single chip but still sends one chip to each side."""
+
+    def threshold(self, site):
+        return 1
+
+
+def test_negative_chips_are_detected(monkeypatch):
+    monkeypatch.setattr(poset.closedform, "fire_count_table",
+                        lambda variant, n: {s: 20 for s in range(-3, 4)})
+    with pytest.raises(ChipFiringError, match="negative chip count"):
+        reachable_states(_Leaky(), 2)
+
+
+def test_premature_deadlock_is_detected(monkeypatch):
+    unique_rows = poset._unique_rows
+    table = closedform.fire_count_table(base(), 4)
+    final = np.array([[table[s] for s in sorted(table)]], np.int16)
+    # a broken expansion step that also emits the final state
+    monkeypatch.setattr(poset, "_unique_rows",
+                        lambda rows: np.vstack([unique_rows(rows), final]))
+    with pytest.raises(ChipFiringError, match="premature deadlock"):
+        reachable_states(base(), 4)
+
+
+def test_duplicate_terminal_rows_are_detected(monkeypatch):
+    # a broken expansion step that does not deduplicate
+    monkeypatch.setattr(poset, "_unique_rows", lambda rows: rows)
+    with pytest.raises(ChipFiringError, match="distinct terminal fire-count states"):
+        reachable_states(base(), 4)
+
+
+# --- labeled search ---------------------------------------------------------
+
+def test_explore_base_n7_report_pinned():
+    report = explore(standard_initial(base(), 7), base(), witness_unsorted=True)
+    assert report.to_json() == json.loads((DATA / "explore_base_n7.json").read_text())
+
+
+def test_byte_keys_sort_like_signed_rows():
+    states = [canonicalize(standard_initial(base(), 7))]
+    for _ in range(4):
+        states = sorted({c for s in states for c in successor_outcomes(s, base())})
+    rows = np.array([[x for site, values in s for v in values for x in (site, v)]
+                     for s in states], np.int8)
+    order = sorted(range(len(states)), key=lambda i: explorer._key(states[i]))
+    assert np.array_equal(rows[order], np.unique(rows, axis=0))
+    assert all(explorer._unkey(explorer._key(s)) == s for s in states)
+
+
+def test_key_limit_rejects_before_searching():
+    start = time.perf_counter()
+    with pytest.raises(explorer.StateKeyLimitError, match="<= 120"):
+        explore(standard_initial(base(), 130), base())
+    assert time.perf_counter() - start < 5
