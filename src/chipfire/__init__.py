@@ -9,7 +9,7 @@ states, and per-step lemma checkers.
 from .variants import (Variant, base, exponential, loops_and_edges,
                        loops_everywhere, multi_edge, origin_loops)
 from .engine import (CapExceededError, Chip, ChipFiringError, IllegalMoveError,
-                     LabeledConfiguration, Move, MoveRecord, NonTerminationError,
+                     LabeledConfiguration, MoveRecord, NonTerminationError,
                      Trace, run_to_completion, standard_initial, make_strategy)
 from .closedform import (NoSortingTheoremError, UnsupportedVariantError,
                          canonical_labels, expected_sorted_terminal,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Variant", "base", "multi_edge", "origin_loops", "loops_everywhere",
     "loops_and_edges", "exponential",
-    "Chip", "LabeledConfiguration", "Move", "MoveRecord", "Trace",
+    "Chip", "LabeledConfiguration", "MoveRecord", "Trace",
     "run_to_completion", "standard_initial", "make_strategy",
     "ChipFiringError", "IllegalMoveError", "NonTerminationError",
     "CapExceededError", "UnsupportedVariantError", "NoSortingTheoremError",

@@ -12,6 +12,7 @@ from math import ceil, floor
 
 from . import closedform
 from .engine import ChipFiringError, LabeledConfiguration, Trace
+from .poset import diamond_coord, is_diamond_node
 from .variants import Variant
 
 
@@ -60,13 +61,13 @@ def check_conservation(trace: Trace) -> list[BoundViolation]:
     total0 = trace.initial.total_chips()
     weighted0 = trace.initial.weighted_sum()
     out = []
-    fires: dict[int, int] = {}
+    drift = 0
     for _, rec, after in trace.replay(verify=False):
-        fires[rec.site] = fires.get(rec.site, 0) + 1
+        left, _, right, _ = v.site_row(rec.site)
+        drift += right - left
         if after.total_chips() != total0:
             out.append(BoundViolation(rec.step, None, None, rec.site,
                                       "chip_conservation", total0))
-        drift = sum(c * (v.right_mult(s) - v.left_mult(s)) for s, c in fires.items())
         if after.weighted_sum() != weighted0 + drift:
             out.append(BoundViolation(rec.step, None, None, rec.site,
                                       "weighted_sum", weighted0 + drift))
@@ -159,13 +160,6 @@ def check_loop_bounds(trace: Trace) -> list[BoundViolation]:
     return out
 
 
-def _diamond_coord(site: int, occ_from_last: int) -> tuple[int, int]:
-    j = occ_from_last - 1
-    if site >= 0:
-        return site + j, j
-    return j, j - site
-
-
 def _iter_moves_with_occurrence(trace: Trace):
     """Yield (before, rec, after, occ_from_start) over the trace."""
     fires: dict[int, int] = {}
@@ -191,8 +185,8 @@ def check_diamond_move_bounds(trace: Trace) -> list[BoundViolation]:
     out = []
     for before, rec, after, occ in _iter_moves_with_occurrence(trace):
         occ_from_last = table[rec.site] - occ + 1
-        if 1 <= occ_from_last <= m - abs(rec.site):
-            x, y = _diamond_coord(rec.site, occ_from_last)
+        if is_diamond_node(rec.site, occ_from_last, m):
+            x, y = diamond_coord(rec.site, occ_from_last)
             positions = before.positions()
             neg_pos = positions[by_value[-(y + 1)]]
             if neg_pos > rec.site:
@@ -279,7 +273,7 @@ def diamond_configuration(trace: Trace) -> DiamondConfigurationView:
     assignment: dict[int, tuple[int, int, int]] = {}
     for before, rec, after, occ in _iter_moves_with_occurrence(trace):
         occ_from_last = table[rec.site] - occ + 1
-        if 1 <= occ_from_last <= m - abs(rec.site):
+        if is_diamond_node(rec.site, occ_from_last, m):
             for chip in before.chips_at(rec.site):
                 if chip.id not in assignment:
                     assignment[chip.id] = (chip.value, rec.site, occ)

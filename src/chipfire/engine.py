@@ -11,7 +11,9 @@ left), so every run is reproducible from its seed.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -47,17 +49,19 @@ class Chip(NamedTuple):
     value: int
 
 
-def _chip_key(chip: Chip) -> tuple[int, int]:
-    return (chip.value, chip.id)
+_chip_key = itemgetter(1, 0)  # (value, id): the order chips keep at a site
 
 
 class LabeledConfiguration:
     """Sparse mapping from site to the chips currently there.
 
     Instances are immutable: applying a move returns a new configuration.
+    Each site's chips are sorted by ``(value, id)`` and no site is empty.
+    The enabled sites for one variant are remembered once known, and a
+    configuration made by ``apply`` derives its own from its parent's.
     """
 
-    __slots__ = ("occupancy",)
+    __slots__ = ("occupancy", "_enabled")
 
     def __init__(self, occupancy: dict[int, Iterable[Chip]]):
         self.occupancy: dict[int, tuple[Chip, ...]] = {
@@ -65,6 +69,8 @@ class LabeledConfiguration:
             for site, chips in occupancy.items()
             if chips
         }
+        # None, (variant, enabled sites), or (variant, parent's enabled sites, fired site)
+        self._enabled: tuple | None = None
 
     @classmethod
     def from_values(cls, values_by_site: dict[int, Iterable[int]]) -> "LabeledConfiguration":
@@ -104,31 +110,64 @@ class LabeledConfiguration:
         return sum(site * len(chips) for site, chips in self.occupancy.items())
 
     def enabled_sites(self, variant: Variant) -> list[int]:
-        return sorted(site for site, chips in self.occupancy.items()
-                      if len(chips) >= variant.threshold(site))
+        """Sorted sites holding at least their threshold; do not mutate the list."""
+        memo = self._enabled
+        if memo is None or not (memo[0] is variant or memo[0] == variant):
+            enabled = sorted(site for site, chips in self.occupancy.items()
+                             if len(chips) >= variant.site_row(site)[3])
+        elif len(memo) == 2:
+            return memo[1]
+        else:
+            # made by apply: only the fired site and its neighbours can differ
+            _, parent, site = memo
+            lo = bisect_left(parent, site - 1)
+            hi = bisect_right(parent, site + 1)
+            near = [s for s in (site - 1, site, site + 1)
+                    if len(self.occupancy.get(s, ())) >= variant.site_row(s)[3]]
+            enabled = parent[:lo] + near + parent[hi:]
+        self._enabled = (variant, enabled)
+        return enabled
 
     def apply(self, variant: Variant, site: int, chosen_ids: Iterable[int]) -> "LabeledConfiguration":
-        """Fire ``chosen_ids`` at ``site``; raises IllegalMoveError on bad input."""
+        """Fire ``chosen_ids`` at ``site``; raises IllegalMoveError on bad input.
+
+        Only sites ``site - 1``, ``site`` and ``site + 1`` change, so only
+        they are re-sorted.  When this configuration's enabled sites are
+        known, the child's are derived from them on first request.
+        """
         chosen = tuple(chosen_ids)
-        present = self.occupancy.get(site, ())
-        th = variant.threshold(site)
+        occupancy = self.occupancy
+        present = occupancy.get(site, ())
+        left, loop, _, th = variant.site_row(site)
         if len(present) < th:
             raise IllegalMoveError(f"site {site} not enabled: {len(present)} chips < threshold {th}")
-        if len(set(chosen)) != len(chosen) or len(chosen) != th:
+        chosen_set = set(chosen)
+        if len(chosen_set) != len(chosen) or len(chosen) != th:
             raise IllegalMoveError(f"move at site {site} must choose {th} distinct chips, got {chosen}")
-        by_id = {c.id: c for c in present}
-        missing = [i for i in chosen if i not in by_id]
-        if missing:
-            raise IllegalMoveError(f"chips {missing} absent from site {site}")
-        fired = sorted((by_id[i] for i in chosen), key=_chip_key)
-        left, loop, right = variant.split(site)
-        occ = dict(self.occupancy)
-        keep = tuple(c for c in present if c.id not in set(chosen))
-        stay = tuple(fired[left:left + loop])
-        occ[site] = keep + stay
-        occ[site - 1] = self.occupancy.get(site - 1, ()) + tuple(fired[:left])
-        occ[site + 1] = self.occupancy.get(site + 1, ()) + tuple(fired[left + loop:])
-        return LabeledConfiguration(occ)
+        # present is in (value, id) order, so both parts come out in that order
+        fired = [c for c in present if c.id in chosen_set]
+        if len(fired) != th:
+            ids = {c.id for c in present}
+            raise IllegalMoveError(f"chips {[i for i in chosen if i not in ids]} absent from site {site}")
+        stay = [c for c in present if c.id not in chosen_set]
+        if loop:
+            stay = sorted(stay + fired[left:left + loop], key=_chip_key)
+        occ = dict(occupancy)
+        if stay:
+            occ[site] = tuple(stay)
+        else:
+            del occ[site]
+        for dest, moved in ((site - 1, fired[:left]), (site + 1, fired[left + loop:])):
+            if moved:
+                occ[dest] = tuple(sorted(occupancy.get(dest, ()) + tuple(moved), key=_chip_key))
+        child = LabeledConfiguration.__new__(LabeledConfiguration)
+        child.occupancy = occ
+        memo = self._enabled
+        if memo is not None and len(memo) == 2 and (memo[0] is variant or memo[0] == variant):
+            child._enabled = (variant, memo[1], site)
+        else:
+            child._enabled = None
+        return child
 
     def __eq__(self, other):
         return isinstance(other, LabeledConfiguration) and self.occupancy == other.occupancy
@@ -160,13 +199,6 @@ def standard_initial(variant: Variant, n: int, preset: str = "origin") -> Labele
             0: range(1, n + 2),
         })
     raise closedform.UnsupportedVariantError(f"unknown preset {preset!r}")
-
-
-@dataclass(frozen=True)
-class Move:
-    site: int
-    chosen: tuple[int, ...]  # chip ids
-    step_index: int
 
 
 @dataclass(frozen=True)
@@ -271,32 +303,55 @@ class Trace:
         move is re-bound to ids by value at its site (lowest ids first), so
         a round-tripped trace replays to the same value-level run.
         """
-        header = json.loads(fp.readline())
-        variant = Variant.from_json(header["variant"])
-        initial = LabeledConfiguration.from_values(
-            {int(site): values for site, values in header["initial"].items()})
+        header = _json_object(fp.readline(), 1)
+        try:
+            variant = Variant.from_json(header["variant"])
+            initial = LabeledConfiguration.from_values(
+                {int(site): values for site, values in header["initial"].items()})
+        except KeyError as exc:
+            raise ChipFiringError(f"line 1: trace header lacks {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ChipFiringError(f"line 1: bad trace header: {exc}") from exc
         config = initial
         records = []
         fires: dict[int, int] = {}
-        for line in fp:
+        for lineno, line in enumerate(fp, 2):
             if not line.strip():
                 continue
-            d = json.loads(line)
-            site = d["site"]
-            ids = _ids_for_values(config, site, d["chosen_values"])
-            present = config.chips_at(site)
-            records.append(MoveRecord(
-                step=d["step"], site=site, chosen_ids=ids,
-                chosen_values=tuple(d["chosen_values"]),
-                present_before=len(present),
-                present_ids=tuple(sorted(c.id for c in present)),
-                fire_index_at_site=fires.get(site, 0) + 1,
-            ))
+            d = _json_object(line, lineno)
+            where = f"line {lineno}, step {d.get('step', len(records))}"
+            try:
+                step, site, values = d["step"], d["site"], d["chosen_values"]
+            except KeyError as exc:
+                raise ChipFiringError(f"{where}: move record lacks {exc}") from exc
+            try:
+                ids = _ids_for_values(config, site, values)
+                present = config.chips_at(site)
+                records.append(MoveRecord(
+                    step=step, site=site, chosen_ids=ids,
+                    chosen_values=tuple(values),
+                    present_before=len(present),
+                    present_ids=tuple(sorted(c.id for c in present)),
+                    fire_index_at_site=fires.get(site, 0) + 1,
+                ))
+                config = config.apply(variant, site, ids)
+            except IllegalMoveError as exc:
+                raise IllegalMoveError(f"{where}: {exc}") from exc
             fires[site] = fires.get(site, 0) + 1
-            config = config.apply(variant, site, ids)
         return cls(variant=variant, initial=initial, records=records,
                    strategy=header.get("strategy", "scripted"), seed=header.get("seed", 0),
                    n=header.get("n"), preset=header.get("preset"))
+
+
+def _json_object(line: str, lineno: int) -> dict:
+    """One JSON-lines record; anything but a JSON object raises ChipFiringError."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ChipFiringError(f"line {lineno}: not JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ChipFiringError(f"line {lineno}: expected a JSON object, got {line.strip()!r}")
+    return record
 
 
 def _ids_for_values(config: LabeledConfiguration, site: int, values: Iterable[int]) -> tuple[int, ...]:

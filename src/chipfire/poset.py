@@ -245,7 +245,16 @@ def diamond_m(variant: Variant, n: int) -> int:
 
 
 def is_diamond_node(site: int, occ_from_last: int, m: int) -> bool:
+    """True for the last ``m - |site|`` moves at ``site``: the diamond of final moves."""
     return 1 <= occ_from_last <= m - abs(site)
+
+
+def diamond_coord(site: int, occ_from_last: int) -> tuple[int, int]:
+    """Diamond coordinates (x, y) of a final move; inverse of ``coord_to_move``."""
+    j = occ_from_last - 1
+    if site >= 0:
+        return site + j, j
+    return j, j - site
 
 
 def coord_to_move(space: FireCountSpace, x: int, y: int) -> MoveInstance:
@@ -255,10 +264,7 @@ def coord_to_move(space: FireCountSpace, x: int, y: int) -> MoveInstance:
 
 
 def move_to_coord(move: MoveInstance, m: int) -> tuple[int, int]:
-    j = move.occ_from_last - 1
-    if move.site >= 0:
-        return move.site + j, j
-    return j, j - move.site
+    return diamond_coord(move.site, move.occ_from_last)
 
 
 # --- structure checks -------------------------------------------------------

@@ -9,7 +9,7 @@ one site right, and the middle ones stay put.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 KINDS = (
     "base",
@@ -30,12 +30,18 @@ class Variant:
     parameter of the exponential variant, where the bundle between sites
     ``k`` and ``k+1`` has multiplicity ``2**(t-k)`` for ``0 <= k <= t``
     (mirrored on the negative side) and 1 farther out.
+
+    ``left_mult``, ``loop_mult`` and ``right_mult`` are the defining
+    formulas; ``site_row`` caches their values per site, and ``threshold``
+    and ``split`` read that cache.
     """
 
     kind: str = "base"
     r: int = 1
     s: int = 0
     t: int = 0
+    _rows: dict[int, tuple[int, int, int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -74,13 +80,21 @@ class Variant:
             return self.r
         return 0
 
+    def site_row(self, site: int) -> tuple[int, int, int, int]:
+        """(left, loop, right, threshold) at ``site``, computed once per site."""
+        row = self._rows.get(site)
+        if row is None:
+            left, loop, right = self.left_mult(site), self.loop_mult(site), self.right_mult(site)
+            row = self._rows[site] = (left, loop, right, left + loop + right)
+        return row
+
     def threshold(self, site: int) -> int:
         """Number of chips a firing move at ``site`` chooses and redistributes."""
-        return self.left_mult(site) + self.loop_mult(site) + self.right_mult(site)
+        return self.site_row(site)[3]
 
     def split(self, site: int) -> tuple[int, int, int]:
         """(left, loop, right) multiplicities at ``site``."""
-        return self.left_mult(site), self.loop_mult(site), self.right_mult(site)
+        return self.site_row(site)[:3]
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}

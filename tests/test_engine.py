@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,8 @@ from chipfire import engine
 from chipfire.engine import (Chip, IllegalMoveError, LabeledConfiguration,
                              LeftmostStrategy, RandomStrategy, ScriptedValuesStrategy,
                              run_to_completion, standard_initial)
-from chipfire.variants import base, exponential, loops_everywhere, multi_edge, origin_loops
+from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
+                               origin_loops)
 
 
 def test_enabled_sites():
@@ -224,3 +226,124 @@ def test_permutation_equivariance(data):
     ids2 = engine._ids_for_values(relabeled, site, chosen_values)
     after2 = relabeled.apply(v, site, ids2)
     assert after.values_by_site() == after2.values_by_site()
+
+
+# --- incremental apply / enabled sites against the full-rebuild path ---------
+
+ALL_VARIANTS = [base(), multi_edge(2), origin_loops(2), loops_everywhere(),
+                loops_and_edges(2), exponential(1)]
+
+
+def rebuild_apply(config, v, site, chosen):
+    """The move applied the slow way: every site re-sorted by the constructor."""
+    present = config.chips_at(site)
+    fired = sorted((c for c in present if c.id in chosen), key=lambda c: (c.value, c.id))
+    left, loop, _ = v.split(site)
+    occ = dict(config.occupancy)
+    occ[site] = tuple(c for c in present if c.id not in chosen) + tuple(fired[left:left + loop])
+    occ[site - 1] = config.chips_at(site - 1) + tuple(fired[:left])
+    occ[site + 1] = config.chips_at(site + 1) + tuple(fired[left + loop:])
+    return LabeledConfiguration(occ)
+
+
+def scan_enabled(config, v):
+    return LabeledConfiguration(config.occupancy).enabled_sites(v)
+
+
+@st.composite
+def variant_and_config(draw):
+    v = draw(st.sampled_from(ALL_VARIANTS))
+    occ = {site: draw(st.lists(st.integers(-4, 4), max_size=9)) for site in range(-2, 3)}
+    return v, LabeledConfiguration.from_values(occ)
+
+
+def draw_move(draw, config, v):
+    enabled = config.enabled_sites(v)
+    site = draw(st.sampled_from(enabled))
+    ids = [c.id for c in config.chips_at(site)]
+    chosen = draw(st.permutations(ids))[:v.threshold(site)]
+    return site, tuple(chosen)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_apply_matches_full_rebuild(data):
+    v, config = data.draw(variant_and_config())
+    if not config.enabled_sites(v):
+        return
+    site, chosen = draw_move(data.draw, config, v)
+    after = config.apply(v, site, chosen)
+    assert after == rebuild_apply(config, v, site, set(chosen))
+    assert after == LabeledConfiguration(after.occupancy)
+    for chips in after.occupancy.values():
+        assert chips and list(chips) == sorted(chips, key=lambda c: (c.value, c.id))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_remembered_enabled_sites_match_fresh_scan(data):
+    v, config = data.draw(variant_and_config())
+    for _ in range(data.draw(st.integers(1, 25))):
+        # asking only sometimes exercises children of parents never asked
+        if data.draw(st.booleans()) and config.enabled_sites(v) != scan_enabled(config, v):
+            pytest.fail("remembered enabled sites differ from a fresh scan")
+        if not scan_enabled(config, v):
+            break
+        # drawn on a copy, so that config itself is asked only on the coin above
+        site, chosen = draw_move(data.draw, LabeledConfiguration(config.occupancy), v)
+        config = config.apply(v, site, chosen)
+    assert config.enabled_sites(v) == scan_enabled(config, v)
+    other = data.draw(st.sampled_from(ALL_VARIANTS))
+    assert config.enabled_sites(other) == scan_enabled(config, other)
+
+
+# --- trace ingestion errors ---------------------------------------------------
+
+def _trace_lines():
+    v = base()
+    trace = run_to_completion(standard_initial(v, 4), v, LeftmostStrategy())
+    buf = io.StringIO()
+    trace.write_jsonl(buf)
+    return buf.getvalue().splitlines()
+
+
+def _read(lines):
+    return engine.Trace.read_jsonl(io.StringIO("\n".join(lines) + "\n"))
+
+
+@pytest.mark.parametrize("key", ["chosen_values", "site", "step"])
+def test_read_jsonl_record_missing_key(key):
+    lines = _trace_lines()
+    record = json.loads(lines[2])
+    del record[key]
+    lines[2] = json.dumps(record)
+    with pytest.raises(engine.ChipFiringError, match=rf"line 3, step 1: .*'{key}'"):
+        _read(lines)
+
+
+@pytest.mark.parametrize("key", ["variant", "initial"])
+def test_read_jsonl_header_missing_key(key):
+    lines = _trace_lines()
+    header = json.loads(lines[0])
+    del header[key]
+    lines[0] = json.dumps(header)
+    with pytest.raises(engine.ChipFiringError, match=rf"line 1: .*'{key}'"):
+        _read(lines)
+
+
+def test_read_jsonl_line_not_json():
+    lines = _trace_lines()
+    lines[3] = lines[3][:-5]
+    with pytest.raises(engine.ChipFiringError, match="line 4: not JSON"):
+        _read(lines)
+    with pytest.raises(engine.ChipFiringError, match="line 1: not JSON"):
+        _read(["{"])
+
+
+def test_read_jsonl_illegal_move_names_line_and_step():
+    lines = _trace_lines()
+    record = json.loads(lines[1])
+    record["chosen_values"] = [99, 100]
+    lines[1] = json.dumps(record)
+    with pytest.raises(IllegalMoveError, match="line 2, step 0: no chip valued 99"):
+        _read(lines)

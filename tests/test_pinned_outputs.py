@@ -1,0 +1,71 @@
+"""Seeded CLI outputs pinned byte for byte.
+
+The random strategy draws from the run RNG in an order fixed by the
+enabled-site list and the sorted chip ids at the firing site, so any change
+to how the engine keeps those lists shows up here as a changed digest.  The
+SHA-1 values were recorded before the engine was made incremental and must
+not change.
+"""
+
+import hashlib
+
+import pytest
+
+from chipfire import cli
+
+SIMULATE_CASES = {
+    "base-60": ["--variant", "base", "--n", "60"],
+    "loops-23": ["--variant", "loops", "--n", "23"],
+    "exponential-t2": ["--variant", "exponential", "--t", "2"],
+    "multi-edge-r2-12": ["--variant", "multi-edge", "--r", "2", "--n", "12"],
+}
+
+SIMULATE_SHA1 = {
+    "base-60@0": "f36a0bb32c4b71a21463deb01eeaa568c8e1fa90",
+    "base-60@1": "1c4a1596abb26696d48808d4c4d263dc294402f0",
+    "base-60@2": "de532bec9f42ea1c2d1d3a6de8a015c334cff159",
+    "exponential-t2@0": "f45b0b2ba1014d9b33675534ee7ec6f2afba78a0",
+    "exponential-t2@1": "f21bd86e8b26599298fa6cfae8cf4279b51f9164",
+    "exponential-t2@2": "14e98d2c62920265b742dea2a969fbec82bb86a7",
+    "loops-23@0": "7c07d010964e1b720a723abfade94c0ee095b27d",
+    "loops-23@1": "82e245a002b031fbdac35231a433c1f1dbd63466",
+    "loops-23@2": "938872618780e66a421f4853a64bd7afaaca11fa",
+    "multi-edge-r2-12@0": "eecb2327f7ab63f3f192df76cf6927b2cab443cc",
+    "multi-edge-r2-12@1": "6283911ef60696be1e89ac8127b91cd942d6acaf",
+    "multi-edge-r2-12@2": "64d03563ec0e7347d52855c0d1d154dc97996d1a",
+}
+
+VERIFY_CASES = {
+    "base-20": ["--variant", "base", "--n", "20"],
+    "base-21": ["--variant", "base", "--n", "21"],
+    "loops-11": ["--variant", "loops", "--n", "11"],
+}
+
+VERIFY_SHA1 = {
+    "base-20": "5fb2c87cf8e8ed8a09682ddbf1a4c7b7dff13957",
+    "base-21": "f17716c163a586d5e466012d05d674b512f766b8",
+    "loops-11": "68b48bde56d6e04b368fbc009dd0270d2f34d135",
+}
+
+
+def _sha1(path) -> str:
+    return hashlib.sha1(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_CASES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_simulate_trace_pinned(case, seed, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    argv = ["simulate", *SIMULATE_CASES[case], "--strategy", "random",
+            "--seed", str(seed), "--trace", str(path)]
+    assert cli.main(argv) == cli.EXIT_PASS
+    assert _sha1(path) == SIMULATE_SHA1[f"{case}@{seed}"]
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+def test_verify_report_pinned(case, tmp_path):
+    path = tmp_path / "report.json"
+    argv = ["verify", *VERIFY_CASES[case], "--runs", "15", "--seed", "0",
+            "--report", str(path)]
+    assert cli.main(argv) == cli.EXIT_PASS
+    assert _sha1(path) == VERIFY_SHA1[case]

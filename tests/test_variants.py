@@ -68,3 +68,14 @@ def test_json_round_trip():
     for v in (base(), multi_edge(2), origin_loops(1), loops_everywhere(),
               loops_and_edges(3), exponential(2)):
         assert Variant.from_json(v.to_json()) == v
+
+
+@pytest.mark.parametrize("v", [base(), multi_edge(3), origin_loops(0), origin_loops(3),
+                               loops_everywhere(), loops_and_edges(2),
+                               *(exponential(t) for t in range(4))], ids=str)
+def test_site_table_matches_formulas(v):
+    for site in range(-40, 41):
+        left, loop, right = v.left_mult(site), v.loop_mult(site), v.right_mult(site)
+        assert v.split(site) == (left, loop, right)
+        assert v.threshold(site) == left + loop + right
+        assert v.site_row(site) == (left, loop, right, left + loop + right)
