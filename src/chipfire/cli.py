@@ -288,7 +288,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:
-        print(f"cap exceeded: {exc} (states_visited={exc.states_visited})", file=sys.stderr)
+        print(f"cap exceeded: {exc} (states_visited={exc.states_visited}, "
+              f"level={exc.level}, frontier={exc.frontier})", file=sys.stderr)
         return EXIT_CAP
     except NonTerminationError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

@@ -37,11 +37,19 @@ class NonTerminationError(ChipFiringError):
 
 
 class CapExceededError(ChipFiringError):
-    """A search exceeded its state cap; partial results are not returned."""
+    """A search exceeded its state cap; partial results are not returned.
 
-    def __init__(self, message: str, states_visited: int = 0):
+    ``level`` is the depth (moves from the start) of the level whose states
+    crossed the cap, and ``frontier`` the size of the level expanded to
+    produce it.
+    """
+
+    def __init__(self, message: str, states_visited: int = 0,
+                 level: int = 0, frontier: int = 0):
         super().__init__(message)
         self.states_visited = states_visited
+        self.level = level
+        self.frontier = frontier
 
 
 class Chip(NamedTuple):

@@ -5,13 +5,23 @@ to id permutation among equal values have identical futures, because the
 firing rule depends only on values.  The reachable canonical-state graph
 is expanded breadth first; since every move raises the total fire count by
 one, levels are graded and deduplication stays within a level.
+
+Inside the search a state is one row of ``uint16`` chips, each
+``(site + 128) << 8 | (value + 128)``, in ascending order, so the row's
+big-endian bytes are the state's byte key (``_key``) and rows sort like
+keys.  A level is one sorted ``(S, n)`` array and is expanded as a whole:
+the chips at a site are contiguous in a row, so a T-column combination
+(in lexicographic order) is a move exactly when its first and last columns
+share a site whose threshold is T.
 """
 
 from __future__ import annotations
 
-from array import array
+import math
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .engine import (CapExceededError, LabeledConfiguration, ScriptedValuesStrategy,
                      HoldStrategy, Trace, run_to_completion, standard_initial)
@@ -20,6 +30,9 @@ from .variants import Variant
 DEFAULT_STATE_CAP = 5_000_000
 KEY_OFFSET = 128  # byte keys store site + 128 and value + 128
 KEY_LIMIT = 120   # largest |site| reach and |value| a byte key is allowed to hold
+SITE_STEP = 1 << 8  # one site to the right, in a uint16 chip
+SLICE_CELLS = 1 << 21  # rows x combinations tested at once while expanding a level
+COMBINATION_LIMIT = 1 << 21  # most column combinations a search may test per state
 
 # canonical state: ((site, (values...)), ...) sorted by site
 CanonicalState = tuple[tuple[int, tuple[int, ...]], ...]
@@ -42,32 +55,108 @@ def is_weakly_sorted_state(state: CanonicalState) -> bool:
     return all(a <= b for a, b in zip(flat, flat[1:]))
 
 
-def _successors(state: CanonicalState, variant: Variant):
-    """Yield ``(site, chosen, child)`` for every distinct move, in site order.
+def _key(state: CanonicalState) -> bytes:
+    """Flat ``(site, value)`` sequence offset by KEY_OFFSET, one byte each.
 
-    Value choices come from ``itertools.combinations`` over the sorted
-    values at the site, so ``chosen`` is sorted and only its first
-    occurrence is kept.
+    Keys of equal length sort like the signed sequences they encode.
     """
-    occ = dict(state)
-    for site, values in state:
-        th = variant.threshold(site)
-        if len(values) < th:
-            continue
-        left, loop, right = variant.split(site)
-        seen = set()
-        for chosen in combinations(values, th):
-            if chosen in seen:
-                continue
-            seen.add(chosen)
-            pool = list(values)
-            for v in chosen:
-                pool.remove(v)
-            nxt = dict(occ)
-            nxt[site] = tuple(sorted(pool + list(chosen[left:left + loop])))
-            nxt[site - 1] = tuple(sorted(occ.get(site - 1, ()) + chosen[:left]))
-            nxt[site + 1] = tuple(sorted(occ.get(site + 1, ()) + chosen[left + loop:]))
-            yield site, chosen, tuple((s, v) for s, v in sorted(nxt.items()) if v)
+    return bytes(x + KEY_OFFSET for site, values in state for v in values for x in (site, v))
+
+
+def _unkey(key: bytes) -> CanonicalState:
+    occ: dict[int, list[int]] = {}
+    for i in range(0, len(key), 2):
+        occ.setdefault(key[i] - KEY_OFFSET, []).append(key[i + 1] - KEY_OFFSET)
+    return tuple((s, tuple(v)) for s, v in occ.items())
+
+
+def _row(state: CanonicalState) -> np.ndarray:
+    return np.frombuffer(_key(state), ">u2").astype(np.uint16)
+
+
+def _state(row: np.ndarray) -> CanonicalState:
+    return _unkey(row.astype(">u2").tobytes())
+
+
+def _check_key_limit(state: CanonicalState):
+    nchips = sum(len(values) for _, values in state)
+    if nchips:
+        radius = max(abs(site) for site, _ in state) + nchips + 2
+        maxval = max(abs(v) for _, vals in state for v in vals)
+        if radius > KEY_LIMIT or maxval > KEY_LIMIT:
+            raise StateKeyLimitError(
+                f"labeled states are byte keys: need |site|, |value| <= {KEY_LIMIT}, "
+                f"got reach {radius} and max |value| {maxval}")
+
+
+class _MoveTable:
+    """The moves of ``variant`` on rows of ``nchips`` chips, one block per threshold.
+
+    A block holds, for one threshold T, the T-column combinations in
+    lexicographic order, per site byte the ``uint16`` deltas that send the
+    ``left`` smallest chosen chips one site left and the ``right`` largest
+    one site right, and per site byte whether T is that site's threshold.
+    Rows are expanded in slices whose size keeps rows x combinations near
+    ``SLICE_CELLS``.  Rows with more than ``COMBINATION_LIMIT`` combinations
+    are refused, because their tables would not fit in memory.
+    """
+
+    def __init__(self, variant: Variant, nchips: int):
+        thresholds = np.array([variant.threshold(b - KEY_OFFSET) for b in range(256)])
+        used = [int(t) for t in np.unique(thresholds) if t <= nchips]
+        cells = sum(math.comb(nchips, t) for t in used)
+        if cells > COMBINATION_LIMIT:
+            raise CapExceededError(
+                f"labeled moves of {nchips} chips need {cells} column combinations "
+                f"per state, more than {COMBINATION_LIMIT}", states_visited=1, frontier=1)
+        self.slice_rows = max(1, SLICE_CELLS // max(1, cells))
+        self.blocks = []
+        for t in used:
+            delta = np.zeros((256, t), np.uint16)
+            fires = thresholds == t
+            for b in np.flatnonzero(fires):
+                left, loop, _ = variant.split(int(b) - KEY_OFFSET)
+                delta[b, :left] = -SITE_STEP % (1 << 16)
+                delta[b, left + loop:] = SITE_STEP
+            combos = np.array(list(combinations(range(nchips), t)), np.intp)
+            self.blocks.append((combos, delta, fires))
+
+    def expand(self, rows: np.ndarray):
+        """Every move of every row, in (row, first column, combination) order.
+
+        Returns ``(parent, children, block, comb)``: per move the row it
+        starts from, the sorted child row, and the block and combination
+        that chose its chips.
+        """
+        sites = rows >> 8
+        parts = []
+        for k, (combos, delta, fires) in enumerate(self.blocks):
+            first = sites[:, combos[:, 0]]
+            parent, comb = np.nonzero(first == sites[:, combos[:, -1]])
+            site = first[parent, comb]
+            legal = fires[site]
+            parent, comb, site = parent[legal], comb[legal], site[legal]
+            children = rows[parent]
+            children[np.arange(parent.size)[:, None], combos[comb]] += delta[site]
+            children.sort(axis=1)
+            parts.append((parent, children, np.full(parent.size, k), comb))
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            empty = np.zeros(0, np.intp)
+            return empty, rows[:0], empty, empty
+        parent, children, block, comb = (np.concatenate(a) for a in zip(*parts))
+        firstcol = np.concatenate([combos[c, 0] for (combos, _, _), (_, _, _, c)
+                                   in zip(self.blocks, parts)])
+        order = np.argsort(parent * rows.shape[1] + firstcol, kind="stable")
+        return parent[order], children[order], block[order], comb[order]
+
+    def move_to(self, row: np.ndarray, child: np.ndarray) -> tuple[int, tuple[int, ...]]:
+        """``(site, chosen values)`` of the first move from ``row`` to ``child``."""
+        _, children, block, comb = self.expand(row[None])
+        i = int(np.flatnonzero((children == child).all(axis=1))[0])
+        chips = row[self.blocks[block[i]][0][comb[i]]].tolist()
+        return (chips[0] >> 8) - KEY_OFFSET, tuple((c & 0xFF) - KEY_OFFSET for c in chips)
 
 
 def successor_outcomes(state: CanonicalState, variant: Variant) -> set[CanonicalState]:
@@ -75,7 +164,10 @@ def successor_outcomes(state: CanonicalState, variant: Variant) -> set[Canonical
 
     Distinct choices that split identically merge into one outcome.
     """
-    return {child for _, _, child in _successors(state, variant)}
+    _check_key_limit(state)
+    row = _row(state)
+    _, children, _, _ = _MoveTable(variant, row.size).expand(row[None])
+    return {_state(child) for child in children}
 
 
 @dataclass
@@ -107,83 +199,80 @@ class ExplorationReport:
         }
 
 
-def _key(state: CanonicalState) -> bytes:
-    """Flat ``(site, value)`` sequence offset by KEY_OFFSET, one byte each.
+def _first_unique(rows: np.ndarray) -> np.ndarray:
+    """Index of each distinct row's first occurrence, in sorted row order.
 
-    Keys of equal length sort like the signed sequences they encode.
+    ``lexsort`` is stable and radix-sorts ``uint16`` columns, so it beats
+    packing chips into wider words.
     """
-    return bytes(x + KEY_OFFSET for site, values in state for v in values for x in (site, v))
-
-
-def _unkey(key: bytes) -> CanonicalState:
-    occ: dict[int, list[int]] = {}
-    for i in range(0, len(key), 2):
-        occ.setdefault(key[i] - KEY_OFFSET, []).append(key[i + 1] - KEY_OFFSET)
-    return tuple((s, tuple(v)) for s, v in occ.items())
+    if not len(rows):
+        return np.zeros(0, np.intp)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    keep = np.ones(len(rows), np.bool_)
+    keep[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return order[keep]
 
 
 def _explore_levels(initial: LabeledConfiguration, variant: Variant,
                     state_cap: int, record_parents: bool):
-    """Graded BFS over byte keys.
+    """Graded BFS over sorted ``uint16`` rows, one level at a time.
 
-    Each level is the sorted list of its keys.  A child's parent index and
-    move are those of its first occurrence when the previous level is
-    expanded in order, and only the parent index is kept (per level, when
-    ``record_parents``).  Returns (levels, parents, terminals, visited),
-    terminals as (level, index, state) in visiting order.
+    Each level is its sorted array of rows.  A child's parent index is that
+    of its first occurrence when the previous level's moves are taken in
+    (row, first column, combination) order, and is kept per level when
+    ``record_parents``.  Returns (levels, parents, terminals, visited,
+    moves), terminals as (level, index, state) in visiting order.
     """
     start = canonicalize(initial)
-    nchips = initial.total_chips()
-    if nchips:
-        radius = max(abs(site) for site, _ in start) + nchips + 2
-        maxval = max(abs(v) for _, vals in start for v in vals)
-        if radius > KEY_LIMIT or maxval > KEY_LIMIT:
-            raise StateKeyLimitError(
-                f"labeled states are byte keys: need |site|, |value| <= {KEY_LIMIT}, "
-                f"got reach {radius} and max |value| {maxval}")
-    levels = [[_key(start)]]
-    parents: list[array] = [array("i")]
-    frontier = [start]
+    _check_key_limit(start)
+    frontier = _row(start)[None]
+    moves = _MoveTable(variant, frontier.shape[1])
+    levels = [frontier]
+    parents = [np.zeros(0, np.int32)]
     terminals: list[tuple[int, int, CanonicalState]] = []
     visited = depth = 1
     while True:
-        children: dict[bytes, tuple[int, CanonicalState]] = {}
-        for r, state in enumerate(frontier):
-            moved = False
-            for _, _, child in _successors(state, variant):
-                moved = True
-                children.setdefault(_key(child), (r, child))
-            if not moved:
-                terminals.append((depth - 1, r, state))
-        if not children:
+        kids, kid_parents = [], []
+        for lo in range(0, len(frontier), moves.slice_rows):
+            part = frontier[lo:lo + moves.slice_rows]
+            parent, children, _, _ = moves.expand(part)
+            stuck = np.ones(len(part), np.bool_)
+            stuck[parent] = False
+            terminals.extend((depth - 1, lo + r, _state(part[r])) for r in np.flatnonzero(stuck))
+            first = _first_unique(children)
+            kids.append(children[first])
+            kid_parents.append(parent[first] + lo)
+        children = np.concatenate(kids)
+        if not len(children):
             break
-        keys = sorted(children)
-        visited += len(keys)
+        parent = np.concatenate(kid_parents)
+        if len(kids) > 1:
+            first = _first_unique(children)
+            children, parent = children[first], parent[first]
+        visited += len(children)
         if visited > state_cap:
             raise CapExceededError(
                 f"labeled exploration exceeded {state_cap} states",
-                states_visited=visited)
-        frontier = [children[k][1] for k in keys]
+                states_visited=visited, level=depth, frontier=len(frontier))
+        frontier = children
         depth += 1
         if record_parents:
-            levels.append(keys)
-            parents.append(array("i", (children[k][0] for k in keys)))
-    return levels, parents, terminals, visited
+            levels.append(children)
+            parents.append(parent.astype(np.int32))
+    return levels, parents, terminals, visited, moves
 
 
-def _witness_moves(levels: list[list[bytes]], parents: list[array], variant: Variant,
+def _witness_moves(levels: list[np.ndarray], parents: list[np.ndarray], moves: _MoveTable,
                    level_idx: int, idx: int):
     """Moves from the start to ``levels[level_idx][idx]``, re-expanding each parent."""
-    moves = []
-    key = levels[level_idx][idx]
+    out = []
     for li in range(level_idx, 0, -1):
+        child = levels[li][idx]
         idx = parents[li][idx]
-        parent = levels[li - 1][idx]
-        moves.append(next((site, chosen) for site, chosen, child
-                          in _successors(_unkey(parent), variant) if _key(child) == key))
-        key = parent
-    moves.reverse()
-    return moves
+        out.append(moves.move_to(levels[li - 1][idx], child))
+    out.reverse()
+    return out
 
 
 def explore(initial: LabeledConfiguration, variant: Variant,
@@ -191,12 +280,12 @@ def explore(initial: LabeledConfiguration, variant: Variant,
             witness_unsorted: bool = False) -> ExplorationReport:
     """Visit the full reachable canonical-state graph and collect terminals.
 
-    Raises CapExceededError (carrying states_visited) when the cap is hit.
-    With ``witness_unsorted`` the report includes a move sequence to some
-    non-weakly-sorted terminal when one exists (at the cost of keeping the
-    whole level history in memory).
+    Raises CapExceededError (carrying states_visited, level and frontier)
+    when the cap is hit.  With ``witness_unsorted`` the report includes a
+    move sequence to some non-weakly-sorted terminal when one exists (at the
+    cost of keeping the whole level history in memory).
     """
-    levels, parents, term_locs, visited = _explore_levels(
+    levels, parents, term_locs, visited, moves = _explore_levels(
         initial, variant, state_cap, record_parents=witness_unsorted)
     terminals = []
     witness = None
@@ -204,7 +293,7 @@ def explore(initial: LabeledConfiguration, variant: Variant,
         terminals.append(state)
         if (witness_unsorted and witness is None
                 and not is_weakly_sorted_state(state)):
-            witness = _witness_moves(levels, parents, variant, li, ri)
+            witness = _witness_moves(levels, parents, moves, li, ri)
     terminals = tuple(sorted(set(terminals)))
     sorted_count = sum(is_weakly_sorted_state(t) for t in terminals)
     return ExplorationReport(

@@ -167,7 +167,8 @@ def reachable_states(variant: Variant, n: int,
         visited += frontier.shape[0]
         if visited > state_cap:
             raise CapExceededError(
-                f"fire-count space exceeded {state_cap} states", states_visited=visited)
+                f"fire-count space exceeded {state_cap} states", states_visited=visited,
+                level=len(levels), frontier=levels[-1].shape[0])
         levels.append(frontier)
     if not np.array_equal(frontier[0], totals):
         raise ChipFiringError("terminal fire-count state differs from closed-form totals")

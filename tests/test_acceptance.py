@@ -74,6 +74,15 @@ def test_criterion_02_global_confluence_exhaustive():
                 closedform.expected_sorted_terminal(BASE, n)
 
 
+def test_criterion_02_global_confluence_exhaustive_n10():
+    with criterion(2, "exhaustive global confluence, base n=10"):
+        report = explore(standard_initial(BASE, 10), BASE)
+        assert report.states_visited == 712_024
+        assert report.terminal_count == 1 and report.confluent
+        assert to_site_dict(report.terminals[0]) == \
+            closedform.expected_sorted_terminal(BASE, 10)
+
+
 def test_criterion_03_odd_n_nonconfluence():
     with criterion(3, "odd-n non-confluence with unsorted terminals"):
         for n in (3, 5):

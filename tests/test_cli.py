@@ -117,8 +117,13 @@ def test_explore_beyond_key_limit_is_usage_error(capsys):
     assert err.startswith("error: ") and "<= 120" in err and err.count("\n") == 1
 
 
-def test_explore_cap_exit():
+def test_explore_cap_exit(capsys):
     assert main(["explore", "--variant", "base", "--n", "6", "--state-cap", "3"]) == 3
+    assert capsys.readouterr().err.endswith("(states_visited=16, level=1, frontier=1)\n")
+    assert main(["explore", "--variant", "base", "--n", "6", "--state-cap", "40"]) == 3
+    err = capsys.readouterr().err
+    assert err == ("cap exceeded: labeled exploration exceeded 40 states "
+                   "(states_visited=46, level=2, frontier=15)\n")
 
 
 def test_counterexample_odd(tmp_path):

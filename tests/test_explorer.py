@@ -2,13 +2,20 @@ from itertools import combinations
 
 import pytest
 
+import labeled_reference
 from chipfire import analysis, closedform, explorer
 from chipfire.engine import (CapExceededError, LabeledConfiguration, RandomStrategy,
                              run_to_completion, standard_initial)
 from chipfire.explorer import (adversarial_1mod4, canonicalize, explore,
                                find_unsorted_terminal, successor_outcomes,
                                to_site_dict)
-from chipfire.variants import base, loops_everywhere, multi_edge
+from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere,
+                               multi_edge, origin_loops)
+
+# every variant at an n its standard initial configuration supports
+SIX_VARIANTS = [(base(), 8), (multi_edge(2), 8), (origin_loops(2), 6), (loops_everywhere(), 7),
+                (loops_and_edges(2), 6), (exponential(0), 4), (exponential(1), 8)]
+REPEATED_VALUES = {0: [1, 1, 2, 3, 3, 3, 4, 5, 5, 6]}
 
 
 def test_successor_outcomes_three_chips():
@@ -63,6 +70,18 @@ def test_explore_cap():
     with pytest.raises(CapExceededError) as err:
         explore(standard_initial(base(), 6), base(), state_cap=5)
     assert err.value.states_visited > 5
+    assert (err.value.level, err.value.frontier) == (1, 1)
+    # levels of base n=6 hold 1, 15, 30, ... states: level 2 crosses 40
+    with pytest.raises(CapExceededError) as err:
+        explore(standard_initial(base(), 6), base(), state_cap=40)
+    assert (err.value.states_visited, err.value.level, err.value.frontier) == (46, 2, 15)
+
+
+def test_explore_refuses_rows_with_too_many_combinations():
+    variant = exponential(3)  # 32 chips, threshold 16 at the origin: C(32, 16) > 6e8
+    with pytest.raises(CapExceededError, match="column combinations") as err:
+        explore(standard_initial(variant, 32), variant)
+    assert (err.value.level, err.value.frontier) == (0, 1)
 
 
 def test_find_unsorted_terminal_witness_replays():
@@ -110,19 +129,71 @@ def test_canonicalization_soundness_vs_id_level(n):
     assert set(rep.terminals) == _id_level_terminals(initial, base())
 
 
+def _random_reachable(initial, variant, seeds):
+    """Configurations along seeded random runs from ``initial``."""
+    out = [initial]
+    for seed in seeds:
+        trace = run_to_completion(initial, variant, RandomStrategy(), seed=seed)
+        out += [after for _, _, after in trace.replay(verify=False)]
+    return out
+
+
 def test_explorer_agrees_with_engine_choices():
-    """successor_outcomes equals applying every legal id-subset and erasing ids."""
-    variant = loops_everywhere()
-    config = standard_initial(variant, 7)
-    rng_trace = run_to_completion(config, variant, RandomStrategy(), seed=2)
-    states = [config] + [after for _, _, after in rng_trace.replay(verify=False)]
-    for state in states[:6]:
-        want = set()
-        for site in state.enabled_sites(variant):
-            ids = sorted(c.id for c in state.chips_at(site))
-            for chosen in combinations(ids, variant.threshold(site)):
-                want.add(canonicalize(state.apply(variant, site, chosen)))
-        assert successor_outcomes(canonicalize(state), variant) == want
+    """The level expansion against the per-state reference and the engine, all six variants.
+
+    On random reachable states the children equal the reference's and those
+    of applying every legal id-subset, and the first move reaching each
+    child is the reference's.
+    """
+    for variant, n in SIX_VARIANTS:
+        for initial in (standard_initial(variant, n),
+                        LabeledConfiguration.from_values(REPEATED_VALUES)):
+            for config in _random_reachable(initial, variant, seeds=(0, 1, 2)):
+                state = canonicalize(config)
+                first = labeled_reference.first_moves(state, variant)
+                applied = set()
+                for site in config.enabled_sites(variant):
+                    ids = sorted(c.id for c in config.chips_at(site))
+                    for chosen in combinations(ids, variant.threshold(site)):
+                        applied.add(canonicalize(config.apply(variant, site, chosen)))
+                assert successor_outcomes(state, variant) == set(first) == applied
+                row = explorer._row(state)
+                table = explorer._MoveTable(variant, row.size)
+                for child, move in first.items():
+                    assert table.move_to(row, explorer._row(child)) == move
+
+
+@pytest.mark.parametrize("variant,n", [(base(), 7), (loops_everywhere(), 9),
+                                       (origin_loops(2), 6), (exponential(1), 8)])
+def test_levels_match_reference_bfs(variant, n):
+    """Every level's rows are, as big-endian bytes, the reference's sorted
+    ``_key`` values, with the same first-occurrence parents; origin_loops
+    and exponential mix thresholds."""
+    initial = standard_initial(variant, n)
+    levels, parents, _, visited, _ = explorer._explore_levels(
+        initial, variant, explorer.DEFAULT_STATE_CAP, record_parents=True)
+    want_keys, want_parents = labeled_reference.levels(canonicalize(initial), variant)
+    assert [[row.astype(">u2").tobytes() for row in level] for level in levels] == want_keys
+    assert [p.tolist() for p in parents] == want_parents
+    assert visited == sum(map(len, want_keys))
+
+
+def _levels_and_report(variant, n):
+    initial = standard_initial(variant, n)
+    levels, parents, terminals, visited, _ = explorer._explore_levels(
+        initial, variant, explorer.DEFAULT_STATE_CAP, record_parents=True)
+    report = explore(initial, variant, witness_unsorted=True).to_json()
+    return ([level.tolist() for level in levels], [p.tolist() for p in parents],
+            terminals, visited, report)
+
+
+@pytest.mark.parametrize("cells", [1, 64])
+def test_sliced_expansion_matches_whole_levels(monkeypatch, cells):
+    """Slices of one or a few rows give the same levels, parents, terminals and report."""
+    cases = [(base(), 7), (exponential(1), 8), (loops_everywhere(), 9)]
+    whole = [_levels_and_report(v, n) for v, n in cases]
+    monkeypatch.setattr(explorer, "SLICE_CELLS", cells)
+    assert [_levels_and_report(v, n) for v, n in cases] == whole
 
 
 def test_adversarial_1mod4():

@@ -1,17 +1,24 @@
-"""Seeded CLI outputs pinned byte for byte.
+"""Seeded CLI outputs and exhaustive-search outputs pinned byte for byte.
 
 The random strategy draws from the run RNG in an order fixed by the
 enabled-site list and the sorted chip ids at the firing site, so any change
 to how the engine keeps those lists shows up here as a changed digest.  The
-SHA-1 values were recorded before the engine was made incremental and must
-not change.
+SHA-1 values of simulate and verify outputs were recorded before the engine
+was made incremental, and those of explore reports and witness traces
+before the labeled search expanded whole levels in NumPy; none may change.
 """
 
 import hashlib
+import io
+import json
 
 import pytest
 
 from chipfire import cli
+from chipfire.engine import standard_initial
+from chipfire.explorer import explore, find_unsorted_terminal
+from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
+                               origin_loops)
 
 SIMULATE_CASES = {
     "base-60": ["--variant", "base", "--n", "60"],
@@ -47,6 +54,35 @@ VERIFY_SHA1 = {
     "loops-11": "68b48bde56d6e04b368fbc009dd0270d2f34d135",
 }
 
+EXPLORE_CASES = {
+    "base-8": (base(), 8, "origin"),
+    "base-9": (base(), 9, "origin"),
+    "loops-11": (loops_everywhere(), 11, "origin"),
+    "multi-edge-r2-8": (multi_edge(2), 8, "origin"),
+    "origin-loops-s2-6": (origin_loops(2), 6, "origin"),
+    "exponential-t1-8": (exponential(1), 8, "origin"),
+    "loops-edges-r2-6": (loops_and_edges(2), 6, "origin"),
+    "base-staircase-3": (base(), 3, "staircase"),
+}
+
+# SHA-1 of json.dumps(explore(..., witness_unsorted=True).to_json(), sort_keys=True)
+EXPLORE_SHA1 = {
+    "base-8": "c4cec2a2b8d0f562600255e19f4a122a7ffa3543",
+    "base-9": "e119e67c8eb645f3eb0ba1ebc78dc7e7b006d859",
+    "loops-11": "bf0e92c6a0ab1f8b2bb667651114508363781cc7",
+    "multi-edge-r2-8": "517a4d604bb7173866b7d694ec2ed6676d2064e4",
+    "origin-loops-s2-6": "8f1324016f4cf7bf2587dc211e4a74ae3c475d77",
+    "exponential-t1-8": "b7b5829b4a762c10f7a64cb6de896a1e149476e7",
+    "loops-edges-r2-6": "d22160c04f1a9245c002037fd8f772d3f7c1caa8",
+    "base-staircase-3": "f9b83d03f92b53f65b90da8a8f31842cdf70e0ad",
+}
+
+# SHA-1 of the find_unsorted_terminal trace as JSON lines, base variant
+WITNESS_SHA1 = {
+    7: "b9209184f607261ac4ac71a981dbf80482df627d",
+    9: "164ccb6500a019bd8060dd7ff14e3bfd297f90a0",
+}
+
 
 def _sha1(path) -> str:
     return hashlib.sha1(path.read_bytes()).hexdigest()
@@ -69,3 +105,19 @@ def test_verify_report_pinned(case, tmp_path):
             "--report", str(path)]
     assert cli.main(argv) == cli.EXIT_PASS
     assert _sha1(path) == VERIFY_SHA1[case]
+
+
+@pytest.mark.parametrize("case", sorted(EXPLORE_CASES))
+def test_explore_report_pinned(case):
+    variant, n, preset = EXPLORE_CASES[case]
+    report = explore(standard_initial(variant, n, preset), variant, witness_unsorted=True)
+    data = json.dumps(report.to_json(), sort_keys=True).encode()
+    assert hashlib.sha1(data).hexdigest() == EXPLORE_SHA1[case]
+
+
+@pytest.mark.parametrize("n", sorted(WITNESS_SHA1))
+def test_unsorted_witness_trace_pinned(n):
+    trace = find_unsorted_terminal(standard_initial(base(), n), base())
+    buf = io.StringIO()
+    trace.write_jsonl(buf)
+    assert hashlib.sha1(buf.getvalue().encode()).hexdigest() == WITNESS_SHA1[n]

@@ -47,8 +47,10 @@ def test_reachable_terminal_matches_totals():
 
 
 def test_reachable_states_cap():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError) as err:
         reachable_states(base(), 10, state_cap=10)
+    # levels of base n=10 hold 1, 1, 1, 3, 4, 4, ... states: level 5 crosses 10
+    assert (err.value.states_visited, err.value.level, err.value.frontier) == (14, 5, 4)
 
 
 def _greedy_sequence(variant, n, preference):
