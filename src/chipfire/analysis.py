@@ -160,14 +160,6 @@ def check_loop_bounds(trace: Trace) -> list[BoundViolation]:
     return out
 
 
-def _iter_moves_with_occurrence(trace: Trace):
-    """Yield (before, rec, after, occ_from_start) over the trace."""
-    fires: dict[int, int] = {}
-    for before, rec, after in trace.replay(verify=False):
-        fires[rec.site] = fires.get(rec.site, 0) + 1
-        yield before, rec, after, fires[rec.site]
-
-
 def check_diamond_move_bounds(trace: Trace) -> list[BoundViolation]:
     """Chip positions immediately before each diamond move, base variant, even n.
 
@@ -183,8 +175,8 @@ def check_diamond_move_bounds(trace: Trace) -> list[BoundViolation]:
     table = closedform.fire_count_table(v, n)
     by_value = {chip.value: chip.id for _, chip in trace.initial.chips()}
     out = []
-    for before, rec, after, occ in _iter_moves_with_occurrence(trace):
-        occ_from_last = table[rec.site] - occ + 1
+    for before, rec, after in trace.replay(verify=False):
+        occ_from_last = table[rec.site] - rec.fire_index_at_site + 1
         if is_diamond_node(rec.site, occ_from_last, m):
             x, y = diamond_coord(rec.site, occ_from_last)
             positions = before.positions()
@@ -212,11 +204,11 @@ def check_diamond_count_bounds(trace: Trace) -> list[BoundViolation]:
     m = (n + 1) // 4
     table = closedform.fire_count_table(v, n)
     out = []
-    for before, rec, after, occ in _iter_moves_with_occurrence(trace):
+    for before, rec, after in trace.replay(verify=False):
         k = rec.site
         f = table.get(k, 0)
         diamond_width = m - abs(k)
-        j = occ - (f - diamond_width)
+        j = rec.fire_index_at_site - (f - diamond_width)
         if j < 1:
             continue
         chips = list(after.chips())
@@ -271,12 +263,12 @@ def diamond_configuration(trace: Trace) -> DiamondConfigurationView:
         raise CheckerNotApplicableError("the exponential variant has no diamond")
     table = closedform.fire_count_table(v, n)
     assignment: dict[int, tuple[int, int, int]] = {}
-    for before, rec, after, occ in _iter_moves_with_occurrence(trace):
-        occ_from_last = table[rec.site] - occ + 1
+    for before, rec, after in trace.replay(verify=False):
+        occ_from_last = table[rec.site] - rec.fire_index_at_site + 1
         if is_diamond_node(rec.site, occ_from_last, m):
             for chip in before.chips_at(rec.site):
                 if chip.id not in assignment:
-                    assignment[chip.id] = (chip.value, rec.site, occ)
+                    assignment[chip.id] = (chip.value, rec.site, rec.fire_index_at_site)
     if len(assignment) != n:
         raise ChipFiringError(
             f"only {len(assignment)} of {n} chips attended a diamond move")

@@ -234,41 +234,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Labeled chip-firing on the integer line: simulate, verify, explore.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, strategy=True):
+    def common(p, run=False, preset=True, search=True):
+        """Flags shared by the subcommands: ``run`` adds the strategy of
+        engine runs, ``search`` the state cap of the exhaustive searches."""
         p.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="base")
         p.add_argument("--r", type=int, default=1, help="edge multiplicity")
         p.add_argument("--s", type=int, default=0, help="self-loops at the origin")
         p.add_argument("--t", type=int, default=0, help="exponential decay parameter")
         p.add_argument("--n", type=int, default=None, help="number of chips")
-        p.add_argument("--preset", choices=["origin", "staircase"], default="origin")
+        if preset:
+            p.add_argument("--preset", choices=["origin", "staircase"], default="origin")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--state-cap", type=int, default=poset.DEFAULT_STATE_CAP)
+        if search:
+            p.add_argument("--state-cap", type=int, default=poset.DEFAULT_STATE_CAP)
         p.add_argument("--report", type=str, default=None, help="write JSON report here")
-        if strategy:
+        if run:
             p.add_argument("--strategy", choices=["leftmost", "random"], default="random")
 
     p = sub.add_parser("simulate", help="run once and print the terminal configuration")
-    common(p)
+    common(p, run=True, search=False)
     p.add_argument("--trace", type=str, default=None, help="write JSON-lines trace here")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="seeded runs against the closed-form oracles")
-    common(p)
+    common(p, run=True, search=False)
     p.add_argument("--runs", type=int, default=100)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("poset", help="fire-count state space and structure checks")
-    common(p, strategy=False)
+    common(p, preset=False)
     p.add_argument("--check", choices=["grid", "expgrid", "none"], default="none")
     p.add_argument("--dot", type=str, default=None, help="write Hasse diagram DOT here")
     p.set_defaults(func=cmd_poset)
 
     p = sub.add_parser("explore", help="exhaustive search over labeled configurations")
-    common(p, strategy=False)
+    common(p)
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("counterexample", help="produce a non-sorting witness trace")
-    common(p, strategy=False)
+    common(p)
     p.add_argument("--case", choices=["odd", "loops-1mod4"], required=True)
     p.add_argument("--m", type=int, default=None, help="size parameter for loops-1mod4")
     p.add_argument("--trace", type=str, default=None, help="write witness JSON-lines trace here")

@@ -99,11 +99,8 @@ class LabeledConfiguration:
     def chips_at(self, site: int) -> tuple[Chip, ...]:
         return self.occupancy.get(site, ())
 
-    def count_at(self, site: int) -> int:
-        return len(self.occupancy.get(site, ()))
-
     def values_at(self, site: int) -> tuple[int, ...]:
-        return tuple(sorted(c.value for c in self.occupancy.get(site, ())))
+        return tuple(c.value for c in self.occupancy.get(site, ()))
 
     def values_by_site(self) -> dict[int, tuple[int, ...]]:
         return {site: self.values_at(site) for site in sorted(self.occupancy)}
@@ -250,25 +247,20 @@ class Trace:
     def replay(self, verify: bool = True) -> Iterator[tuple[LabeledConfiguration, MoveRecord, LabeledConfiguration]]:
         """Yield (state_before, record, state_after) for every move.
 
-        With ``verify`` the recorded metadata is re-derived and compared; any
-        mismatch raises ChipFiringError.
+        With ``verify`` each record is derived again from its move and must
+        equal the stored one; any mismatch raises ChipFiringError.
         """
         config = self.initial
         fires: dict[int, int] = {}
         for rec in self.records:
             before = config
             if verify:
-                present = config.chips_at(rec.site)
-                by_id = {c.id: c for c in present}
-                values = tuple(sorted(by_id[i].value for i in rec.chosen_ids if i in by_id))
-                ok = (len(present) == rec.present_before
-                      and tuple(sorted(c.id for c in present)) == rec.present_ids
-                      and values == tuple(sorted(rec.chosen_values))
-                      and fires.get(rec.site, 0) + 1 == rec.fire_index_at_site)
-                if not ok:
+                derived, config = _fire(config, self.variant, rec.step, rec.site,
+                                        rec.chosen_ids, fires)
+                if derived != rec:
                     raise ChipFiringError(f"replay mismatch at step {rec.step}: {rec}")
-            config = config.apply(self.variant, rec.site, rec.chosen_ids)
-            fires[rec.site] = fires.get(rec.site, 0) + 1
+            else:
+                config = config.apply(self.variant, rec.site, rec.chosen_ids)
             yield before, rec, config
         if verify and config.enabled_sites(self.variant):
             raise ChipFiringError("trace does not end in a terminal configuration")
@@ -309,18 +301,21 @@ class Trace:
 
         Chip ids are reassigned in (site, value) order, then each recorded
         move is re-bound to ids by value at its site (lowest ids first), so
-        a round-tripped trace replays to the same value-level run.
+        a round-tripped trace replays to the same value-level run.  Steps,
+        sites and chip values must be JSON integers; bad input raises
+        ChipFiringError naming its line.
         """
         header = _json_object(fp.readline(), 1)
         try:
             variant = Variant.from_json(header["variant"])
-            initial = LabeledConfiguration.from_values(
-                {int(site): values for site, values in header["initial"].items()})
+            values_by_site = {int(site): values for site, values in header["initial"].items()}
         except KeyError as exc:
             raise ChipFiringError(f"line 1: trace header lacks {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise ChipFiringError(f"line 1: bad trace header: {exc}") from exc
-        config = initial
+        if not all(_int_list(values) for values in values_by_site.values()):
+            raise ChipFiringError("line 1: initial chip values must be lists of JSON integers")
+        initial = config = LabeledConfiguration.from_values(values_by_site)
         records = []
         fires: dict[int, int] = {}
         for lineno, line in enumerate(fp, 2):
@@ -332,23 +327,39 @@ class Trace:
                 step, site, values = d["step"], d["site"], d["chosen_values"]
             except KeyError as exc:
                 raise ChipFiringError(f"{where}: move record lacks {exc}") from exc
+            if not (_int_list([step, site]) and _int_list(values)):
+                raise ChipFiringError(
+                    f"{where}: step, site and chosen_values must be JSON integers")
             try:
-                ids = _ids_for_values(config, site, values)
-                present = config.chips_at(site)
-                records.append(MoveRecord(
-                    step=step, site=site, chosen_ids=ids,
-                    chosen_values=tuple(values),
-                    present_before=len(present),
-                    present_ids=tuple(sorted(c.id for c in present)),
-                    fire_index_at_site=fires.get(site, 0) + 1,
-                ))
-                config = config.apply(variant, site, ids)
+                rec, config = _fire(config, variant, step, site,
+                                    _ids_for_values(config, site, values), fires)
             except IllegalMoveError as exc:
                 raise IllegalMoveError(f"{where}: {exc}") from exc
-            fires[site] = fires.get(site, 0) + 1
+            records.append(rec)
         return cls(variant=variant, initial=initial, records=records,
                    strategy=header.get("strategy", "scripted"), seed=header.get("seed", 0),
                    n=header.get("n"), preset=header.get("preset"))
+
+
+def _fire(config: LabeledConfiguration, variant: Variant, step: int, site: int,
+          chosen_ids: tuple[int, ...], fires: dict[int, int]) -> tuple[MoveRecord, LabeledConfiguration]:
+    """Apply one move, count it in ``fires``, and return its record and the child."""
+    child = config.apply(variant, site, chosen_ids)
+    present = config.chips_at(site)
+    fires[site] = fires.get(site, 0) + 1
+    chosen = set(chosen_ids)
+    return MoveRecord(
+        step=step, site=site, chosen_ids=tuple(sorted(chosen_ids)),
+        chosen_values=tuple(c.value for c in present if c.id in chosen),
+        present_before=len(present),
+        present_ids=tuple(sorted(c.id for c in present)),
+        fire_index_at_site=fires[site],
+    ), child
+
+
+def _int_list(values) -> bool:
+    """True for a list of JSON integers (bools are not integers here)."""
+    return isinstance(values, list) and all(type(v) is int for v in values)
 
 
 def _json_object(line: str, lineno: int) -> dict:
@@ -396,8 +407,7 @@ class LeftmostStrategy(Strategy):
 
     def choose(self, config, variant, rng):
         site = config.enabled_sites(variant)[0]
-        chips = sorted(config.chips_at(site), key=_chip_key)
-        return site, tuple(c.id for c in chips[:variant.threshold(site)])
+        return site, tuple(c.id for c in config.chips_at(site)[:variant.threshold(site)])
 
 
 class RandomStrategy(Strategy):
@@ -411,23 +421,6 @@ class RandomStrategy(Strategy):
         ids = np.array(sorted(c.id for c in config.chips_at(site)))
         picked = rng.choice(ids, size=variant.threshold(site), replace=False)
         return site, tuple(sorted(int(i) for i in picked))
-
-
-class ScriptedStrategy(Strategy):
-    """Replay an explicit list of (site, chosen_ids) moves."""
-
-    name = "scripted"
-
-    def __init__(self, moves: Iterable[tuple[int, tuple[int, ...]]]):
-        self._moves = list(moves)
-        self._pos = 0
-
-    def choose(self, config, variant, rng):
-        if self._pos >= len(self._moves):
-            raise IllegalMoveError("script exhausted while sites are still enabled")
-        site, ids = self._moves[self._pos]
-        self._pos += 1
-        return site, tuple(ids)
 
 
 class ScriptedValuesStrategy(Strategy):
@@ -465,8 +458,7 @@ class HoldStrategy(Strategy):
         enabled = config.enabled_sites(variant)
         for site in enabled:
             th = variant.threshold(site)
-            free = sorted((c for c in config.chips_at(site) if c.id not in self.held),
-                          key=_chip_key)
+            free = [c for c in config.chips_at(site) if c.id not in self.held]
             if len(free) >= th:
                 return site, tuple(c.id for c in free[:th])
         site = enabled[0]
@@ -525,20 +517,8 @@ def run_to_completion(initial: LabeledConfiguration, variant: Variant,
         if len(records) >= move_cap:
             raise NonTerminationError(f"exceeded move cap {move_cap} without terminating")
         site, chosen_ids = strategy.choose(config, variant, rng)
-        present = config.chips_at(site)
-        by_id = {c.id: c for c in present}
-        next_config = config.apply(variant, site, chosen_ids)
-        fires[site] = fires.get(site, 0) + 1
-        rec = MoveRecord(
-            step=len(records), site=site,
-            chosen_ids=tuple(sorted(chosen_ids)),
-            chosen_values=tuple(sorted(by_id[i].value for i in chosen_ids)),
-            present_before=len(present),
-            present_ids=tuple(sorted(c.id for c in present)),
-            fire_index_at_site=fires[site],
-        )
+        rec, config = _fire(config, variant, len(records), site, chosen_ids, fires)
         records.append(rec)
-        config = next_config
         for obs in observers:
             obs(config, rec, {"fires": dict(fires)})
     trace = Trace(variant=variant, initial=initial, records=records,

@@ -25,6 +25,7 @@ import numpy as np
 
 from .engine import (CapExceededError, LabeledConfiguration, ScriptedValuesStrategy,
                      HoldStrategy, Trace, run_to_completion, standard_initial)
+from .poset import _first_unique
 from .variants import Variant
 
 DEFAULT_STATE_CAP = 5_000_000
@@ -197,21 +198,6 @@ class ExplorationReport:
             "witness": ([{"site": s, "chosen_values": list(v)} for s, v in self.witness]
                         if self.witness is not None else None),
         }
-
-
-def _first_unique(rows: np.ndarray) -> np.ndarray:
-    """Index of each distinct row's first occurrence, in sorted row order.
-
-    ``lexsort`` is stable and radix-sorts ``uint16`` columns, so it beats
-    packing chips into wider words.
-    """
-    if not len(rows):
-        return np.zeros(0, np.intp)
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    keep = np.ones(len(rows), np.bool_)
-    keep[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    return order[keep]
 
 
 def _explore_levels(initial: LabeledConfiguration, variant: Variant,

@@ -43,6 +43,7 @@ class FireCountSpace:
     totals: np.ndarray                # (W,) int64, fires per window site
     initial: np.ndarray               # (W,) int64, chips initially per window site
     states: np.ndarray                # (N, W) int16
+    flow: np.ndarray                  # (W, W+2) int64, chip change per fire, see reachable_states
 
     def __post_init__(self):
         self._idx = {s: i for i, s in enumerate(self.sites)}
@@ -78,18 +79,10 @@ class FireCountSpace:
         return self.states[:, self._idx[move.site]] >= move.occ_from_start
 
     def chips_vector(self, site: int) -> np.ndarray:
-        """Chip count at ``site`` in every state, by linear flow balance."""
-        v = self.variant
-        c = self.states.astype(np.int64)
-        out = np.full(self.n_states, self.initial[self._idx[site]] if site in self._idx
-                      else (self.n if site == 0 else 0), np.int64)
-        if site - 1 in self._idx:
-            out += v.right_mult(site - 1) * c[:, self._idx[site - 1]]
-        if site + 1 in self._idx:
-            out += v.left_mult(site + 1) * c[:, self._idx[site + 1]]
-        if site in self._idx:
-            out -= (v.left_mult(site) + v.right_mult(site)) * c[:, self._idx[site]]
-        return out
+        """Chip count at window site ``site`` in every state, from the flow matrix."""
+        i = self._idx[site]
+        lo = max(i - 1, 0)
+        return self.initial[i] + self.states[:, lo:i + 2] @ self.flow[lo:i + 2, i + 1]
 
 
 def chips_at(state: dict[int, int], site: int, variant: Variant,
@@ -104,13 +97,20 @@ def chips_at(state: dict[int, int], site: int, variant: Variant,
     return val
 
 
-def _unique_rows(a: np.ndarray) -> np.ndarray:
-    """Distinct rows in lexicographic order, as ``np.unique(a, axis=0)`` returns
-    them; sorting column by column is much faster than its sort of whole rows."""
-    a = a[np.lexsort(a.T[::-1])]
-    keep = np.ones(a.shape[0], np.bool_)
-    keep[1:] = np.any(a[1:] != a[:-1], axis=1)
-    return a[keep]
+def _first_unique(rows: np.ndarray) -> np.ndarray:
+    """Index of each distinct row's first occurrence, in sorted row order.
+
+    Both searches deduplicate with it.  ``lexsort`` is stable and sorts
+    column by column, which beats ``np.unique(axis=0)``'s sort of whole rows
+    and packing several columns into wider words.
+    """
+    if not len(rows):
+        return np.zeros(0, np.intp)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    keep = np.ones(len(rows), np.bool_)
+    keep[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return order[keep]
 
 
 def reachable_states(variant: Variant, n: int,
@@ -129,16 +129,16 @@ def reachable_states(variant: Variant, n: int,
     initial = np.array([n if s == 0 else 0 for s in sites], np.int64)
     if w == 0:
         return FireCountSpace(variant, n, sites, totals, initial,
-                              np.zeros((1, 0), np.int16))
-    # chips over the window plus one virtual site on each side: init_ext + F @ flow
+                              np.zeros((1, 0), np.int16), np.zeros((0, 2), np.int64))
+    # chips over the window plus one virtual site on each side: init_ext + F @ flow,
+    # where row i of flow is what one fire at window site i moves
     ext = range(sites[0] - 1, sites[0] + w + 1)
     init_ext = np.concatenate(([0], initial, [0]))
     thresh_ext = np.array([variant.threshold(s) for s in ext], np.int64)
     flow = np.zeros((w, w + 2), np.int64)
-    for i, site in enumerate(ext[1:-1]):
-        flow[i, i] = variant.left_mult(site)
-        flow[i, i + 1] = -(variant.left_mult(site) + variant.right_mult(site))
-        flow[i, i + 2] = variant.right_mult(site)
+    for i, site in enumerate(sites):
+        left, _, right, _ = variant.site_row(site)
+        flow[i, i:i + 3] = left, -(left + right), right
 
     frontier = np.zeros((1, w), np.int16)
     levels = [frontier]
@@ -163,7 +163,7 @@ def reachable_states(variant: Variant, n: int,
             raise ChipFiringError("a non-final state had no successors (premature deadlock)")
         succ = frontier[rows]
         succ[np.arange(rows.size), cols] += 1
-        frontier = _unique_rows(succ)
+        frontier = succ[_first_unique(succ)]
         visited += frontier.shape[0]
         if visited > state_cap:
             raise CapExceededError(
@@ -172,17 +172,10 @@ def reachable_states(variant: Variant, n: int,
         levels.append(frontier)
     if not np.array_equal(frontier[0], totals):
         raise ChipFiringError("terminal fire-count state differs from closed-form totals")
-    return FireCountSpace(variant, n, sites, totals, initial, np.vstack(levels))
+    return FireCountSpace(variant, n, sites, totals, initial, np.vstack(levels), flow)
 
 
 # --- precedence relation ----------------------------------------------------
-
-def _packed_done(space: FireCountSpace, nodes: list[MoveInstance]) -> np.ndarray:
-    bits = np.empty((len(nodes), space.n_states), np.bool_)
-    for i, node in enumerate(nodes):
-        bits[i] = space.done_vector(node)
-    return np.packbits(bits, axis=1)
-
 
 def must_precede(a: MoveInstance, b: MoveInstance, space: FireCountSpace) -> bool:
     """True iff no reachable state has ``b`` done while ``a`` is not."""
@@ -211,26 +204,19 @@ def build_poset(space: FireCountSpace) -> FiringPoset:
 
     ``a`` precedes ``b`` iff the set of states where ``b`` is done is
     contained in the set where ``a`` is done; containment is checked on
-    bit-packed done vectors.
+    bit-packed done vectors, one row of the relation matrix at a time.  A
+    pair is a cover when no move lies between its ends.
     """
     nodes = space.nodes()
-    packed = _packed_done(space, nodes)
     k = len(nodes)
-    rel_idx: set[tuple[int, int]] = set()
-    for i in range(k):
-        not_i = ~packed[i]
-        for j in range(k):
-            if i != j and not np.any(packed[j] & not_i):
-                rel_idx.add((i, j))
-    relation = frozenset((nodes[i], nodes[j]) for i, j in rel_idx)
-    succs: dict[int, set[int]] = {i: set() for i in range(k)}
-    for i, j in rel_idx:
-        succs[i].add(j)
-    covers = frozenset(
-        (nodes[i], nodes[j])
-        for i, j in rel_idx
-        if not any((c, j) in rel_idx for c in succs[i] if c != j)
-    )
+    done = np.array([space.done_vector(node) for node in nodes], np.bool_)
+    packed = np.packbits(done.reshape(k, space.n_states), axis=1)
+    before = np.array([~np.any(packed & ~row, axis=1) for row in packed], np.bool_).reshape(k, k)
+    np.fill_diagonal(before, False)
+    b = before.astype(np.int32)
+    cover = before & (b @ b == 0)
+    relation = frozenset((nodes[i], nodes[j]) for i, j in zip(*np.nonzero(before)))
+    covers = frozenset((nodes[i], nodes[j]) for i, j in zip(*np.nonzero(cover)))
     totals = {s: space.total_fires(s) for s in space.sites}
     return FiringPoset(space.variant, space.n, tuple(nodes), relation, covers, totals)
 

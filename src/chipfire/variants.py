@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-KINDS = (
-    "base",
-    "multi_edge",
-    "origin_loops",
-    "loops_everywhere",
-    "loops_and_edges",
-    "exponential",
-)
+# the parameters each kind reads; the others must keep their defaults
+PARAMETERS = {
+    "base": (),
+    "multi_edge": ("r",),
+    "origin_loops": ("s",),
+    "loops_everywhere": (),
+    "loops_and_edges": ("r",),
+    "exponential": ("t",),
+}
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class Variant:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in PARAMETERS:
             raise ValueError(f"unknown variant kind {self.kind!r}")
         if self.r < 1:
             raise ValueError("edge multiplicity r must be >= 1")
@@ -52,6 +53,9 @@ class Variant:
             raise ValueError("origin loop count s must be >= 0")
         if self.t < 0:
             raise ValueError("exponential parameter t must be >= 0")
+        for name, default in (("r", 1), ("s", 0), ("t", 0)):
+            if getattr(self, name) != default and name not in PARAMETERS[self.kind]:
+                raise ValueError(f"variant {self.kind} takes no parameter {name}")
 
     def bundle(self, j: int) -> int:
         """Multiplicity of the edge bundle between sites ``j`` and ``j+1``."""
@@ -97,14 +101,7 @@ class Variant:
         return self.site_row(site)[:3]
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind in ("multi_edge", "loops_and_edges"):
-            out["r"] = self.r
-        elif self.kind == "origin_loops":
-            out["s"] = self.s
-        elif self.kind == "exponential":
-            out["t"] = self.t
-        return out
+        return {"kind": self.kind, **{name: getattr(self, name) for name in PARAMETERS[self.kind]}}
 
     @classmethod
     def from_json(cls, data: dict) -> "Variant":
@@ -116,13 +113,8 @@ class Variant:
         )
 
     def __str__(self):
-        extra = {
-            "multi_edge": f"(r={self.r})",
-            "loops_and_edges": f"(r={self.r})",
-            "origin_loops": f"(s={self.s})",
-            "exponential": f"(t={self.t})",
-        }.get(self.kind, "")
-        return self.kind + extra
+        return self.kind + "".join(f"({name}={getattr(self, name)})"
+                                   for name in PARAMETERS[self.kind])
 
 
 def base() -> Variant:

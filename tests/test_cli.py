@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chipfire.cli import main
 
 
@@ -145,3 +147,30 @@ def test_counterexample_loops(tmp_path):
     assert rc == 0
     data = json.loads(report.read_text())
     assert data["weakly_sorted"] is False
+
+
+def _usage_exit(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+def test_poset_rejects_preset(capsys):
+    # the fire-count space always starts from the origin preset
+    assert _usage_exit(["poset", "--n", "4", "--preset", "staircase"]) == 2
+    assert "--preset" in capsys.readouterr().err
+
+
+def test_simulate_rejects_state_cap(capsys):
+    assert _usage_exit(["simulate", "--n", "4", "--state-cap", "10"]) == 2
+    assert "--state-cap" in capsys.readouterr().err
+
+
+def test_verify_rejects_state_cap(capsys):
+    assert _usage_exit(["verify", "--n", "4", "--runs", "1", "--state-cap", "10"]) == 2
+    assert "--state-cap" in capsys.readouterr().err
+
+
+def test_parameter_the_variant_ignores_is_usage_error(capsys):
+    assert main(["simulate", "--variant", "base", "--r", "3", "--n", "4"]) == 2
+    assert "takes no parameter r" in capsys.readouterr().err

@@ -347,3 +347,94 @@ def test_read_jsonl_illegal_move_names_line_and_step():
     lines[1] = json.dumps(record)
     with pytest.raises(IllegalMoveError, match="line 2, step 0: no chip valued 99"):
         _read(lines)
+
+
+@pytest.mark.parametrize("line,field,bad", [
+    (2, "chosen_values", 5), (2, "chosen_values", [1, "x"]), (2, "chosen_values", [1.0, 2]),
+    (2, "site", 0.0), (2, "site", "0"), (2, "step", True), (3, "step", 1.5)])
+def test_read_jsonl_rejects_non_integer_fields(line, field, bad):
+    lines = _trace_lines()
+    record = json.loads(lines[line - 1])
+    record[field] = bad
+    lines[line - 1] = json.dumps(record)
+    with pytest.raises(engine.ChipFiringError, match=rf"^line {line}, step .*JSON integers"):
+        _read(lines)
+
+
+@pytest.mark.parametrize("initial", [{"0": "ab"}, {"0": [1, 2.0]}, {"0": [True, 2]}, {"0": 4}])
+def test_read_jsonl_rejects_non_integer_initial_values(initial):
+    lines = _trace_lines()
+    header = json.loads(lines[0])
+    header["initial"] = initial
+    lines[0] = json.dumps(header)
+    with pytest.raises(engine.ChipFiringError, match="^line 1: "):
+        _read(lines)
+
+
+# --- trace round trip and mutated traces ----------------------------------------
+
+ROUND_TRIP_CASES = [(base(), 7), (base(), 8), (multi_edge(2), 8), (origin_loops(2), 6),
+                    (loops_everywhere(), 7), (loops_everywhere(), 9), (loops_and_edges(2), 6),
+                    (exponential(1), 8)]
+OTHER_TYPES = [None, True, 1.5, "x", "ab", [], [1, "x"], {}, {"kind": "base"}]
+
+
+def _jsonl(case, seed) -> tuple[engine.Trace, str]:
+    v, n = case
+    trace = run_to_completion(standard_initial(v, n), v, RandomStrategy(), seed=seed,
+                              n=n, preset="origin")
+    buf = io.StringIO()
+    trace.write_jsonl(buf)
+    return trace, buf.getvalue()
+
+
+def _read_and_replay(text: str):
+    trace = engine.Trace.read_jsonl(io.StringIO(text))
+    final = trace.initial
+    for _, _, final in trace.replay(verify=True):
+        pass
+    return trace, final
+
+
+@given(st.sampled_from(ROUND_TRIP_CASES), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_seeded_traces_survive_round_trip(case, seed):
+    original, text = _jsonl(case, seed)
+    trace, final = _read_and_replay(text)
+    assert trace.variant == case[0] and len(trace) == len(original)
+    assert [(r.site, r.chosen_values) for r in trace.records] == \
+        [(r.site, r.chosen_values) for r in original.records]
+    assert final.values_by_site() == original.final_config().values_by_site()
+
+
+@st.composite
+def mutated(draw, value):
+    """``value`` with one field somewhere inside it changed or retyped."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        keys = list(value) if isinstance(value, dict) else list(range(len(value)))
+        key = draw(st.sampled_from(keys))
+        out = dict(value) if isinstance(value, dict) else list(value)
+        out[key] = draw(mutated(value[key]))
+        return out
+    if type(value) is int and draw(st.booleans()):
+        return value + draw(st.integers(-3, 3).filter(bool))
+    if isinstance(value, str) and draw(st.booleans()):
+        return draw(st.sampled_from(["base", "multi_edge", "exponential", "nope"]))
+    return draw(st.sampled_from([x for x in OTHER_TYPES if x != value]))
+
+
+@given(st.sampled_from(ROUND_TRIP_CASES), st.integers(0, 100), st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_traces_raise_only_chip_firing_errors(case, seed, data):
+    _, text = _jsonl(case, seed)
+    if data.draw(st.booleans()):
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    else:
+        lines = text.splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = json.dumps(data.draw(mutated(json.loads(lines[i]))))
+        text = "\n".join(lines) + "\n"
+    try:
+        _read_and_replay(text)
+    except engine.ChipFiringError:
+        pass

@@ -4,8 +4,10 @@ The random strategy draws from the run RNG in an order fixed by the
 enabled-site list and the sorted chip ids at the firing site, so any change
 to how the engine keeps those lists shows up here as a changed digest.  The
 SHA-1 values of simulate and verify outputs were recorded before the engine
-was made incremental, and those of explore reports and witness traces
-before the labeled search expanded whole levels in NumPy; none may change.
+was made incremental, those of explore reports and witness traces
+before the labeled search expanded whole levels in NumPy, and those of DOT
+files and grid reports before the poset relation was built as one matrix;
+none may change.
 """
 
 import hashlib
@@ -17,6 +19,8 @@ import pytest
 from chipfire import cli
 from chipfire.engine import standard_initial
 from chipfire.explorer import explore, find_unsorted_terminal
+from chipfire.poset import (build_poset, check_exponential_grid, check_grid_structure,
+                            export_dot, reachable_states)
 from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
                                origin_loops)
 
@@ -83,6 +87,24 @@ WITNESS_SHA1 = {
     9: "164ccb6500a019bd8060dd7ff14e3bfd297f90a0",
 }
 
+# SHA-1 of export_dot(build_poset(reachable_states(variant, n)))
+DOT_CASES = {
+    "base-10": (base(), 10, "516e36dac0c7faf3e229ead898749e848014982a"),
+    "base-14": (base(), 14, "e0ac0430e73bafede18ec9237b565274532b6c37"),
+    "exponential-t1-8": (exponential(1), 8, "0c250e906d2f722c324c2c2b51f7ed9e7380ef5e"),
+    "loops-11": (loops_everywhere(), 11, "153d212b9fe064b5ee629d6b328a188e865a7917"),
+}
+
+# SHA-1 of json.dumps(check(reachable_states(variant, n)).to_json(), sort_keys=True)
+GRID_CASES = {
+    "grid-base-11": (check_grid_structure, base(), 11, "b7900c0830a970216d981f798fd5a9ad76595bc7"),
+    "grid-base-14": (check_grid_structure, base(), 14, "63c44cf8b3e850b4d32f133a3ed2dd29c80aac58"),
+    "expgrid-t0-4": (check_exponential_grid, exponential(0), 4,
+                     "327be87fc6d65a9be41d807599bb5dc0b1943131"),
+    "expgrid-t1-8": (check_exponential_grid, exponential(1), 8,
+                     "36237fbe07d695e34f093ae128851d0a2ca5469a"),
+}
+
 
 def _sha1(path) -> str:
     return hashlib.sha1(path.read_bytes()).hexdigest()
@@ -121,3 +143,17 @@ def test_unsorted_witness_trace_pinned(n):
     buf = io.StringIO()
     trace.write_jsonl(buf)
     assert hashlib.sha1(buf.getvalue().encode()).hexdigest() == WITNESS_SHA1[n]
+
+
+@pytest.mark.parametrize("case", sorted(DOT_CASES))
+def test_poset_dot_pinned(case):
+    variant, n, digest = DOT_CASES[case]
+    dot = export_dot(build_poset(reachable_states(variant, n)))
+    assert hashlib.sha1(dot.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_grid_report_pinned(case):
+    check, variant, n, digest = GRID_CASES[case]
+    data = json.dumps(check(reachable_states(variant, n)).to_json(), sort_keys=True)
+    assert hashlib.sha1(data.encode()).hexdigest() == digest

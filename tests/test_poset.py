@@ -5,7 +5,7 @@ from chipfire.engine import CapExceededError, RandomStrategy, run_to_completion,
 from chipfire.poset import (build_poset, check_exponential_grid, check_grid_structure,
                             chips_at, coord_to_move, export_dot, is_diamond_node,
                             move_to_coord, must_precede, reachable_states)
-from chipfire.variants import base, exponential, loops_everywhere
+from chipfire.variants import base, exponential, loops_everywhere, multi_edge, origin_loops
 
 
 def test_chips_at_examples():
@@ -241,3 +241,30 @@ def test_grid_check_json_report():
     assert data["violations"] == []
     assert data["states_explored"] == space.n_states
     assert data["passed"] is True
+
+
+REFERENCE_SPACES = [(base(), n) for n in range(2, 11)] + [
+    (exponential(0), 4), (exponential(1), 8), (loops_everywhere(), 7), (loops_everywhere(), 11),
+    (multi_edge(2), 8), (origin_loops(2), 6)]
+
+
+@pytest.mark.parametrize("variant,n", REFERENCE_SPACES, ids=str)
+def test_build_poset_matches_pairwise_reference(variant, n):
+    space = reachable_states(variant, n)
+    p = build_poset(space)
+    nodes = space.nodes()
+    assert p.nodes == tuple(nodes)
+    relation = {(a, b) for a in nodes for b in nodes
+                if a != b and must_precede(a, b, space)}
+    assert p.relation == relation
+    between = {(a, b) for a, c in relation for d, b in relation if c == d}
+    assert p.covers == relation - between
+
+
+@pytest.mark.parametrize("variant,n", REFERENCE_SPACES, ids=str)
+def test_chips_vector_matches_chips_at(variant, n):
+    space = reachable_states(variant, n)
+    for site in space.sites:
+        want = [chips_at(dict(zip(space.sites, map(int, row))), site, variant, {0: n})
+                for row in space.states]
+        assert space.chips_vector(site).tolist() == want

@@ -106,19 +106,24 @@ def test_negative_chips_are_detected(monkeypatch):
 
 
 def test_premature_deadlock_is_detected(monkeypatch):
-    unique_rows = poset._unique_rows
+    first_unique = poset._first_unique
     table = closedform.fire_count_table(base(), 4)
-    final = np.array([[table[s] for s in sorted(table)]], np.int16)
-    # a broken expansion step that also emits the final state
-    monkeypatch.setattr(poset, "_unique_rows",
-                        lambda rows: np.vstack([unique_rows(rows), final]))
+    final = np.array([table[s] for s in sorted(table)], np.int16)
+
+    def broken(rows):
+        # a broken expansion step that turns one of several states into the final one
+        first = first_unique(rows)
+        if len(first) > 1:
+            rows[first[-1]] = final
+        return first
+    monkeypatch.setattr(poset, "_first_unique", broken)
     with pytest.raises(ChipFiringError, match="premature deadlock"):
         reachable_states(base(), 4)
 
 
 def test_duplicate_terminal_rows_are_detected(monkeypatch):
     # a broken expansion step that does not deduplicate
-    monkeypatch.setattr(poset, "_unique_rows", lambda rows: rows)
+    monkeypatch.setattr(poset, "_first_unique", lambda rows: np.arange(len(rows)))
     with pytest.raises(ChipFiringError, match="distinct terminal fire-count states"):
         reachable_states(base(), 4)
 

@@ -70,6 +70,20 @@ def test_json_round_trip():
         assert Variant.from_json(v.to_json()) == v
 
 
+@pytest.mark.parametrize("kind,param", [
+    ("base", {"r": 3}), ("base", {"s": 1}), ("base", {"t": 1}),
+    ("multi_edge", {"s": 1}), ("multi_edge", {"t": 2}),
+    ("origin_loops", {"r": 2}), ("origin_loops", {"t": 1}),
+    ("loops_everywhere", {"r": 2}), ("loops_everywhere", {"s": 1}),
+    ("loops_and_edges", {"s": 2}), ("loops_and_edges", {"t": 1}),
+    ("exponential", {"r": 2}), ("exponential", {"s": 1})])
+def test_parameter_the_kind_ignores_is_rejected(kind, param):
+    with pytest.raises(ValueError, match=f"takes no parameter {next(iter(param))}"):
+        Variant(kind, **param)
+    with pytest.raises(ValueError):
+        Variant.from_json({"kind": kind, **param})
+
+
 @pytest.mark.parametrize("v", [base(), multi_edge(3), origin_loops(0), origin_loops(3),
                                loops_everywhere(), loops_and_edges(2),
                                *(exponential(t) for t in range(4))], ids=str)

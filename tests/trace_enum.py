@@ -2,11 +2,15 @@
 
 from itertools import combinations
 
-from chipfire.engine import LabeledConfiguration, ScriptedStrategy, run_to_completion
+from chipfire.engine import LabeledConfiguration, ScriptedValuesStrategy, run_to_completion
 
 
 def all_complete_traces(initial: LabeledConfiguration, variant, limit: int = 100_000):
-    """Yield one engine Trace per maximal firing sequence from ``initial``."""
+    """Yield one engine Trace per maximal firing sequence from ``initial``.
+
+    Sequences are enumerated over chip-id subsets and scripted by their
+    values, so chips of equal value at one site collapse to the lowest ids.
+    """
     scripts = []
 
     def dfs(config, moves):
@@ -17,12 +21,11 @@ def all_complete_traces(initial: LabeledConfiguration, variant, limit: int = 100
                 raise RuntimeError("trace enumeration exploded")
             return
         for site in enabled:
-            ids = sorted(c.id for c in config.chips_at(site))
-            for chosen in combinations(ids, variant.threshold(site)):
-                moves.append((site, chosen))
-                dfs(config.apply(variant, site, chosen), moves)
+            for chosen in combinations(config.chips_at(site), variant.threshold(site)):
+                moves.append((site, tuple(c.value for c in chosen)))
+                dfs(config.apply(variant, site, tuple(c.id for c in chosen)), moves)
                 moves.pop()
 
     dfs(initial, [])
     for script in scripts:
-        yield run_to_completion(initial, variant, ScriptedStrategy(script))
+        yield run_to_completion(initial, variant, ScriptedValuesStrategy(script))
