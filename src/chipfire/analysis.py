@@ -1,14 +1,16 @@
 """Trace-level checkers: position bounds, counting bounds, sortedness.
 
 Every checker replays a complete trace and returns the full list of
-violations (empty on success).  Applying a checker to a variant outside its
-scope raises CheckerNotApplicableError; it never passes silently.
+violations (empty on success).  ``SCOPES`` holds the ``(variant, n)`` each
+checker applies to; ``applicable_checkers`` lists the checkers in scope, and
+one applied outside it raises CheckerNotApplicableError, never passing silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, floor
+from typing import Callable
 
 from . import closedform
 from .engine import ChipFiringError, LabeledConfiguration, Trace
@@ -18,6 +20,42 @@ from .variants import Variant
 
 class CheckerNotApplicableError(ChipFiringError):
     """The trace's variant/shape is outside this checker's scope."""
+
+
+def _loops_4m_minus_1(variant: Variant, n: int) -> bool:
+    return variant.kind == "loops_everywhere" and n % 4 == 3
+
+
+# checker name -> does it apply to (variant, n), in report order
+SCOPES: dict[str, Callable[[Variant, int], bool]] = {
+    "conservation": lambda variant, n: True,
+    "chip_bounds": lambda variant, n: variant.kind in ("base", "multi_edge"),
+    "diamond_move_bounds": lambda variant, n: variant.kind == "base" and n % 2 == 0,
+    "loop_bounds": _loops_4m_minus_1,
+    "diamond_count_bounds": _loops_4m_minus_1,
+    "diamond_config_bounds": _loops_4m_minus_1,
+}
+
+
+def _require_scope(name: str, variant: Variant, n: int):
+    if not SCOPES[name](variant, n):
+        raise CheckerNotApplicableError(f"{name} does not apply to {variant} with n={n}")
+
+
+def applicable_checkers(variant: Variant, n: int) -> list[tuple[str, Callable]]:
+    """``(name, checker)``, checker taking a trace, for each scope that holds, in order.
+
+    The checkers are looked up at call time, so a wrapper put on this
+    module's attribute (a tracing span, say) is what runs."""
+    checkers = {
+        "conservation": check_conservation,
+        "chip_bounds": check_chip_bounds,
+        "diamond_move_bounds": check_diamond_move_bounds,
+        "loop_bounds": check_loop_bounds,
+        "diamond_count_bounds": check_diamond_count_bounds,
+        "diamond_config_bounds": _check_diamond_configuration,
+    }
+    return [(name, checkers[name]) for name, applies in SCOPES.items() if applies(variant, n)]
 
 
 @dataclass(frozen=True)
@@ -82,9 +120,8 @@ def check_chip_bounds(trace: Trace) -> list[BoundViolation]:
     value share the bound.
     """
     v = trace.variant
-    if v.kind not in ("base", "multi_edge"):
-        raise CheckerNotApplicableError(f"chip bounds apply to base/multi_edge, not {v.kind}")
     n = trace.initial.total_chips()
+    _require_scope("chip_bounds", v, n)
     m = closedform.derive_m(v, n) if v.kind == "multi_edge" else n // 2
     out = []
 
@@ -117,12 +154,8 @@ def check_loop_bounds(trace: Trace) -> list[BoundViolation]:
     k+m is even that slot holds two chips and two may sit there; verified
     exhaustively over all reachable states at n = 7 and n = 11.
     """
-    v = trace.variant
-    if v.kind != "loops_everywhere":
-        raise CheckerNotApplicableError(f"loop bounds apply to loops_everywhere, not {v.kind}")
     n = trace.initial.total_chips()
-    if n % 4 != 3:
-        raise CheckerNotApplicableError(f"loop bounds need n = 4m - 1, got n={n}")
+    _require_scope("loop_bounds", trace.variant, n)
     m = (n + 1) // 4
     out = []
 
@@ -169,8 +202,7 @@ def check_diamond_move_bounds(trace: Trace) -> list[BoundViolation]:
     """
     v = trace.variant
     n = trace.initial.total_chips()
-    if v.kind != "base" or n % 2 != 0:
-        raise CheckerNotApplicableError("diamond move bounds apply to the base variant with even n")
+    _require_scope("diamond_move_bounds", v, n)
     m = n // 2
     table = closedform.fire_count_table(v, n)
     by_value = {chip.value: chip.id for _, chip in trace.initial.chips()}
@@ -199,8 +231,7 @@ def check_diamond_count_bounds(trace: Trace) -> list[BoundViolation]:
     """
     v = trace.variant
     n = trace.initial.total_chips()
-    if v.kind != "loops_everywhere" or n % 4 != 3:
-        raise CheckerNotApplicableError("diamond count bounds apply to loops_everywhere with n = 4m - 1")
+    _require_scope("diamond_count_bounds", v, n)
     m = (n + 1) // 4
     table = closedform.fire_count_table(v, n)
     out = []
@@ -236,9 +267,6 @@ class DiamondConfigurationView:
     m: int
     # chip id -> (value, site of first attended diamond move, occ_from_start)
     assignment: dict[int, tuple[int, int, int]]
-
-    def site_of(self, chip_id: int) -> int:
-        return self.assignment[chip_id][1]
 
     def induced_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -281,8 +309,7 @@ def check_diamond_config_bounds(view: DiamondConfigurationView) -> list[BoundVio
     For k in [-m-1, 0] and l in [0, k+m-1]: at most k+m-l-1 chips valued
     below k are assigned to sites right of l; mirrored on the positive side.
     """
-    if view.variant.kind != "loops_everywhere" or view.n % 4 != 3:
-        raise CheckerNotApplicableError("diamond config bounds apply to loops_everywhere with n = 4m - 1")
+    _require_scope("diamond_config_bounds", view.variant, view.n)
     m = view.m
     entries = list(view.assignment.values())
     out = []
@@ -296,3 +323,9 @@ def check_diamond_config_bounds(view: DiamondConfigurationView) -> list[BoundVio
             if high > limit:
                 out.append(BoundViolation(-1, None, -k, -l, "diamond_config_bounds", limit))
     return out
+
+
+def _check_diamond_configuration(trace: Trace) -> list[BoundViolation]:
+    """``check_diamond_config_bounds`` of the trace's diamond configuration, in scope only."""
+    _require_scope("diamond_config_bounds", trace.variant, trace.initial.total_chips())
+    return check_diamond_config_bounds(diamond_configuration(trace))

@@ -66,10 +66,6 @@ def _write_trace(path: str | None, trace: Trace):
             trace.write_jsonl(fp)
 
 
-def _trace_records_json(trace: Trace) -> list[dict]:
-    return [trace.header_json()] + [rec.to_json() for rec in trace.records]
-
-
 def cmd_simulate(args) -> int:
     variant, n = _build_variant(args)
     initial = standard_initial(variant, n, args.preset)
@@ -90,21 +86,6 @@ def cmd_simulate(args) -> int:
     return EXIT_PASS
 
 
-def _applicable_checkers(variant: Variant, n: int):
-    kind = variant.kind
-    checkers = [("conservation", analysis.check_conservation)]
-    if kind in ("base", "multi_edge"):
-        checkers.append(("chip_bounds", analysis.check_chip_bounds))
-    if kind == "base" and n % 2 == 0:
-        checkers.append(("diamond_move_bounds", analysis.check_diamond_move_bounds))
-    if kind == "loops_everywhere" and n % 4 == 3:
-        checkers.append(("loop_bounds", analysis.check_loop_bounds))
-        checkers.append(("diamond_count_bounds", analysis.check_diamond_count_bounds))
-        checkers.append(("diamond_config_bounds", lambda tr: analysis.check_diamond_config_bounds(
-            analysis.diamond_configuration(tr))))
-    return checkers
-
-
 def cmd_verify(args) -> int:
     variant, n = _build_variant(args)
     fires_oracle = closedform.fire_count_table(variant, n)
@@ -113,7 +94,7 @@ def cmd_verify(args) -> int:
         labeled_oracle = closedform.expected_sorted_terminal(variant, n, args.preset)
     except closedform.NoSortingTheoremError:
         labeled_oracle = None
-    checkers = _applicable_checkers(variant, n)
+    checkers = analysis.applicable_checkers(variant, n)
     runs = []
     ok = True
     for i in range(args.runs):
@@ -184,8 +165,8 @@ def cmd_explore(args) -> int:
                               witness_unsorted=True)
     payload = report.to_json()
     if report.witness is not None:
-        trace = explorer.find_unsorted_terminal(initial, variant, state_cap=args.state_cap)
-        payload["witness"] = _trace_records_json(trace)
+        trace = explorer.find_unsorted_terminal(initial, variant, report=report)
+        payload["witness"] = [trace.header_json()] + [rec.to_json() for rec in trace.records]
     _write_report(args, payload)
     print(f"explore {variant} n={n}: states={report.states_visited} "
           f"terminals={report.terminal_count} confluent={report.confluent} "
@@ -234,13 +215,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Labeled chip-firing on the integer line: simulate, verify, explore.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run=False, preset=True, search=True):
+    def common(p, run=False, preset=True, search=True, variant=True):
         """Flags shared by the subcommands: ``run`` adds the strategy of
-        engine runs, ``search`` the state cap of the exhaustive searches."""
-        p.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="base")
-        p.add_argument("--r", type=int, default=1, help="edge multiplicity")
-        p.add_argument("--s", type=int, default=0, help="self-loops at the origin")
-        p.add_argument("--t", type=int, default=0, help="exponential decay parameter")
+        engine runs, ``search`` the state cap of the exhaustive searches,
+        ``variant`` the graph and its parameters.  Flags are never
+        abbreviated, so a flag a subcommand lacks (``counterexample --r``)
+        is an error, not a prefix of another (``--report``)."""
+        p.allow_abbrev = False
+        if variant:
+            p.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="base")
+            p.add_argument("--r", type=int, default=1, help="edge multiplicity")
+            p.add_argument("--s", type=int, default=0, help="self-loops at the origin")
+            p.add_argument("--t", type=int, default=0, help="exponential decay parameter")
         p.add_argument("--n", type=int, default=None, help="number of chips")
         if preset:
             p.add_argument("--preset", choices=["origin", "staircase"], default="origin")
@@ -271,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_explore)
 
+    # each case fixes its own variant and the origin preset
     p = sub.add_parser("counterexample", help="produce a non-sorting witness trace")
-    common(p)
+    common(p, preset=False, variant=False)
     p.add_argument("--case", choices=["odd", "loops-1mod4"], required=True)
     p.add_argument("--m", type=int, default=None, help="size parameter for loops-1mod4")
     p.add_argument("--trace", type=str, default=None, help="write witness JSON-lines trace here")

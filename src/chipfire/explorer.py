@@ -25,10 +25,9 @@ import numpy as np
 
 from .engine import (CapExceededError, LabeledConfiguration, ScriptedValuesStrategy,
                      HoldStrategy, Trace, run_to_completion, standard_initial)
-from .poset import _first_unique
+from .poset import DEFAULT_STATE_CAP, _first_unique
 from .variants import Variant
 
-DEFAULT_STATE_CAP = 5_000_000
 KEY_OFFSET = 128  # byte keys store site + 128 and value + 128
 KEY_LIMIT = 120   # largest |site| reach and |value| a byte key is allowed to hold
 SITE_STEP = 1 << 8  # one site to the right, in a uint16 chip
@@ -45,10 +44,6 @@ class StateKeyLimitError(ValueError):
 
 def canonicalize(config: LabeledConfiguration) -> CanonicalState:
     return tuple((site, config.values_at(site)) for site in sorted(config.occupancy))
-
-
-def to_site_dict(state: CanonicalState) -> dict[int, tuple[int, ...]]:
-    return dict(state)
 
 
 def is_weakly_sorted_state(state: CanonicalState) -> bool:
@@ -158,17 +153,6 @@ class _MoveTable:
         i = int(np.flatnonzero((children == child).all(axis=1))[0])
         chips = row[self.blocks[block[i]][0][comb[i]]].tolist()
         return (chips[0] >> 8) - KEY_OFFSET, tuple((c & 0xFF) - KEY_OFFSET for c in chips)
-
-
-def successor_outcomes(state: CanonicalState, variant: Variant) -> set[CanonicalState]:
-    """All one-move successors over every enabled site and distinct value choice.
-
-    Distinct choices that split identically merge into one outcome.
-    """
-    _check_key_limit(state)
-    row = _row(state)
-    _, children, _, _ = _MoveTable(variant, row.size).expand(row[None])
-    return {_state(child) for child in children}
 
 
 @dataclass
@@ -292,13 +276,19 @@ def explore(initial: LabeledConfiguration, variant: Variant,
 
 
 def find_unsorted_terminal(initial: LabeledConfiguration, variant: Variant,
-                           state_cap: int = DEFAULT_STATE_CAP) -> Trace | None:
+                           state_cap: int = DEFAULT_STATE_CAP,
+                           report: ExplorationReport | None = None) -> Trace | None:
     """Trace reaching a non-weakly-sorted terminal, or None if none exists.
 
     A cap overflow raises CapExceededError (inconclusive), which is distinct
-    from an exhaustive None.
+    from an exhaustive None.  ``report``, from ``explore(initial, variant,
+    witness_unsorted=True)``, saves the search: its witness is replayed.
     """
-    report = explore(initial, variant, state_cap, witness_unsorted=True)
+    if report is None:
+        report = explore(initial, variant, state_cap, witness_unsorted=True)
+    elif report.witness is None and report.sorted_terminal_count < report.terminal_count:
+        raise ValueError("report has unsorted terminals but no witness: "
+                         "explore it with witness_unsorted=True")
     if report.witness is None:
         return None
     strategy = ScriptedValuesStrategy(report.witness)

@@ -12,6 +12,7 @@ checks on the diamond of final moves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +48,8 @@ class FireCountSpace:
 
     def __post_init__(self):
         self._idx = {s: i for i, s in enumerate(self.sites)}
+        # row of a site's first move in nodes() and done_bits
+        self._first_row = dict(zip(self.sites, (np.cumsum(self.totals) - self.totals).tolist()))
 
     @property
     def n_states(self) -> int:
@@ -68,33 +71,32 @@ class FireCountSpace:
         return MoveInstance(site, occ_from_start, occ_from_last)
 
     def nodes(self) -> list[MoveInstance]:
-        out = []
-        for site in self.sites:
-            for j in range(1, self.total_fires(site) + 1):
-                out.append(self.move(site, occ_from_start=j))
-        return out
+        return [self.move(site, occ_from_start=j)
+                for site in self.sites for j in range(1, self.total_fires(site) + 1)]
 
-    def done_vector(self, move: MoveInstance) -> np.ndarray:
-        """Boolean over states: has this move already happened."""
-        return self.states[:, self._idx[move.site]] >= move.occ_from_start
+    @cached_property
+    def done_bits(self) -> np.ndarray:
+        """Bit-packed done vectors, row r for ``nodes()[r]``: bit s is set when
+        state s has that move done.  Built on first use, from a contiguous
+        copy of one site's column at a time."""
+        bits = np.empty((int(self.totals.sum()), (self.n_states + 7) // 8), np.uint8)
+        for i, site in enumerate(self.sites):
+            column = self.states[:, i].copy()
+            for j in range(int(self.totals[i])):
+                bits[self._first_row[site] + j] = np.packbits(column > j)
+        return bits
+
+    def precedes(self, a: MoveInstance, b: MoveInstance) -> bool:
+        """True iff no reachable state has ``b`` done while ``a`` is not."""
+        first, done = self._first_row, self.done_bits
+        return not np.any(done[first[b.site] + b.occ_from_start - 1]
+                          & ~done[first[a.site] + a.occ_from_start - 1])
 
     def chips_vector(self, site: int) -> np.ndarray:
         """Chip count at window site ``site`` in every state, from the flow matrix."""
         i = self._idx[site]
         lo = max(i - 1, 0)
         return self.initial[i] + self.states[:, lo:i + 2] @ self.flow[lo:i + 2, i + 1]
-
-
-def chips_at(state: dict[int, int], site: int, variant: Variant,
-             initial: dict[int, int]) -> int:
-    """Chip count at ``site`` after the fires recorded in ``state``."""
-    val = (initial.get(site, 0)
-           + variant.right_mult(site - 1) * state.get(site - 1, 0)
-           + variant.left_mult(site + 1) * state.get(site + 1, 0)
-           - (variant.left_mult(site) + variant.right_mult(site)) * state.get(site, 0))
-    if val < 0:
-        raise ChipFiringError(f"negative chip count {val} at site {site}: corrupt state")
-    return val
 
 
 def _first_unique(rows: np.ndarray) -> np.ndarray:
@@ -177,13 +179,6 @@ def reachable_states(variant: Variant, n: int,
 
 # --- precedence relation ----------------------------------------------------
 
-def must_precede(a: MoveInstance, b: MoveInstance, space: FireCountSpace) -> bool:
-    """True iff no reachable state has ``b`` done while ``a`` is not."""
-    da = space.done_vector(a)
-    db = space.done_vector(b)
-    return not bool(np.any(db & ~da))
-
-
 @dataclass
 class FiringPoset:
     """Move instances with the full must-precede relation and its Hasse diagram."""
@@ -193,10 +188,6 @@ class FiringPoset:
     nodes: tuple[MoveInstance, ...]
     relation: frozenset[tuple[MoveInstance, MoveInstance]]
     covers: frozenset[tuple[MoveInstance, MoveInstance]]
-    totals: dict[int, int] = field(default_factory=dict)
-
-    def precedes(self, a: MoveInstance, b: MoveInstance) -> bool:
-        return (a, b) in self.relation
 
 
 def build_poset(space: FireCountSpace) -> FiringPoset:
@@ -204,21 +195,20 @@ def build_poset(space: FireCountSpace) -> FiringPoset:
 
     ``a`` precedes ``b`` iff the set of states where ``b`` is done is
     contained in the set where ``a`` is done; containment is checked on
-    bit-packed done vectors, one row of the relation matrix at a time.  A
-    pair is a cover when no move lies between its ends.
+    ``space.done_bits``, one row of the relation matrix at a time, as in
+    ``FireCountSpace.precedes``.  A pair is a cover when no move lies
+    between its ends.
     """
     nodes = space.nodes()
     k = len(nodes)
-    done = np.array([space.done_vector(node) for node in nodes], np.bool_)
-    packed = np.packbits(done.reshape(k, space.n_states), axis=1)
+    packed = space.done_bits
     before = np.array([~np.any(packed & ~row, axis=1) for row in packed], np.bool_).reshape(k, k)
     np.fill_diagonal(before, False)
     b = before.astype(np.int32)
     cover = before & (b @ b == 0)
     relation = frozenset((nodes[i], nodes[j]) for i, j in zip(*np.nonzero(before)))
     covers = frozenset((nodes[i], nodes[j]) for i, j in zip(*np.nonzero(cover)))
-    totals = {s: space.total_fires(s) for s in space.sites}
-    return FiringPoset(space.variant, space.n, tuple(nodes), relation, covers, totals)
+    return FiringPoset(space.variant, space.n, tuple(nodes), relation, covers)
 
 
 # --- diamond coordinates ----------------------------------------------------
@@ -248,10 +238,6 @@ def coord_to_move(space: FireCountSpace, x: int, y: int) -> MoveInstance:
     """Diamond coordinates: (0,0) is the last move at the origin; +x steps one
     site right, +y one site left, along moves of the final grid."""
     return space.move(x - y, occ_from_last=min(x, y) + 1)
-
-
-def move_to_coord(move: MoveInstance, m: int) -> tuple[int, int]:
-    return diamond_coord(move.site, move.occ_from_last)
 
 
 # --- structure checks -------------------------------------------------------
@@ -295,7 +281,7 @@ def check_grid_structure(space: FireCountSpace) -> CheckReport:
             for above in ((x + 1, y), (x, y + 1)):
                 if max(above) <= m - 1:
                     pred = coord_to_move(space, *above)
-                    if not must_precede(pred, node, space):
+                    if not space.precedes(pred, node):
                         violations.append({
                             "node": node.node_id(), "clause": "precedence",
                             "detail": f"{pred.node_id()} does not always precede {node.node_id()}",
@@ -350,11 +336,11 @@ def check_exponential_grid(space: FireCountSpace) -> CheckReport:
                     mid = space.move(site, occ_from_last=j)
                     lo = space.move(nb, occ_from_last=j + 1)
                     hi = space.move(nb, occ_from_last=j + 2)
-                if not must_precede(lo, mid, space):
+                if not space.precedes(lo, mid):
                     sandwich[indexing].append({
                         "node": mid.node_id(), "clause": "sandwich_lower",
                         "detail": f"{lo.node_id()} does not always precede {mid.node_id()}"})
-                if not must_precede(mid, hi, space):
+                if not space.precedes(mid, hi):
                     sandwich[indexing].append({
                         "node": mid.node_id(), "clause": "sandwich_upper",
                         "detail": f"{mid.node_id()} does not always precede {hi.node_id()}"})

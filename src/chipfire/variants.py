@@ -20,6 +20,7 @@ PARAMETERS = {
     "loops_and_edges": ("r",),
     "exponential": ("t",),
 }
+DEFAULTS = {"r": 1, "s": 0, "t": 0}
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class Variant:
             raise ValueError("origin loop count s must be >= 0")
         if self.t < 0:
             raise ValueError("exponential parameter t must be >= 0")
-        for name, default in (("r", 1), ("s", 0), ("t", 0)):
+        for name, default in DEFAULTS.items():
             if getattr(self, name) != default and name not in PARAMETERS[self.kind]:
                 raise ValueError(f"variant {self.kind} takes no parameter {name}")
 
@@ -105,12 +106,12 @@ class Variant:
 
     @classmethod
     def from_json(cls, data: dict) -> "Variant":
-        return cls(
-            kind=data["kind"],
-            r=int(data.get("r", 1)),
-            s=int(data.get("s", 0)),
-            t=int(data.get("t", 0)),
-        )
+        """Inverse of ``to_json``; the parameters must be JSON integers."""
+        params = {name: data.get(name, default) for name, default in DEFAULTS.items()}
+        for name, value in params.items():
+            if type(value) is not int:
+                raise ValueError(f"variant parameter {name} must be a JSON integer, got {value!r}")
+        return cls(kind=data["kind"], **params)
 
     def __str__(self):
         return self.kind + "".join(f"({name}={getattr(self, name)})"

@@ -2,12 +2,26 @@
 
 ``successors`` is the explorer's former per-state successor routine, kept
 here as the oracle for ``explorer._MoveTable.expand``; ``levels`` is the
-former graded BFS over byte keys built on it.
+former graded BFS over byte keys built on it.  ``successor_outcomes`` is
+the other side of that comparison: one state's children as the explorer's
+move table produces them.
 """
 
 from itertools import combinations
 
+from chipfire import explorer
 from chipfire.explorer import _key
+
+
+def successor_outcomes(state, variant):
+    """All one-move successors over every enabled site and distinct value choice.
+
+    Distinct choices that split identically merge into one outcome.
+    """
+    explorer._check_key_limit(state)
+    row = explorer._row(state)
+    _, children, _, _ = explorer._MoveTable(variant, row.size).expand(row[None])
+    return {explorer._state(child) for child in children}
 
 
 def successors(state, variant):

@@ -12,8 +12,10 @@ from contextlib import contextmanager
 from chipfire import analysis, closedform, explorer, poset
 from chipfire.engine import (LeftmostStrategy, RandomStrategy,
                              run_to_completion, standard_initial)
-from chipfire.explorer import canonicalize, explore, find_unsorted_terminal, to_site_dict
+from chipfire.explorer import canonicalize, explore, find_unsorted_terminal
 from chipfire.variants import Variant, base, exponential, loops_everywhere, multi_edge, origin_loops
+from labeled_reference import successor_outcomes
+from poset_reference import chips_at
 from trace_enum import all_complete_traces
 
 BASE = base()
@@ -70,7 +72,7 @@ def test_criterion_02_global_confluence_exhaustive():
         for n in (2, 4, 6, 8):
             report = explore(standard_initial(BASE, n), BASE)
             assert report.confluent
-            assert to_site_dict(report.terminals[0]) == \
+            assert dict(report.terminals[0]) == \
                 closedform.expected_sorted_terminal(BASE, n)
 
 
@@ -79,7 +81,7 @@ def test_criterion_02_global_confluence_exhaustive_n10():
         report = explore(standard_initial(BASE, 10), BASE)
         assert report.states_visited == 712_024
         assert report.terminal_count == 1 and report.confluent
-        assert to_site_dict(report.terminals[0]) == \
+        assert dict(report.terminals[0]) == \
             closedform.expected_sorted_terminal(BASE, 10)
 
 
@@ -94,7 +96,7 @@ def test_criterion_03_odd_n_nonconfluence():
         assert report.sorted_terminal_count == 1
         # brute-force oracle: the three pair choices from {-1, 0, 1}
         start = canonicalize(standard_initial(BASE, 3))
-        assert set(report.terminals) == explorer.successor_outcomes(start, BASE)
+        assert set(report.terminals) == successor_outcomes(start, BASE)
 
 
 def test_criterion_04_grid_structure():
@@ -107,7 +109,7 @@ def test_criterion_04_grid_structure():
                 if v["node"] == "s0_j1" and v["clause"] == "exact_chips"]
         assert hits and hits[0]["chips"] == 3
         witness = {int(s): c for s, c in hits[0]["witness_state"].items()}
-        assert poset.chips_at(witness, 0, BASE, {0: 11}) == 3
+        assert chips_at(witness, 0, BASE, {0: 11}) == 3
 
 
 def test_criterion_05_poset_bottom_shape_n10():

@@ -7,7 +7,9 @@ from chipfire.analysis import (CheckerNotApplicableError, check_chip_bounds,
                                check_loop_bounds, diamond_configuration, is_weakly_sorted)
 from chipfire.engine import (LabeledConfiguration, LeftmostStrategy, RandomStrategy,
                              run_to_completion, standard_initial)
-from chipfire.variants import base, exponential, loops_everywhere, multi_edge
+from chipfire import closedform
+from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
+                               origin_loops)
 from trace_enum import all_complete_traces
 
 
@@ -197,3 +199,38 @@ def test_violation_json_shape():
     assert violations_to_json([v]) == [{
         "step": 3, "chip_id": 1, "chip_value": -2, "site": 0,
         "lemma": "chip_bounds", "bound": -1}]
+
+
+SCOPE_VARIANTS = [base(), multi_edge(2), origin_loops(1), origin_loops(2), loops_everywhere(),
+                  loops_and_edges(2), exponential(0), exponential(1)]
+ALL_CHECKERS = [
+    ("conservation", check_conservation),
+    ("chip_bounds", check_chip_bounds),
+    ("diamond_move_bounds", check_diamond_move_bounds),
+    ("loop_bounds", check_loop_bounds),
+    ("diamond_count_bounds", check_diamond_count_bounds),
+    ("diamond_config_bounds", analysis._check_diamond_configuration),
+]
+
+
+@pytest.mark.parametrize("variant", SCOPE_VARIANTS, ids=str)
+def test_applicable_checkers_are_those_that_do_not_refuse(variant):
+    """Every (variant, n) the closed forms cover, n = 1..12: the listed
+    checkers are exactly those that run without CheckerNotApplicableError."""
+    covered = 0
+    for n in range(1, 13):
+        try:
+            closedform.fire_count_table(variant, n)
+        except closedform.UnsupportedVariantError:
+            continue
+        covered += 1
+        trace = _run(variant, n, 0)
+        runs = []
+        for name, checker in ALL_CHECKERS:
+            try:
+                checker(trace)
+            except CheckerNotApplicableError:
+                continue
+            runs.append(name)
+        assert [name for name, _ in analysis.applicable_checkers(variant, n)] == runs, n
+    assert covered

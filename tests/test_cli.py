@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chipfire import explorer, poset
 from chipfire.cli import main
 
 
@@ -134,6 +135,38 @@ def test_counterexample_odd(tmp_path):
     assert rc == 0
     lines = trace.read_text().strip().splitlines()
     assert len(lines) == 2  # header + the single move reaching an unsorted terminal
+
+
+@pytest.mark.parametrize("flag,value", [("--variant", "loops"), ("--r", "2"), ("--s", "1"),
+                                        ("--t", "1"), ("--preset", "staircase")])
+def test_counterexample_rejects_variant_and_preset(flag, value, capsys):
+    # each case fixes its own variant and starts from the origin
+    assert _usage_exit(["counterexample", "--case", "odd", "--n", "3", flag, value]) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_explore_searches_once(tmp_path, monkeypatch):
+    calls = []
+    levels = explorer._explore_levels
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return levels(*args, **kwargs)
+
+    monkeypatch.setattr(explorer, "_explore_levels", counted)
+    assert main(["explore", "--n", "7", "--report", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+    assert json.loads((tmp_path / "r.json").read_text())["witness"] is not None
+
+
+def test_poset_without_check_or_dot_builds_no_done_bits(monkeypatch):
+    def refuse(space):
+        raise AssertionError("done bits built")
+
+    monkeypatch.setattr(poset.FireCountSpace, "done_bits", property(refuse))
+    assert main(["poset", "--n", "10"]) == 0
+    with pytest.raises(AssertionError, match="done bits built"):
+        main(["poset", "--n", "10", "--check", "grid"])
 
 
 def test_counterexample_odd_even_n_is_usage_error():

@@ -371,6 +371,19 @@ def test_read_jsonl_rejects_non_integer_initial_values(initial):
         _read(lines)
 
 
+@pytest.mark.parametrize("variant", [
+    {"kind": "multi_edge", "r": 2.5}, {"kind": "multi_edge", "r": True}, {"kind": "multi_edge", "r": "2"},
+    {"kind": "origin_loops", "s": 1.0}, {"kind": "exponential", "t": False},
+    {"kind": "exponential", "t": None}])
+def test_read_jsonl_rejects_non_integer_variant_parameters(variant):
+    lines = _trace_lines()
+    header = json.loads(lines[0])
+    header["variant"] = variant
+    lines[0] = json.dumps(header)
+    with pytest.raises(engine.ChipFiringError, match="^line 1: .*must be a JSON integer"):
+        _read(lines)
+
+
 # --- trace round trip and mutated traces ----------------------------------------
 
 ROUND_TRIP_CASES = [(base(), 7), (base(), 8), (multi_edge(2), 8), (origin_loops(2), 6),

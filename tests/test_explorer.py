@@ -3,12 +3,12 @@ from itertools import combinations
 import pytest
 
 import labeled_reference
+from labeled_reference import successor_outcomes
 from chipfire import analysis, closedform, explorer
 from chipfire.engine import (CapExceededError, LabeledConfiguration, RandomStrategy,
                              run_to_completion, standard_initial)
-from chipfire.explorer import (adversarial_1mod4, canonicalize, explore,
-                               find_unsorted_terminal, successor_outcomes,
-                               to_site_dict)
+from chipfire.explorer import adversarial_1mod4, canonicalize, explore, find_unsorted_terminal
+from chipfire.poset import DEFAULT_STATE_CAP
 from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere,
                                multi_edge, origin_loops)
 
@@ -40,7 +40,7 @@ def test_explore_base_even_confluent():
     for n in (2, 4, 6):
         rep = explore(standard_initial(base(), n), base())
         assert rep.confluent
-        assert to_site_dict(rep.terminals[0]) == closedform.expected_sorted_terminal(base(), n)
+        assert dict(rep.terminals[0]) == closedform.expected_sorted_terminal(base(), n)
         assert rep.sorted_terminal_count == 1
 
 
@@ -94,6 +94,18 @@ def test_find_unsorted_terminal_witness_replays():
                                    loops_everywhere())
     assert trace is not None
     assert not analysis.is_weakly_sorted(trace.final_config())
+
+
+def test_find_unsorted_terminal_replays_a_given_report(monkeypatch):
+    initial = standard_initial(base(), 5)
+    searched = find_unsorted_terminal(initial, base())
+    report = explore(initial, base(), witness_unsorted=True)
+    no_witness = explore(initial, base())
+    monkeypatch.setattr(explorer, "_explore_levels", None)  # no second search
+    given = find_unsorted_terminal(initial, base(), report=report)
+    assert [r.to_json() for r in given.records] == [r.to_json() for r in searched.records]
+    with pytest.raises(ValueError, match="witness_unsorted=True"):
+        find_unsorted_terminal(initial, base(), report=no_witness)
 
 
 def test_find_unsorted_terminal_none_for_even():
@@ -171,7 +183,7 @@ def test_levels_match_reference_bfs(variant, n):
     and exponential mix thresholds."""
     initial = standard_initial(variant, n)
     levels, parents, _, visited, _ = explorer._explore_levels(
-        initial, variant, explorer.DEFAULT_STATE_CAP, record_parents=True)
+        initial, variant, DEFAULT_STATE_CAP, record_parents=True)
     want_keys, want_parents = labeled_reference.levels(canonicalize(initial), variant)
     assert [[row.astype(">u2").tobytes() for row in level] for level in levels] == want_keys
     assert [p.tolist() for p in parents] == want_parents
@@ -181,7 +193,7 @@ def test_levels_match_reference_bfs(variant, n):
 def _levels_and_report(variant, n):
     initial = standard_initial(variant, n)
     levels, parents, terminals, visited, _ = explorer._explore_levels(
-        initial, variant, explorer.DEFAULT_STATE_CAP, record_parents=True)
+        initial, variant, DEFAULT_STATE_CAP, record_parents=True)
     report = explore(initial, variant, witness_unsorted=True).to_json()
     return ([level.tolist() for level in levels], [p.tolist() for p in parents],
             terminals, visited, report)
@@ -231,4 +243,4 @@ def test_report_json_shape():
 def test_multi_edge_exploration():
     rep = explore(standard_initial(multi_edge(2), 8), multi_edge(2))
     assert rep.confluent
-    assert to_site_dict(rep.terminals[0]) == closedform.expected_sorted_terminal(multi_edge(2), 8)
+    assert dict(rep.terminals[0]) == closedform.expected_sorted_terminal(multi_edge(2), 8)

@@ -5,9 +5,10 @@ enabled-site list and the sorted chip ids at the firing site, so any change
 to how the engine keeps those lists shows up here as a changed digest.  The
 SHA-1 values of simulate and verify outputs were recorded before the engine
 was made incremental, those of explore reports and witness traces
-before the labeled search expanded whole levels in NumPy, and those of DOT
-files and grid reports before the poset relation was built as one matrix;
-none may change.
+before the labeled search expanded whole levels in NumPy, those of DOT
+files and grid reports before the poset relation was built as one matrix,
+and those of CLI explore reports while the CLI still searched twice for a
+witness; none may change.
 """
 
 import hashlib
@@ -87,6 +88,12 @@ WITNESS_SHA1 = {
     9: "164ccb6500a019bd8060dd7ff14e3bfd297f90a0",
 }
 
+# SHA-1 of the CLI's `explore --variant base --n N --report` file, witness trace included
+EXPLORE_CLI_SHA1 = {
+    7: "878f263f6bf6c04d284e0b3d1ec607325139c5a5",
+    9: "937055ed1e17c3672721f1f1a87b565cf651f57b",
+}
+
 # SHA-1 of export_dot(build_poset(reachable_states(variant, n)))
 DOT_CASES = {
     "base-10": (base(), 10, "516e36dac0c7faf3e229ead898749e848014982a"),
@@ -143,6 +150,14 @@ def test_unsorted_witness_trace_pinned(n):
     buf = io.StringIO()
     trace.write_jsonl(buf)
     assert hashlib.sha1(buf.getvalue().encode()).hexdigest() == WITNESS_SHA1[n]
+
+
+@pytest.mark.parametrize("n", sorted(EXPLORE_CLI_SHA1))
+def test_explore_cli_report_pinned(n, tmp_path):
+    path = tmp_path / "report.json"
+    assert cli.main(["explore", "--variant", "base", "--n", str(n),
+                     "--report", str(path)]) == cli.EXIT_PASS
+    assert _sha1(path) == EXPLORE_CLI_SHA1[n]
 
 
 @pytest.mark.parametrize("case", sorted(DOT_CASES))

@@ -3,9 +3,10 @@ import pytest
 from chipfire import closedform, poset
 from chipfire.engine import CapExceededError, RandomStrategy, run_to_completion, standard_initial
 from chipfire.poset import (build_poset, check_exponential_grid, check_grid_structure,
-                            chips_at, coord_to_move, export_dot, is_diamond_node,
-                            move_to_coord, must_precede, reachable_states)
+                            coord_to_move, diamond_coord, export_dot, is_diamond_node,
+                            reachable_states)
 from chipfire.variants import base, exponential, loops_everywhere, multi_edge, origin_loops
+from poset_reference import chips_at, must_precede
 
 
 def test_chips_at_examples():
@@ -180,7 +181,7 @@ def test_diamond_coordinates_bijection():
     for x in range(m):
         for y in range(m):
             move = coord_to_move(space, x, y)
-            assert move_to_coord(move, m) == (x, y)
+            assert diamond_coord(move.site, move.occ_from_last) == (x, y)
             assert is_diamond_node(move.site, move.occ_from_last, m)
             seen.add(move)
     all_diamond = {node for node in space.nodes()
@@ -251,11 +252,18 @@ REFERENCE_SPACES = [(base(), n) for n in range(2, 11)] + [
 @pytest.mark.parametrize("variant,n", REFERENCE_SPACES, ids=str)
 def test_build_poset_matches_pairwise_reference(variant, n):
     space = reachable_states(variant, n)
+    assert "done_bits" not in vars(space)  # built on first use only
     p = build_poset(space)
     nodes = space.nodes()
     assert p.nodes == tuple(nodes)
-    relation = {(a, b) for a in nodes for b in nodes
-                if a != b and must_precede(a, b, space)}
+    assert space.done_bits.shape == (len(nodes), (space.n_states + 7) // 8)
+    relation = set()
+    for a in nodes:
+        for b in nodes:
+            before = must_precede(a, b, space)
+            assert space.precedes(a, b) == before, (a, b)
+            if before and a != b:
+                relation.add((a, b))
     assert p.relation == relation
     between = {(a, b) for a, c in relation for d, b in relation if c == d}
     assert p.covers == relation - between

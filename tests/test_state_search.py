@@ -16,10 +16,12 @@ import pytest
 
 from chipfire import closedform, explorer, poset
 from chipfire.engine import ChipFiringError, standard_initial
-from chipfire.explorer import canonicalize, explore, successor_outcomes
-from chipfire.poset import chips_at, reachable_states
+from chipfire.explorer import canonicalize, explore
+from chipfire.poset import reachable_states
 from chipfire.variants import (Variant, base, exponential, loops_everywhere, multi_edge,
                                origin_loops)
+from labeled_reference import successor_outcomes
+from poset_reference import chips_at
 
 DATA = Path(__file__).parent / "data"
 
