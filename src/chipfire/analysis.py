@@ -122,7 +122,7 @@ def check_chip_bounds(trace: Trace) -> list[BoundViolation]:
     v = trace.variant
     n = trace.initial.total_chips()
     _require_scope("chip_bounds", v, n)
-    m = closedform.derive_m(v, n) if v.kind == "multi_edge" else n // 2
+    m = closedform.derive_m(v, n)
     out = []
 
     def scan(config, step):
@@ -154,9 +154,10 @@ def check_loop_bounds(trace: Trace) -> list[BoundViolation]:
     k+m is even that slot holds two chips and two may sit there; verified
     exhaustively over all reachable states at n = 7 and n = 11.
     """
+    v = trace.variant
     n = trace.initial.total_chips()
-    _require_scope("loop_bounds", trace.variant, n)
-    m = (n + 1) // 4
+    _require_scope("loop_bounds", v, n)
+    m = closedform.derive_m(v, n)
     out = []
 
     def limits(k: int) -> tuple[int, int]:
@@ -203,7 +204,7 @@ def check_diamond_move_bounds(trace: Trace) -> list[BoundViolation]:
     v = trace.variant
     n = trace.initial.total_chips()
     _require_scope("diamond_move_bounds", v, n)
-    m = n // 2
+    m = closedform.derive_m(v, n)
     table = closedform.fire_count_table(v, n)
     by_value = {chip.value: chip.id for _, chip in trace.initial.chips()}
     out = []
@@ -232,7 +233,7 @@ def check_diamond_count_bounds(trace: Trace) -> list[BoundViolation]:
     v = trace.variant
     n = trace.initial.total_chips()
     _require_scope("diamond_count_bounds", v, n)
-    m = (n + 1) // 4
+    m = closedform.derive_m(v, n)
     table = closedform.fire_count_table(v, n)
     out = []
     for before, rec, after in trace.replay(verify=False):

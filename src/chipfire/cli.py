@@ -87,6 +87,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.runs < 1:
+        raise UsageError(f"--runs must be >= 1, got {args.runs}")
     variant, n = _build_variant(args)
     fires_oracle = closedform.fire_count_table(variant, n)
     terminal_oracle = closedform.terminal_unlabeled(variant, n)
@@ -190,6 +192,8 @@ def cmd_counterexample(args) -> int:
             if args.n is None or args.n % 4 != 1 or args.n < 5:
                 raise UsageError("loops-1mod4 case needs --m >= 1 or --n = 4m+1 >= 5")
             m = (args.n - 1) // 4
+        elif m < 1:
+            raise UsageError(f"loops-1mod4 case needs --m >= 1, got {m}")
         trace = explorer.adversarial_1mod4(m, seed=args.seed)
         if analysis.is_weakly_sorted(trace.final_config()):
             print(f"adversarial schedule at m={m} unexpectedly sorted")

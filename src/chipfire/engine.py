@@ -14,7 +14,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -65,11 +65,9 @@ class LabeledConfiguration:
 
     Instances are immutable: applying a move returns a new configuration.
     Each site's chips are sorted by ``(value, id)`` and no site is empty.
-    The enabled sites for one variant are remembered once known, and a
-    configuration made by ``apply`` derives its own from its parent's.
     """
 
-    __slots__ = ("occupancy", "_enabled")
+    __slots__ = ("occupancy",)
 
     def __init__(self, occupancy: dict[int, Iterable[Chip]]):
         self.occupancy: dict[int, tuple[Chip, ...]] = {
@@ -77,8 +75,6 @@ class LabeledConfiguration:
             for site, chips in occupancy.items()
             if chips
         }
-        # None, (variant, enabled sites), or (variant, parent's enabled sites, fired site)
-        self._enabled: tuple | None = None
 
     @classmethod
     def from_values(cls, values_by_site: dict[int, Iterable[int]]) -> "LabeledConfiguration":
@@ -115,30 +111,15 @@ class LabeledConfiguration:
         return sum(site * len(chips) for site, chips in self.occupancy.items())
 
     def enabled_sites(self, variant: Variant) -> list[int]:
-        """Sorted sites holding at least their threshold; do not mutate the list."""
-        memo = self._enabled
-        if memo is None or not (memo[0] is variant or memo[0] == variant):
-            enabled = sorted(site for site, chips in self.occupancy.items()
-                             if len(chips) >= variant.site_row(site)[3])
-        elif len(memo) == 2:
-            return memo[1]
-        else:
-            # made by apply: only the fired site and its neighbours can differ
-            _, parent, site = memo
-            lo = bisect_left(parent, site - 1)
-            hi = bisect_right(parent, site + 1)
-            near = [s for s in (site - 1, site, site + 1)
-                    if len(self.occupancy.get(s, ())) >= variant.site_row(s)[3]]
-            enabled = parent[:lo] + near + parent[hi:]
-        self._enabled = (variant, enabled)
-        return enabled
+        """Sorted sites holding at least their threshold."""
+        return sorted(site for site, chips in self.occupancy.items()
+                      if len(chips) >= variant.site_row(site)[3])
 
     def apply(self, variant: Variant, site: int, chosen_ids: Iterable[int]) -> "LabeledConfiguration":
         """Fire ``chosen_ids`` at ``site``; raises IllegalMoveError on bad input.
 
         Only sites ``site - 1``, ``site`` and ``site + 1`` change, so only
-        they are re-sorted.  When this configuration's enabled sites are
-        known, the child's are derived from them on first request.
+        they are re-sorted.
         """
         chosen = tuple(chosen_ids)
         occupancy = self.occupancy
@@ -167,11 +148,6 @@ class LabeledConfiguration:
                 occ[dest] = tuple(sorted(occupancy.get(dest, ()) + tuple(moved), key=_chip_key))
         child = LabeledConfiguration.__new__(LabeledConfiguration)
         child.occupancy = occ
-        memo = self._enabled
-        if memo is not None and len(memo) == 2 and (memo[0] is variant or memo[0] == variant):
-            child._enabled = (variant, memo[1], site)
-        else:
-            child._enabled = None
         return child
 
     def __eq__(self, other):
@@ -214,7 +190,6 @@ class MoveRecord:
     chosen_ids: tuple[int, ...]
     chosen_values: tuple[int, ...]
     present_before: int
-    present_ids: tuple[int, ...]
     fire_index_at_site: int
 
     def to_json(self) -> dict:
@@ -302,7 +277,8 @@ class Trace:
         Chip ids are reassigned in (site, value) order, then each recorded
         move is re-bound to ids by value at its site (lowest ids first), so
         a round-tripped trace replays to the same value-level run.  Steps,
-        sites and chip values must be JSON integers; bad input raises
+        sites and chip values must be JSON integers, and the k-th move record
+        (from 0, blank lines skipped) must carry step k; bad input raises
         ChipFiringError naming its line.
         """
         header = _json_object(fp.readline(), 1)
@@ -330,6 +306,8 @@ class Trace:
             if not (_int_list([step, site]) and _int_list(values)):
                 raise ChipFiringError(
                     f"{where}: step, site and chosen_values must be JSON integers")
+            if step != len(records):
+                raise ChipFiringError(f"{where}: expected step {len(records)}")
             try:
                 rec, config = _fire(config, variant, step, site,
                                     _ids_for_values(config, site, values), fires)
@@ -352,7 +330,6 @@ def _fire(config: LabeledConfiguration, variant: Variant, step: int, site: int,
         step=step, site=site, chosen_ids=tuple(sorted(chosen_ids)),
         chosen_values=tuple(c.value for c in present if c.id in chosen),
         present_before=len(present),
-        present_ids=tuple(sorted(c.id for c in present)),
         fire_index_at_site=fires[site],
     ), child
 
@@ -391,11 +368,13 @@ def _ids_for_values(config: LabeledConfiguration, site: int, values: Iterable[in
 # --- strategies ------------------------------------------------------------
 
 class Strategy:
-    """Picks the next move given the full configuration and the run RNG."""
+    """Picks the next move given the configuration, its enabled sites (sorted,
+    non-empty, owned by the run: read them, never keep or change them), the
+    variant and the run RNG."""
 
     name = "abstract"
 
-    def choose(self, config: LabeledConfiguration, variant: Variant,
+    def choose(self, config: LabeledConfiguration, enabled: list[int], variant: Variant,
                rng: np.random.Generator) -> tuple[int, tuple[int, ...]]:
         raise NotImplementedError
 
@@ -405,8 +384,8 @@ class LeftmostStrategy(Strategy):
 
     name = "leftmost"
 
-    def choose(self, config, variant, rng):
-        site = config.enabled_sites(variant)[0]
+    def choose(self, config, enabled, variant, rng):
+        site = enabled[0]
         return site, tuple(c.id for c in config.chips_at(site)[:variant.threshold(site)])
 
 
@@ -415,8 +394,7 @@ class RandomStrategy(Strategy):
 
     name = "random"
 
-    def choose(self, config, variant, rng):
-        enabled = config.enabled_sites(variant)
+    def choose(self, config, enabled, variant, rng):
         site = enabled[int(rng.integers(len(enabled)))]
         ids = np.array(sorted(c.id for c in config.chips_at(site)))
         picked = rng.choice(ids, size=variant.threshold(site), replace=False)
@@ -432,7 +410,7 @@ class ScriptedValuesStrategy(Strategy):
         self._moves = list(moves)
         self._pos = 0
 
-    def choose(self, config, variant, rng):
+    def choose(self, config, enabled, variant, rng):
         if self._pos >= len(self._moves):
             raise IllegalMoveError("script exhausted while sites are still enabled")
         site, values = self._moves[self._pos]
@@ -454,8 +432,7 @@ class HoldStrategy(Strategy):
     def __init__(self, held_ids: Iterable[int]):
         self.held = frozenset(held_ids)
 
-    def choose(self, config, variant, rng):
-        enabled = config.enabled_sites(variant)
+    def choose(self, config, enabled, variant, rng):
         for site in enabled:
             th = variant.threshold(site)
             free = [c for c in config.chips_at(site) if c.id not in self.held]
@@ -467,17 +444,12 @@ class HoldStrategy(Strategy):
         return site, tuple(sorted(c.id for c in chips[:th]))
 
 
-def make_strategy(name: str, **kwargs) -> Strategy:
+def make_strategy(name: str) -> Strategy:
     if name == "leftmost":
         return LeftmostStrategy()
     if name == "random":
         return RandomStrategy()
-    if name == "hold":
-        return HoldStrategy(kwargs.get("held_ids", ()))
     raise ValueError(f"unknown strategy {name!r}")
-
-
-Observer = Callable[[LabeledConfiguration, MoveRecord, dict], None]
 
 
 def default_move_cap(variant: Variant, initial: LabeledConfiguration) -> int:
@@ -492,14 +464,24 @@ def default_move_cap(variant: Variant, initial: LabeledConfiguration) -> int:
     return DEFAULT_MOVE_CAP
 
 
+def _update_enabled(enabled: list[int], config: LabeledConfiguration,
+                    variant: Variant, site: int):
+    """Turn the sorted enabled sites of a configuration into those of
+    ``config``, made from it by firing ``site``: only the fired site and its
+    neighbours can differ."""
+    occupancy = config.occupancy
+    enabled[bisect_left(enabled, site - 1):bisect_right(enabled, site + 1)] = [
+        s for s in (site - 1, site, site + 1)
+        if len(occupancy.get(s, ())) >= variant.site_row(s)[3]]
+
+
 def run_to_completion(initial: LabeledConfiguration, variant: Variant,
                       strategy: Strategy, seed: int = 0,
-                      observers: Iterable[Observer] = (),
                       move_cap: int | None = None,
                       n: int | None = None, preset: str | None = None) -> Trace:
     """Fire until no site is enabled and return the full trace.
 
-    Observers are called after every move with (state, record, metadata).
+    The enabled sites are scanned once, then updated after every move.
     Raises NonTerminationError if the move cap (default: 10x the known total
     fire count, else 10**7) is exceeded.
     """
@@ -509,18 +491,14 @@ def run_to_completion(initial: LabeledConfiguration, variant: Variant,
     config = initial
     records: list[MoveRecord] = []
     fires: dict[int, int] = {}
-    observers = tuple(observers)
-    while True:
-        enabled = config.enabled_sites(variant)
-        if not enabled:
-            break
+    enabled = initial.enabled_sites(variant)
+    while enabled:
         if len(records) >= move_cap:
             raise NonTerminationError(f"exceeded move cap {move_cap} without terminating")
-        site, chosen_ids = strategy.choose(config, variant, rng)
+        site, chosen_ids = strategy.choose(config, enabled, variant, rng)
         rec, config = _fire(config, variant, len(records), site, chosen_ids, fires)
         records.append(rec)
-        for obs in observers:
-            obs(config, rec, {"fires": dict(fires)})
+        _update_enabled(enabled, config, variant, site)
     trace = Trace(variant=variant, initial=initial, records=records,
                   strategy=strategy.name, seed=seed, n=n, preset=preset)
     trace._final = config

@@ -173,6 +173,21 @@ def test_counterexample_odd_even_n_is_usage_error():
     assert main(["counterexample", "--case", "odd", "--n", "2"]) == 2
 
 
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_counterexample_loops_m_below_one_is_usage_error(m, capsys):
+    assert main(["counterexample", "--case", "loops-1mod4", "--m", m]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: loops-1mod4 case needs --m >= 1, got {m}\n"
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_verify_runs_below_one_is_usage_error(runs, capsys):
+    assert main(["verify", "--n", "4", "--runs", runs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --runs must be >= 1, got {runs}\n"
+
+
 def test_counterexample_loops(tmp_path):
     report = tmp_path / "cx.json"
     rc = main(["counterexample", "--case", "loops-1mod4", "--m", "1",

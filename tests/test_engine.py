@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from chipfire import closedform as cf
 from chipfire import engine
 from chipfire.engine import (Chip, IllegalMoveError, LabeledConfiguration,
-                             LeftmostStrategy, RandomStrategy, ScriptedValuesStrategy,
-                             run_to_completion, standard_initial)
+                             LeftmostStrategy, NonTerminationError, RandomStrategy,
+                             ScriptedValuesStrategy, run_to_completion, standard_initial)
 from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
                                origin_loops)
 
@@ -124,9 +125,7 @@ def test_replay_verifies_metadata():
     list(trace.replay(verify=True))  # must not raise
     # corrupt one record and watch the replay catch it
     rec = trace.records[2]
-    trace.records[2] = engine.MoveRecord(rec.step, rec.site, rec.chosen_ids,
-                                         rec.chosen_values, rec.present_before + 1,
-                                         rec.present_ids, rec.fire_index_at_site)
+    trace.records[2] = dataclasses.replace(rec, present_before=rec.present_before + 1)
     with pytest.raises(engine.ChipFiringError):
         list(trace.replay(verify=True))
 
@@ -147,14 +146,6 @@ def test_trace_jsonl_round_trip():
     assert back.final_config().values_by_site() == trace.final_config().values_by_site()
     header = trace.header_json()
     assert header["n"] == 8 and header["seed"] == 9 and header["strategy"] == "random"
-
-
-def test_observers_see_every_move():
-    v = base()
-    seen = []
-    run_to_completion(standard_initial(v, 6), v, LeftmostStrategy(),
-                      observers=[lambda state, rec, meta: seen.append(rec.step)])
-    assert seen == list(range(sum(cf.fire_count_table(v, 6).values())))
 
 
 def test_move_cap():
@@ -228,7 +219,7 @@ def test_permutation_equivariance(data):
     assert after.values_by_site() == after2.values_by_site()
 
 
-# --- incremental apply / enabled sites against the full-rebuild path ---------
+# --- incremental apply / carried enabled sites against a full rebuild / scan ---
 
 ALL_VARIANTS = [base(), multi_edge(2), origin_loops(2), loops_everywhere(),
                 loops_and_edges(2), exponential(1)]
@@ -244,10 +235,6 @@ def rebuild_apply(config, v, site, chosen):
     occ[site - 1] = config.chips_at(site - 1) + tuple(fired[:left])
     occ[site + 1] = config.chips_at(site + 1) + tuple(fired[left + loop:])
     return LabeledConfiguration(occ)
-
-
-def scan_enabled(config, v):
-    return LabeledConfiguration(config.occupancy).enabled_sites(v)
 
 
 @st.composite
@@ -279,22 +266,42 @@ def test_apply_matches_full_rebuild(data):
         assert chips and list(chips) == sorted(chips, key=lambda c: (c.value, c.id))
 
 
+class ScanCheckingStrategy(RandomStrategy):
+    """Random moves; asserts that the enabled sites the run hands over equal a
+    fresh scan, and counts the moves it was asked for."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def choose(self, config, enabled, variant, rng):
+        assert enabled == config.enabled_sites(variant)
+        self.calls += 1
+        return super().choose(config, enabled, variant, rng)
+
+
 @given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_remembered_enabled_sites_match_fresh_scan(data):
+@settings(max_examples=300, deadline=None)
+def test_carried_enabled_sites_match_fresh_scan(data):
+    # a random chain of up to 40 moves, cut by the move cap when it runs longer
     v, config = data.draw(variant_and_config())
-    for _ in range(data.draw(st.integers(1, 25))):
-        # asking only sometimes exercises children of parents never asked
-        if data.draw(st.booleans()) and config.enabled_sites(v) != scan_enabled(config, v):
-            pytest.fail("remembered enabled sites differ from a fresh scan")
-        if not scan_enabled(config, v):
-            break
-        # drawn on a copy, so that config itself is asked only on the coin above
-        site, chosen = draw_move(data.draw, LabeledConfiguration(config.occupancy), v)
-        config = config.apply(v, site, chosen)
-    assert config.enabled_sites(v) == scan_enabled(config, v)
-    other = data.draw(st.sampled_from(ALL_VARIANTS))
-    assert config.enabled_sites(other) == scan_enabled(config, other)
+    try:
+        trace = run_to_completion(config, v, ScanCheckingStrategy(),
+                                  seed=data.draw(st.integers(0, 2 ** 32)),
+                                  move_cap=data.draw(st.integers(1, 40)))
+    except NonTerminationError:
+        return
+    assert trace.final_config().enabled_sites(v) == []
+
+
+@pytest.mark.parametrize("v,n", [(base(), 12), (multi_edge(2), 8), (origin_loops(2), 8),
+                                 (loops_everywhere(), 11), (loops_and_edges(2), 6),
+                                 (exponential(1), 8)])
+def test_strategies_receive_fresh_enabled_sites_on_seeded_runs(v, n):
+    for seed in range(3):
+        strategy = ScanCheckingStrategy()
+        trace = run_to_completion(standard_initial(v, n), v, strategy, seed=seed)
+        assert strategy.calls == len(trace) > 0
+        assert trace.final_config().enabled_sites(v) == []
 
 
 # --- trace ingestion errors ---------------------------------------------------
@@ -358,6 +365,23 @@ def test_read_jsonl_rejects_non_integer_fields(line, field, bad):
     record[field] = bad
     lines[line - 1] = json.dumps(record)
     with pytest.raises(engine.ChipFiringError, match=rf"^line {line}, step .*JSON integers"):
+        _read(lines)
+
+
+@pytest.mark.parametrize("steps,message", [
+    ([7, 7, 7, 7, 7], "line 2, step 7: expected step 0"),  # all equal
+    ([0, 1, 1, 2, 3], "line 5, step 1: expected step 2"),  # one duplicated
+    ([0, 1, 3, 4, 5], "line 5, step 3: expected step 2"),  # one missing
+])
+def test_read_jsonl_rejects_misnumbered_steps(steps, message):
+    lines = _trace_lines()
+    assert len(lines) == 1 + len(steps)
+    for i, step in enumerate(steps, 1):
+        record = json.loads(lines[i])
+        record["step"] = step
+        lines[i] = json.dumps(record)
+    lines.insert(2, "")  # line 3 is blank: skipped, and not counted as a move record
+    with pytest.raises(engine.ChipFiringError, match=f"^{message}$"):
         _read(lines)
 
 
