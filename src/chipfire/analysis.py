@@ -14,7 +14,7 @@ from typing import Callable
 
 from . import closedform
 from .engine import ChipFiringError, LabeledConfiguration, Trace
-from .poset import diamond_coord, is_diamond_node
+from .poset import diamond
 from .variants import Variant
 
 
@@ -204,14 +204,13 @@ def check_diamond_move_bounds(trace: Trace) -> list[BoundViolation]:
     v = trace.variant
     n = trace.initial.total_chips()
     _require_scope("diamond_move_bounds", v, n)
-    m = closedform.derive_m(v, n)
-    table = closedform.fire_count_table(v, n)
+    final = diamond(v, n)
     by_value = {chip.value: chip.id for _, chip in trace.initial.chips()}
     out = []
     for before, rec, after in trace.replay(verify=False):
-        occ_from_last = table[rec.site] - rec.fire_index_at_site + 1
-        if is_diamond_node(rec.site, occ_from_last, m):
-            x, y = diamond_coord(rec.site, occ_from_last)
+        xy = final.get((rec.site, rec.fire_index_at_site))
+        if xy is not None:
+            x, y = xy
             positions = before.positions()
             neg_pos = positions[by_value[-(y + 1)]]
             if neg_pos > rec.site:
@@ -234,23 +233,22 @@ def check_diamond_count_bounds(trace: Trace) -> list[BoundViolation]:
     n = trace.initial.total_chips()
     _require_scope("diamond_count_bounds", v, n)
     m = closedform.derive_m(v, n)
-    table = closedform.fire_count_table(v, n)
+    final = diamond(v, n)
     out = []
     for before, rec, after in trace.replay(verify=False):
-        k = rec.site
-        f = table.get(k, 0)
-        diamond_width = m - abs(k)
-        j = rec.fire_index_at_site - (f - diamond_width)
-        if j < 1:
+        xy = final.get((rec.site, rec.fire_index_at_site))
+        if xy is None:
             continue
+        k = rec.site
+        j = m - max(xy)
         chips = list(after.chips())
-        if -m + 1 <= k <= 0:
+        if k <= 0:
             have = sum(1 for site, chip in chips if chip.value < k and site < k)
             need = j + k + m - 1
             if have < need:
                 out.append(BoundViolation(rec.step, None, None, k,
                                           "diamond_count_bounds", need))
-        if 0 <= k <= m - 1:
+        if k >= 0:
             have = sum(1 for site, chip in chips if chip.value > k and site > k)
             need = j - k + m - 1
             if have < need:
@@ -285,23 +283,19 @@ def diamond_configuration(trace: Trace) -> DiamondConfigurationView:
     v = trace.variant
     n = trace.initial.total_chips()
     try:
-        m = closedform.derive_m(v, n)
+        final = diamond(v, n)
     except closedform.UnsupportedVariantError as exc:
         raise CheckerNotApplicableError(str(exc))
-    if v.kind == "exponential":
-        raise CheckerNotApplicableError("the exponential variant has no diamond")
-    table = closedform.fire_count_table(v, n)
     assignment: dict[int, tuple[int, int, int]] = {}
     for before, rec, after in trace.replay(verify=False):
-        occ_from_last = table[rec.site] - rec.fire_index_at_site + 1
-        if is_diamond_node(rec.site, occ_from_last, m):
+        if (rec.site, rec.fire_index_at_site) in final:
             for chip in before.chips_at(rec.site):
                 if chip.id not in assignment:
                     assignment[chip.id] = (chip.value, rec.site, rec.fire_index_at_site)
     if len(assignment) != n:
         raise ChipFiringError(
             f"only {len(assignment)} of {n} chips attended a diamond move")
-    return DiamondConfigurationView(v, n, m, assignment)
+    return DiamondConfigurationView(v, n, closedform.derive_m(v, n), assignment)
 
 
 def check_diamond_config_bounds(view: DiamondConfigurationView) -> list[BoundViolation]:

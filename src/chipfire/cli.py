@@ -93,7 +93,7 @@ def cmd_verify(args) -> int:
     fires_oracle = closedform.fire_count_table(variant, n)
     terminal_oracle = closedform.terminal_unlabeled(variant, n)
     try:
-        labeled_oracle = closedform.expected_sorted_terminal(variant, n, args.preset)
+        labeled_oracle = closedform.expected_sorted_terminal(variant, n)
     except closedform.NoSortingTheoremError:
         labeled_oracle = None
     checkers = analysis.applicable_checkers(variant, n)
@@ -101,10 +101,10 @@ def cmd_verify(args) -> int:
     ok = True
     for i in range(args.runs):
         seed = args.seed + i
-        initial = standard_initial(variant, n, args.preset)
+        initial = standard_initial(variant, n)
         strategy = make_strategy(args.strategy)
         trace = run_to_completion(initial, variant, strategy, seed=seed,
-                                  n=n, preset=args.preset)
+                                  n=n, preset="origin")
         final = trace.final_config()
         unlabeled = {s: len(v) for s, v in final.values_by_site().items()}
         detail = {
@@ -128,7 +128,7 @@ def cmd_verify(args) -> int:
     report = {
         "variant": variant.to_json(),
         "n": n,
-        "preset": args.preset,
+        "preset": "origin",
         "strategy": args.strategy,
         "runs": args.runs,
         "base_seed": args.seed,
@@ -178,6 +178,8 @@ def cmd_explore(args) -> int:
 
 def cmd_counterexample(args) -> int:
     if args.case == "odd":
+        if args.m is not None:
+            raise UsageError("odd case takes --n, not --m")
         if args.n is None or args.n % 2 == 0 or args.n < 3:
             raise UsageError("odd case needs odd --n >= 3: no counterexample exists otherwise")
         variant = Variant("base")
@@ -192,6 +194,8 @@ def cmd_counterexample(args) -> int:
             if args.n is None or args.n % 4 != 1 or args.n < 5:
                 raise UsageError("loops-1mod4 case needs --m >= 1 or --n = 4m+1 >= 5")
             m = (args.n - 1) // 4
+        elif args.n is not None:
+            raise UsageError("loops-1mod4 case takes --m or --n, not both")
         elif m < 1:
             raise UsageError(f"loops-1mod4 case needs --m >= 1, got {m}")
         trace = explorer.adversarial_1mod4(m, seed=args.seed)
@@ -224,8 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
         engine runs, ``search`` the state cap of the exhaustive searches,
         ``variant`` the graph and its parameters.  Flags are never
         abbreviated, so a flag a subcommand lacks (``counterexample --r``)
-        is an error, not a prefix of another (``--report``)."""
+        is an error, not a prefix of another (``--report``).  A seed below 0
+        or a state cap below 1 is a usage error."""
         p.allow_abbrev = False
+
+        def at_least(low, flag):
+            def integer(text):
+                value = int(text)
+                if value < low:
+                    raise UsageError(f"{flag} must be >= {low}, got {value}")
+                return value
+            return integer
+
         if variant:
             p.add_argument("--variant", choices=sorted(VARIANT_FLAGS), default="base")
             p.add_argument("--r", type=int, default=1, help="edge multiplicity")
@@ -234,9 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="number of chips")
         if preset:
             p.add_argument("--preset", choices=["origin", "staircase"], default="origin")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=at_least(0, "--seed"), default=0)
         if search:
-            p.add_argument("--state-cap", type=int, default=poset.DEFAULT_STATE_CAP)
+            p.add_argument("--state-cap", type=at_least(1, "--state-cap"),
+                           default=poset.DEFAULT_STATE_CAP)
         p.add_argument("--report", type=str, default=None, help="write JSON report here")
         if run:
             p.add_argument("--strategy", choices=["leftmost", "random"], default="random")
@@ -246,8 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", type=str, default=None, help="write JSON-lines trace here")
     p.set_defaults(func=cmd_simulate)
 
+    # the oracles and checker scopes hold for the origin preset only
     p = sub.add_parser("verify", help="seeded runs against the closed-form oracles")
-    common(p, run=True, search=False)
+    common(p, run=True, preset=False, search=False)
     p.add_argument("--runs", type=int, default=100)
     p.set_defaults(func=cmd_verify)
 
@@ -272,9 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -213,31 +213,20 @@ def build_poset(space: FireCountSpace) -> FiringPoset:
 
 # --- diamond coordinates ----------------------------------------------------
 
-def diamond_m(variant: Variant, n: int) -> int:
-    """Half-width of the diamond of final moves, where one exists."""
+def diamond(variant: Variant, n: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """The diamond of final moves: ``(site, occ_from_start) -> (x, y)``.
+
+    It holds the last ``m - |k|`` moves at each site k.  The move at (x, y)
+    fires at site ``x - y`` and is the ``min(x, y) + 1``-th from the last, so
+    (0, 0) is the last move at the origin; +x steps one site right, +y one
+    site left.  Entries run in row-major (x, y) order.
+    """
     if variant.kind == "exponential":
         raise closedform.UnsupportedVariantError(
             "the exponential variant has a full-poset grid, not a diamond")
-    return closedform.derive_m(variant, n)
-
-
-def is_diamond_node(site: int, occ_from_last: int, m: int) -> bool:
-    """True for the last ``m - |site|`` moves at ``site``: the diamond of final moves."""
-    return 1 <= occ_from_last <= m - abs(site)
-
-
-def diamond_coord(site: int, occ_from_last: int) -> tuple[int, int]:
-    """Diamond coordinates (x, y) of a final move; inverse of ``coord_to_move``."""
-    j = occ_from_last - 1
-    if site >= 0:
-        return site + j, j
-    return j, j - site
-
-
-def coord_to_move(space: FireCountSpace, x: int, y: int) -> MoveInstance:
-    """Diamond coordinates: (0,0) is the last move at the origin; +x steps one
-    site right, +y one site left, along moves of the final grid."""
-    return space.move(x - y, occ_from_last=min(x, y) + 1)
+    m = closedform.derive_m(variant, n)
+    table = closedform.fire_count_table(variant, n)
+    return {(x - y, table[x - y] - min(x, y)): (x, y) for x in range(m) for y in range(m)}
 
 
 # --- structure checks -------------------------------------------------------
@@ -272,39 +261,37 @@ def check_grid_structure(space: FireCountSpace) -> CheckReport:
     reported as data; for odd n the exact-chip clause is expected to fail at
     the last move at the origin with a 3-chip witness.
     """
-    m = diamond_m(space.variant, space.n)
+    grid = {xy: space.move(site, occ_from_start=occ)
+            for (site, occ), xy in diamond(space.variant, space.n).items()}
     violations: list[dict] = []
     chips_cache: dict[int, np.ndarray] = {}
-    for x in range(m):
-        for y in range(m):
-            node = coord_to_move(space, x, y)
-            for above in ((x + 1, y), (x, y + 1)):
-                if max(above) <= m - 1:
-                    pred = coord_to_move(space, *above)
-                    if not space.precedes(pred, node):
-                        violations.append({
-                            "node": node.node_id(), "clause": "precedence",
-                            "detail": f"{pred.node_id()} does not always precede {node.node_id()}",
-                        })
-            site = node.site
-            if site not in chips_cache:
-                chips_cache[site] = space.chips_vector(site)
-            chips = chips_cache[site]
-            th = space.variant.threshold(site)
-            idx = space._idx[site]
-            sel = ((space.states[:, idx] == node.occ_from_start - 1)
-                   & (chips >= th) & (chips != th))
-            if np.any(sel):
-                witness = int(np.flatnonzero(sel)[0])
+    for (x, y), node in grid.items():
+        for pred in (grid.get((x + 1, y)), grid.get((x, y + 1))):
+            if pred is not None and not space.precedes(pred, node):
                 violations.append({
-                    "node": node.node_id(), "clause": "exact_chips",
-                    "detail": f"fires with {int(chips[sel].max())} chips present",
-                    "chips": int(chips[sel].max()),
-                    "witness_state": {str(s): int(v) for s, v in
-                                      zip(space.sites, space.states[witness])},
+                    "node": node.node_id(), "clause": "precedence",
+                    "detail": f"{pred.node_id()} does not always precede {node.node_id()}",
                 })
+        site = node.site
+        if site not in chips_cache:
+            chips_cache[site] = space.chips_vector(site)
+        chips = chips_cache[site]
+        th = space.variant.threshold(site)
+        idx = space._idx[site]
+        sel = ((space.states[:, idx] == node.occ_from_start - 1)
+               & (chips >= th) & (chips != th))
+        if np.any(sel):
+            witness = int(np.flatnonzero(sel)[0])
+            violations.append({
+                "node": node.node_id(), "clause": "exact_chips",
+                "detail": f"fires with {int(chips[sel].max())} chips present",
+                "chips": int(chips[sel].max()),
+                "witness_state": {str(s): int(v) for s, v in
+                                  zip(space.sites, space.states[witness])},
+            })
     return CheckReport("grid", violations, space.n_states,
-                       {"m": m, "diamond_nodes": m * m})
+                       {"m": closedform.derive_m(space.variant, space.n),
+                        "diamond_nodes": len(grid)})
 
 
 def check_exponential_grid(space: FireCountSpace) -> CheckReport:
@@ -373,13 +360,13 @@ def check_exponential_grid(space: FireCountSpace) -> CheckReport:
 def export_dot(poset: FiringPoset) -> str:
     """Graphviz DOT of the Hasse diagram, edges oriented earlier -> later."""
     try:
-        m = diamond_m(poset.variant, poset.n)
+        final = diamond(poset.variant, poset.n)
     except closedform.UnsupportedVariantError:
-        m = None
+        final = {}
     lines = ["digraph firing_poset {"]
     for node in sorted(poset.nodes):
         attrs = [f'label="{node.site}_{node.occ_from_last}"']
-        if m is not None and is_diamond_node(node.site, node.occ_from_last, m):
+        if (node.site, node.occ_from_start) in final:
             attrs.append('group="diamond"')
         lines.append(f'  "{node.node_id()}" [{", ".join(attrs)}];')
     for a, b in sorted(poset.covers):

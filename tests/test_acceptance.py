@@ -116,12 +116,10 @@ def test_criterion_05_poset_bottom_shape_n10():
     with criterion(5, "n=10 Hasse bottom: 25-node diamond plus 6 outward edges"):
         space = poset.reachable_states(BASE, 10)
         p = poset.build_poset(space)
-        nodes = {}
-        for x in range(5):
-            for y in range(5):
-                nodes[(x, y)] = poset.coord_to_move(space, x, y)
-        for xy in [(2, 5), (3, 5), (4, 5), (5, 4), (5, 3), (5, 2)]:
-            nodes[xy] = poset.coord_to_move(space, *xy)
+        nodes = {xy: space.move(site, occ_from_start=occ)
+                 for (site, occ), xy in poset.diamond(BASE, 10).items()}
+        for x, y in [(2, 5), (3, 5), (4, 5), (5, 4), (5, 3), (5, 2)]:
+            nodes[(x, y)] = space.move(x - y, occ_from_last=min(x, y) + 1)
         assert len(set(nodes.values())) == 31
         expected = set()
         for x in range(5):

@@ -209,6 +209,42 @@ def test_poset_rejects_preset(capsys):
     assert "--preset" in capsys.readouterr().err
 
 
+def test_verify_rejects_preset(capsys):
+    # the oracles and checker scopes of verify hold for the origin preset only
+    assert _usage_exit(["verify", "--n", "4", "--runs", "1", "--preset", "staircase"]) == 2
+    assert "--preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "4"], ["verify", "--n", "4", "--runs", "1"], ["poset", "--n", "5"],
+    ["explore", "--n", "4"], ["counterexample", "--case", "loops-1mod4", "--m", "1"]])
+def test_negative_seed_is_usage_error(argv, capsys):
+    assert main(argv + ["--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["poset", "--n", "5"], ["explore", "--n", "4"], ["counterexample", "--case", "odd", "--n", "3"]])
+@pytest.mark.parametrize("cap", ["0", "-4"])
+def test_state_cap_below_one_is_usage_error(argv, cap, capsys):
+    assert main(argv + ["--state-cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --state-cap must be >= 1, got {cap}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--case", "loops-1mod4", "--m", "1", "--n", "13"], "takes --m or --n, not both"),
+    (["--case", "odd", "--n", "3", "--m", "5"], "takes --n, not --m")])
+def test_counterexample_rejects_flag_its_case_ignores(argv, message, capsys):
+    assert main(["counterexample"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_simulate_rejects_state_cap(capsys):
     assert _usage_exit(["simulate", "--n", "4", "--state-cap", "10"]) == 2
     assert "--state-cap" in capsys.readouterr().err

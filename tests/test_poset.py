@@ -3,9 +3,9 @@ import pytest
 from chipfire import closedform, poset
 from chipfire.engine import CapExceededError, RandomStrategy, run_to_completion, standard_initial
 from chipfire.poset import (build_poset, check_exponential_grid, check_grid_structure,
-                            coord_to_move, diamond_coord, export_dot, is_diamond_node,
-                            reachable_states)
-from chipfire.variants import base, exponential, loops_everywhere, multi_edge, origin_loops
+                            diamond, export_dot, reachable_states)
+from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
+                               origin_loops)
 from poset_reference import chips_at, must_precede
 
 
@@ -102,9 +102,9 @@ def test_build_poset_counts():
     space = reachable_states(base(), 4)
     p = build_poset(space)
     assert len(p.nodes) == 5
-    diamond = [x for x in p.nodes if is_diamond_node(x.site, x.occ_from_last, 2)]
-    assert len(diamond) == 4
-    inner = {(a, b) for a, b in p.covers if a in diamond and b in diamond}
+    final = [x for x in p.nodes if (x.site, x.occ_from_start) in diamond(base(), 4)]
+    assert len(final) == 4
+    inner = {(a, b) for a, b in p.covers if a in final and b in final}
     assert len(inner) == 4
 
 
@@ -174,19 +174,24 @@ def _fire_indices(sites):
         yield counts[s]
 
 
-def test_diamond_coordinates_bijection():
-    m = 5
-    space = reachable_states(base(), 10)
-    seen = set()
-    for x in range(m):
-        for y in range(m):
-            move = coord_to_move(space, x, y)
-            assert diamond_coord(move.site, move.occ_from_last) == (x, y)
-            assert is_diamond_node(move.site, move.occ_from_last, m)
-            seen.add(move)
-    all_diamond = {node for node in space.nodes()
-                   if is_diamond_node(node.site, node.occ_from_last, m)}
-    assert seen == all_diamond
+@pytest.mark.parametrize("variant,n", [(base(), n) for n in range(4, 11)] + [
+    (multi_edge(2), 8), (origin_loops(2), 6), (loops_everywhere(), 7),
+    (loops_everywhere(), 11), (loops_and_edges(2), 6)], ids=str)
+def test_diamond_table_matches_definition(variant, n):
+    m = closedform.derive_m(variant, n)
+    table = diamond(variant, n)
+    space = reachable_states(variant, n)
+    final = [node for node in space.nodes() if node.occ_from_last <= m - abs(node.site)]
+    assert set(table) == {(node.site, node.occ_from_start) for node in final}
+    assert list(table.values()) == [(x, y) for x in range(m) for y in range(m)]
+    for (site, occ_from_start), (x, y) in table.items():
+        node = space.move(site, occ_from_start=occ_from_start)
+        assert site == x - y and node.occ_from_last == min(x, y) + 1
+
+
+def test_diamond_table_refuses_exponential():
+    with pytest.raises(closedform.UnsupportedVariantError):
+        diamond(exponential(1), 8)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
