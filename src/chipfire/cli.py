@@ -182,9 +182,12 @@ def cmd_counterexample(args) -> int:
             raise UsageError("odd case takes --n, not --m")
         if args.n is None or args.n % 2 == 0 or args.n < 3:
             raise UsageError("odd case needs odd --n >= 3: no counterexample exists otherwise")
+        if args.seed is not None:
+            raise UsageError("odd case takes no --seed: its witness search is deterministic")
         variant = Variant("base")
         initial = standard_initial(variant, args.n)
-        trace = explorer.find_unsorted_terminal(initial, variant, state_cap=args.state_cap)
+        trace = explorer.find_unsorted_terminal(
+            initial, variant, state_cap=args.state_cap or poset.DEFAULT_STATE_CAP)
         if trace is None:
             print(f"no unsorted terminal exists for base n={args.n}")
             return EXIT_FAIL
@@ -198,7 +201,9 @@ def cmd_counterexample(args) -> int:
             raise UsageError("loops-1mod4 case takes --m or --n, not both")
         elif m < 1:
             raise UsageError(f"loops-1mod4 case needs --m >= 1, got {m}")
-        trace = explorer.adversarial_1mod4(m, seed=args.seed)
+        if args.state_cap is not None:
+            raise UsageError("loops-1mod4 case takes no --state-cap: its schedule runs no search")
+        trace = explorer.adversarial_1mod4(m, seed=args.seed or 0)
         if analysis.is_weakly_sorted(trace.final_config()):
             print(f"adversarial schedule at m={m} unexpectedly sorted")
             return EXIT_FAIL
@@ -277,13 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_explore)
 
-    # each case fixes its own variant and the origin preset
+    # each case fixes its own variant and the origin preset; --seed and
+    # --state-cap default to None here, so a case refuses the one it ignores
     p = sub.add_parser("counterexample", help="produce a non-sorting witness trace")
     common(p, preset=False, variant=False)
     p.add_argument("--case", choices=["odd", "loops-1mod4"], required=True)
     p.add_argument("--m", type=int, default=None, help="size parameter for loops-1mod4")
     p.add_argument("--trace", type=str, default=None, help="write witness JSON-lines trace here")
-    p.set_defaults(func=cmd_counterexample)
+    p.set_defaults(func=cmd_counterexample, seed=None, state_cap=None)
     return parser
 
 

@@ -102,9 +102,10 @@ class FireCountSpace:
 def _first_unique(rows: np.ndarray) -> np.ndarray:
     """Index of each distinct row's first occurrence, in sorted row order.
 
-    Both searches deduplicate with it.  ``lexsort`` is stable and sorts
-    column by column, which beats ``np.unique(axis=0)``'s sort of whole rows
-    and packing several columns into wider words.
+    Both searches deduplicate with it: the labeled search its rows, the
+    fire-count search its key words.  ``lexsort`` is stable and sorts column
+    by column, which beats ``np.unique(axis=0)``'s sort of whole rows and,
+    on labeled rows, packing several columns into wider words.
     """
     if not len(rows):
         return np.zeros(0, np.intp)
@@ -113,6 +114,49 @@ def _first_unique(rows: np.ndarray) -> np.ndarray:
     keep = np.ones(len(rows), np.bool_)
     keep[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
     return order[keep]
+
+
+# a key word holds values below this bound, or a single column whose radix
+# alone passes it, so adding one place value to a key never overflows int64
+_WORD_LIMIT = 2 ** 62
+
+
+def _key_layout(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Place value and key word of each column of a fire-count row.
+
+    A row's key is the row read as a mixed-radix number, column i having
+    radix ``totals[i] + 1``, cut into int64 words from the last column
+    before a word's range would pass ``_WORD_LIMIT``.  Words and columns
+    both run most significant first, so keys sort exactly like rows.
+    """
+    place = np.empty(len(totals), np.int64)
+    word = np.empty(len(totals), np.intp)
+    value, k = 1, 0
+    for i in range(len(totals) - 1, -1, -1):
+        radix = int(totals[i]) + 1
+        if value * radix > _WORD_LIMIT:
+            value, k = 1, k + 1
+        place[i], word[i] = value, k
+        value *= radix
+    return place, k - word
+
+
+def _expand(frontier: np.ndarray, keys: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            place: np.ndarray, word: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The next level and its keys: the first occurrence of each distinct
+    child, where a child fires site ``cols[c]`` in state ``rows[c]``.
+
+    A child's key is its parent's plus one place value, so children are
+    deduplicated on keys and only the kept ones are built as rows.
+    """
+    # ``a[i, c[i]] += v`` is written on the flat view of a fresh C-ordered
+    # array, which is faster than indexing along two axes
+    child = keys[rows]
+    child.reshape(-1)[np.arange(0, child.size, child.shape[1]) + word[cols]] += place[cols]
+    first = _first_unique(child)
+    succ = frontier[rows[first]]
+    succ.reshape(-1)[np.arange(0, succ.size, succ.shape[1]) + cols[first]] += 1
+    return succ, child[first]
 
 
 def reachable_states(variant: Variant, n: int,
@@ -142,7 +186,9 @@ def reachable_states(variant: Variant, n: int,
         left, _, right, _ = variant.site_row(site)
         flow[i, i:i + 3] = left, -(left + right), right
 
+    place, word = _key_layout(totals)
     frontier = np.zeros((1, w), np.int16)
+    keys = np.zeros((1, int(word[-1]) + 1), np.int64)
     levels = [frontier]
     visited = 1
     while True:
@@ -155,7 +201,9 @@ def reachable_states(variant: Variant, n: int,
         enabled = enabled[:, 1:-1]
         if np.any(enabled & (frontier >= totals)):
             raise ChipFiringError("a site exceeded its closed-form total fire count")
-        rows, cols = np.nonzero(enabled)
+        # column by column: the frontier is sorted and one fire at one column
+        # keeps that order, so the dedup sort merges W sorted runs
+        cols, rows = np.nonzero(enabled.T)
         if rows.size == 0:
             if frontier.shape[0] != 1:
                 raise ChipFiringError(
@@ -163,9 +211,7 @@ def reachable_states(variant: Variant, n: int,
             break
         if not enabled.any(axis=1).all():
             raise ChipFiringError("a non-final state had no successors (premature deadlock)")
-        succ = frontier[rows]
-        succ[np.arange(rows.size), cols] += 1
-        frontier = succ[_first_unique(succ)]
+        frontier, keys = _expand(frontier, keys, rows, cols, place, word)
         visited += frontier.shape[0]
         if visited > state_cap:
             raise CapExceededError(

@@ -237,7 +237,10 @@ def test_state_cap_below_one_is_usage_error(argv, cap, capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["--case", "loops-1mod4", "--m", "1", "--n", "13"], "takes --m or --n, not both"),
-    (["--case", "odd", "--n", "3", "--m", "5"], "takes --n, not --m")])
+    (["--case", "odd", "--n", "3", "--m", "5"], "takes --n, not --m"),
+    (["--case", "odd", "--n", "3", "--seed", "5"], "odd case takes no --seed"),
+    (["--case", "loops-1mod4", "--m", "1", "--state-cap", "1"],
+     "loops-1mod4 case takes no --state-cap")])
 def test_counterexample_rejects_flag_its_case_ignores(argv, message, capsys):
     assert main(["counterexample"] + argv) == 2
     captured = capsys.readouterr()

@@ -18,8 +18,8 @@ from chipfire import closedform, explorer, poset
 from chipfire.engine import ChipFiringError, standard_initial
 from chipfire.explorer import canonicalize, explore
 from chipfire.poset import reachable_states
-from chipfire.variants import (Variant, base, exponential, loops_everywhere, multi_edge,
-                               origin_loops)
+from chipfire.variants import (Variant, base, exponential, loops_and_edges, loops_everywhere,
+                               multi_edge, origin_loops)
 from labeled_reference import successor_outcomes
 from poset_reference import chips_at
 
@@ -58,11 +58,44 @@ def test_reachable_states_match_dict_bfs(variant, n):
     assert set(got) == dict_bfs(variant, n)
 
 
-def test_reachable_states_rows_pinned():
-    space = reachable_states(base(), 14)
-    assert space.states.shape == (23_744, 13) and space.states.dtype == np.int16
-    assert (hashlib.sha1(space.states.tobytes()).hexdigest()
-            == "e68973d98b9e1388c21321c1a0fa477ea836bdc7")
+# SHA-1 of ``states.tobytes()``, recorded before the search keyed rows by words
+ROW_PINS = {
+    "base-14": (base(), 14, (23_744, 13), "e68973d98b9e1388c21321c1a0fa477ea836bdc7"),
+    "base-16": (base(), 16, (140_223, 15), "34dd01f3ca963c28a1d980d4a3acaaafdc84e5a3"),
+    "loops-15": (loops_everywhere(), 15, (321, 7), "a161eb15978b2f07ffd0d5dd7bb5f92777145a55"),
+    "multi_edge2-12": (multi_edge(2), 12, (29, 5), "2a3e4f6313d37b74adc490fa6324e4b3f375c090"),
+    "origin_loops1-9": (origin_loops(1), 9, (144, 7), "a774bd04672bfb032208ff5466224384717c46d2"),
+    "loops_and_edges2-14": (loops_and_edges(2), 14, (8, 3),
+                            "786bacd52800148fc84d0989f3d036e9331b7877"),
+    "exponential2-16": (exponential(2), 16, (93, 7), "f7bd00545c35903e56248126d479cc8f6fd6f3af"),
+    "exponential3-32": (exponential(3), 32, (351, 9), "7e668e8cad8e85e47dd27c4970ba8e4752c0eda6"),
+    "base-10": (base(), 10, (747, 9), "cc230fa4b7e5c5dc01c9b8a961c83c003a94e022"),
+}
+
+
+def _assert_pinned(case):
+    variant, n, shape, digest = ROW_PINS[case]
+    space = reachable_states(variant, n)
+    assert space.states.shape == shape and space.states.dtype == np.int16
+    assert hashlib.sha1(space.states.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", ROW_PINS)
+def test_reachable_states_rows_pinned(case):
+    _assert_pinned(case)
+
+
+@pytest.mark.parametrize("bits", [4, 10])
+@pytest.mark.parametrize("case", ["base-10", "loops-15", "exponential3-32"])
+def test_multi_word_keys_keep_rows(monkeypatch, case, bits):
+    # a small word limit cuts each key into several words; at 4 bits some
+    # words hold a single column whose radix alone passes the limit
+    monkeypatch.setattr(poset, "_WORD_LIMIT", 2 ** bits)
+    variant, n, _, _ = ROW_PINS[case]
+    table = closedform.fire_count_table(variant, n)
+    _, word = poset._key_layout(np.array([table[s] for s in sorted(table)]))
+    assert word[-1] >= 2
+    _assert_pinned(case)
 
 
 def _patch_table(monkeypatch, edit):
@@ -108,17 +141,17 @@ def test_negative_chips_are_detected(monkeypatch):
 
 
 def test_premature_deadlock_is_detected(monkeypatch):
-    first_unique = poset._first_unique
+    expand = poset._expand
     table = closedform.fire_count_table(base(), 4)
     final = np.array([table[s] for s in sorted(table)], np.int16)
 
-    def broken(rows):
+    def broken(*args):
         # a broken expansion step that turns one of several states into the final one
-        first = first_unique(rows)
-        if len(first) > 1:
-            rows[first[-1]] = final
-        return first
-    monkeypatch.setattr(poset, "_first_unique", broken)
+        succ, keys = expand(*args)
+        if len(succ) > 1:
+            succ[-1] = final
+        return succ, keys
+    monkeypatch.setattr(poset, "_expand", broken)
     with pytest.raises(ChipFiringError, match="premature deadlock"):
         reachable_states(base(), 4)
 
