@@ -118,6 +118,11 @@ def check_chip_bounds(trace: Trace) -> list[BoundViolation]:
     A chip valued k < 0 never sits right of k + m, and a chip valued k > 0
     never sits left of k - m; with edge multiplicity r the r chips sharing a
     value share the bound.
+
+    A move changes only the fired site and its neighbours, so while the
+    previous state broke no bound only their chips are tested; a step after
+    a violating one, or one where those chips break a bound, is scanned in
+    full.
     """
     v = trace.variant
     n = trace.initial.total_chips()
@@ -125,7 +130,16 @@ def check_chip_bounds(trace: Trace) -> list[BoundViolation]:
     m = closedform.derive_m(v, n)
     out = []
 
+    def breaks(site, chips):
+        for chip in chips:
+            k = chip.value
+            if (k < 0 and site > k + m) or (k > 0 and site < k - m):
+                return True
+        return False
+
     def scan(config, step):
+        """Append every violation in ``config``; True if there was one."""
+        found = len(out)
         for site, chip in config.chips():
             if chip.value < 0 and site > chip.value + m:
                 out.append(BoundViolation(step, chip.id, chip.value, site,
@@ -133,10 +147,15 @@ def check_chip_bounds(trace: Trace) -> list[BoundViolation]:
             elif chip.value > 0 and site < chip.value - m:
                 out.append(BoundViolation(step, chip.id, chip.value, site,
                                           "chip_bounds", chip.value - m))
+        return len(out) > found
 
-    scan(trace.initial, -1)
+    outstanding = scan(trace.initial, -1)
     for _, rec, after in trace.replay(verify=False):
-        scan(after, rec.step)
+        occupancy = after.occupancy
+        s = rec.site
+        if (outstanding or breaks(s - 1, occupancy.get(s - 1, ()))
+                or breaks(s, occupancy.get(s, ())) or breaks(s + 1, occupancy.get(s + 1, ()))):
+            outstanding = scan(after, rec.step)
     return out
 
 

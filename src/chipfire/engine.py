@@ -11,9 +11,9 @@ left), so every run is reproducible from its seed.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -105,10 +105,11 @@ class LabeledConfiguration:
         return {chip.id: site for site, chip in self.chips()}
 
     def total_chips(self) -> int:
-        return sum(len(v) for v in self.occupancy.values())
+        return sum(map(len, self.occupancy.values()))
 
     def weighted_sum(self) -> int:
-        return sum(site * len(chips) for site, chips in self.occupancy.items())
+        occupancy = self.occupancy
+        return sum(map(mul, occupancy, map(len, occupancy.values())))
 
     def enabled_sites(self, variant: Variant) -> list[int]:
         """Sorted sites holding at least their threshold."""
@@ -118,8 +119,8 @@ class LabeledConfiguration:
     def apply(self, variant: Variant, site: int, chosen_ids: Iterable[int]) -> "LabeledConfiguration":
         """Fire ``chosen_ids`` at ``site``; raises IllegalMoveError on bad input.
 
-        Only sites ``site - 1``, ``site`` and ``site + 1`` change, so only
-        they are re-sorted.
+        Only sites ``site - 1``, ``site`` and ``site + 1`` change, and each
+        moved chip is inserted into its site's sorted chips.
         """
         chosen = tuple(chosen_ids)
         occupancy = self.occupancy
@@ -131,21 +132,25 @@ class LabeledConfiguration:
         if len(chosen_set) != len(chosen) or len(chosen) != th:
             raise IllegalMoveError(f"move at site {site} must choose {th} distinct chips, got {chosen}")
         # present is in (value, id) order, so both parts come out in that order
-        fired = [c for c in present if c.id in chosen_set]
+        fired, stay = [], []
+        for c in present:
+            (fired if c.id in chosen_set else stay).append(c)
         if len(fired) != th:
             ids = {c.id for c in present}
             raise IllegalMoveError(f"chips {[i for i in chosen if i not in ids]} absent from site {site}")
-        stay = [c for c in present if c.id not in chosen_set]
-        if loop:
-            stay = sorted(stay + fired[left:left + loop], key=_chip_key)
-        occ = dict(occupancy)
+        for c in fired[left:left + loop]:
+            insort(stay, c, key=_chip_key)
+        occ = occupancy.copy()
         if stay:
             occ[site] = tuple(stay)
         else:
             del occ[site]
         for dest, moved in ((site - 1, fired[:left]), (site + 1, fired[left + loop:])):
             if moved:
-                occ[dest] = tuple(sorted(occupancy.get(dest, ()) + tuple(moved), key=_chip_key))
+                chips = list(occupancy.get(dest, ()))
+                for c in moved:
+                    insort(chips, c, key=_chip_key)
+                occ[dest] = tuple(chips)
         child = LabeledConfiguration.__new__(LabeledConfiguration)
         child.occupancy = occ
         return child
@@ -182,8 +187,7 @@ def standard_initial(variant: Variant, n: int, preset: str = "origin") -> Labele
     raise closedform.UnsupportedVariantError(f"unknown preset {preset!r}")
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     """A move plus the metadata captured when it fired."""
     step: int
     site: int
@@ -316,22 +320,19 @@ class Trace:
             records.append(rec)
         return cls(variant=variant, initial=initial, records=records,
                    strategy=header.get("strategy", "scripted"), seed=header.get("seed", 0),
-                   n=header.get("n"), preset=header.get("preset"))
+                   n=header.get("n"), preset=header.get("preset"), _final=config)
 
 
 def _fire(config: LabeledConfiguration, variant: Variant, step: int, site: int,
           chosen_ids: tuple[int, ...], fires: dict[int, int]) -> tuple[MoveRecord, LabeledConfiguration]:
     """Apply one move, count it in ``fires``, and return its record and the child."""
     child = config.apply(variant, site, chosen_ids)
-    present = config.chips_at(site)
-    fires[site] = fires.get(site, 0) + 1
+    present = config.occupancy[site]
+    fire_index = fires[site] = fires.get(site, 0) + 1
     chosen = set(chosen_ids)
-    return MoveRecord(
-        step=step, site=site, chosen_ids=tuple(sorted(chosen_ids)),
-        chosen_values=tuple(c.value for c in present if c.id in chosen),
-        present_before=len(present),
-        fire_index_at_site=fires[site],
-    ), child
+    return MoveRecord(step, site, tuple(sorted(chosen_ids)),
+                      tuple([c.value for c in present if c.id in chosen]),
+                      len(present), fire_index), child
 
 
 def _int_list(values) -> bool:
@@ -396,9 +397,11 @@ class RandomStrategy(Strategy):
 
     def choose(self, config, enabled, variant, rng):
         site = enabled[int(rng.integers(len(enabled)))]
-        ids = np.array(sorted(c.id for c in config.chips_at(site)))
-        picked = rng.choice(ids, size=variant.threshold(site), replace=False)
-        return site, tuple(sorted(int(i) for i in picked))
+        ids = sorted([c.id for c in config.chips_at(site)])
+        # rng.choice(ids, ...) draws these same indices and returns ids[indices]
+        picked = rng.choice(len(ids), size=variant.threshold(site), replace=False)
+        picked.sort()
+        return site, tuple([ids[i] for i in picked.tolist()])
 
 
 class ScriptedValuesStrategy(Strategy):

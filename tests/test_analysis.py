@@ -1,15 +1,19 @@
+import random
+
 import pytest
 
 from chipfire import analysis
 from chipfire.analysis import (CheckerNotApplicableError, check_chip_bounds,
                                check_conservation, check_diamond_config_bounds,
                                check_diamond_count_bounds, check_diamond_move_bounds,
-                               check_loop_bounds, diamond_configuration, is_weakly_sorted)
+                               check_loop_bounds, diamond_configuration, is_weakly_sorted,
+                               violations_to_json)
 from chipfire.engine import (LabeledConfiguration, LeftmostStrategy, RandomStrategy,
                              run_to_completion, standard_initial)
 from chipfire import closedform
 from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
                                origin_loops)
+import engine_reference
 from trace_enum import all_complete_traces
 
 
@@ -74,6 +78,34 @@ def test_chip_bounds_flag_out_of_range_values():
     trace = run_to_completion(config, v, LeftmostStrategy())
     violations = check_chip_bounds(trace)
     assert violations and violations[0].step == -1
+
+
+def _violating_traces(count):
+    """Seeded random runs from base and multi_edge(2) initials, holding
+    values outside +-m, whose chip-bounds checks report violations."""
+    rng = random.Random(0)
+    while count:
+        v = rng.choice([base(), multi_edge(2)])
+        n = 4 * rng.randint(1, 3) if v.kind == "multi_edge" else rng.randint(2, 12)
+        m = closedform.derive_m(v, n)
+        occ = {}
+        for _ in range(n):
+            occ.setdefault(rng.randint(-2, 2), []).append(rng.randint(-m - 3, m + 3))
+        trace = run_to_completion(LabeledConfiguration.from_values(occ), v, RandomStrategy(),
+                                  seed=rng.randrange(2 ** 32))
+        if engine_reference.check_chip_bounds(trace):
+            count -= 1
+            yield trace
+
+
+def test_chip_bounds_match_full_scan_reference():
+    cleared = 0
+    for trace in _violating_traces(150):
+        want = violations_to_json(engine_reference.check_chip_bounds(trace))
+        assert violations_to_json(check_chip_bounds(trace)) == want
+        steps = {v["step"] for v in want}
+        cleared += any(step not in steps for step in range(min(steps), len(trace)))
+    assert cleared >= 30  # violations that clear before the run ends
 
 
 def test_diamond_move_bounds_exhaustive_n4():

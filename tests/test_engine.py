@@ -1,7 +1,7 @@
-import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +13,7 @@ from chipfire.engine import (Chip, IllegalMoveError, LabeledConfiguration,
                              ScriptedValuesStrategy, run_to_completion, standard_initial)
 from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
                                origin_loops)
+import engine_reference
 
 
 def test_enabled_sites():
@@ -125,7 +126,7 @@ def test_replay_verifies_metadata():
     list(trace.replay(verify=True))  # must not raise
     # corrupt one record and watch the replay catch it
     rec = trace.records[2]
-    trace.records[2] = dataclasses.replace(rec, present_before=rec.present_before + 1)
+    trace.records[2] = rec._replace(present_before=rec.present_before + 1)
     with pytest.raises(engine.ChipFiringError):
         list(trace.replay(verify=True))
 
@@ -264,6 +265,57 @@ def test_apply_matches_full_rebuild(data):
     assert after == LabeledConfiguration(after.occupancy)
     for chips in after.occupancy.values():
         assert chips and list(chips) == sorted(chips, key=lambda c: (c.value, c.id))
+
+
+REFERENCE_CASES = [(base(), 12), (multi_edge(2), 8), (origin_loops(2), 8),
+                   (loops_everywhere(), 11), (loops_and_edges(2), 6), (loops_and_edges(2), 14),
+                   (exponential(1), 8), (exponential(2), 16)]
+
+
+@pytest.mark.parametrize("v,n", REFERENCE_CASES)
+def test_apply_matches_sort_based_reference(v, n):
+    """Every enabled site of every state of seeded random walks, fired with a
+    random legal choice, gives the sort-based reference's child.  Half the
+    walks start from the canonical labels scattered over five sites, so chip
+    ids no longer follow chip values."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        config = standard_initial(v, n)
+        if seed % 2:
+            occ = {}
+            for value in cf.canonical_labels(v, n):
+                occ.setdefault(int(rng.integers(-2, 3)), []).append(value)
+            config = LabeledConfiguration.from_values(occ)
+        for _ in range(300):
+            enabled = config.enabled_sites(v)
+            if not enabled:
+                break
+            children = []
+            for site in enabled:
+                ids = [c.id for c in config.chips_at(site)]
+                chosen = tuple(rng.permutation(ids)[:v.threshold(site)].tolist())
+                child = config.apply(v, site, chosen)
+                assert child.occupancy == engine_reference.apply(config, v, site, chosen).occupancy
+                children.append(child)
+            config = children[int(rng.integers(len(children)))]
+
+
+@pytest.mark.parametrize("v,n", REFERENCE_CASES)
+def test_apply_rejects_bad_moves_like_reference(v, n):
+    config = standard_initial(v, n)
+    site = config.enabled_sites(v)[0]
+    ids = tuple(c.id for c in config.chips_at(site))
+    th = v.threshold(site)
+    idle = max(config.occupancy) + 2
+    for move_site, chosen in [(idle, ()),                          # not enabled
+                              (site, ids[:th - 1]),                # too few chips
+                              (site, (ids[0],) * th),              # repeated chip
+                              (site, ids[:th - 1] + (10 ** 6,))]:  # chip absent
+        with pytest.raises(IllegalMoveError) as got:
+            config.apply(v, move_site, chosen)
+        with pytest.raises(IllegalMoveError) as want:
+            engine_reference.apply(config, v, move_site, chosen)
+        assert str(got.value) == str(want.value)
 
 
 class ScanCheckingStrategy(RandomStrategy):
@@ -442,6 +494,55 @@ def test_seeded_traces_survive_round_trip(case, seed):
     assert [(r.site, r.chosen_values) for r in trace.records] == \
         [(r.site, r.chosen_values) for r in original.records]
     assert final.values_by_site() == original.final_config().values_by_site()
+
+
+@pytest.mark.parametrize("case", ROUND_TRIP_CASES)
+def test_read_trace_keeps_its_final_configuration(case, monkeypatch):
+    original, text = _jsonl(case, 7)
+    trace = engine.Trace.read_jsonl(io.StringIO(text))
+    *_, (_, _, last) = trace.replay(verify=True)
+    calls = []
+    apply = LabeledConfiguration.apply
+    monkeypatch.setattr(LabeledConfiguration, "apply",
+                        lambda *args: calls.append(args) or apply(*args))
+    final = trace.final_config()
+    assert calls == []
+    assert final == last
+    assert final.values_by_site() == original.final_config().values_by_site()
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the calls made to each of its methods."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls: dict[str, int] = {}
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("v,n", [(base(), 30), (loops_everywhere(), 11)])
+def test_random_strategy_draws_integers_and_choice_once_per_move(v, n, monkeypatch):
+    """The RNG stream seeded traces rest on: one ``integers`` and one
+    ``choice`` call per move, nothing else."""
+    for seed in range(3):
+        plain = run_to_completion(standard_initial(v, n), v, RandomStrategy(), seed=seed)
+        generators = []
+
+        def counting_rng(seed, default_rng=np.random.default_rng):
+            generators.append(CountingGenerator(default_rng(seed)))
+            return generators[-1]
+        monkeypatch.setattr(engine.np.random, "default_rng", counting_rng)
+        trace = run_to_completion(standard_initial(v, n), v, RandomStrategy(), seed=seed)
+        monkeypatch.undo()
+        assert trace.records == plain.records
+        assert [g.calls for g in generators] == [{"integers": len(trace), "choice": len(trace)}]
 
 
 @st.composite
