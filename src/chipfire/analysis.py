@@ -53,7 +53,7 @@ def applicable_checkers(variant: Variant, n: int) -> list[tuple[str, Callable]]:
         "diamond_move_bounds": check_diamond_move_bounds,
         "loop_bounds": check_loop_bounds,
         "diamond_count_bounds": check_diamond_count_bounds,
-        "diamond_config_bounds": _check_diamond_configuration,
+        "diamond_config_bounds": check_diamond_config_bounds,
     }
     return [(name, checkers[name]) for name, applies in SCOPES.items() if applies(variant, n)]
 
@@ -213,32 +213,44 @@ def check_loop_bounds(trace: Trace) -> list[BoundViolation]:
     return out
 
 
+def _diamond_moves(trace: Trace):
+    """``(before, rec, after, (x, y))`` for each of the trace's moves in the
+    diamond of final moves (``poset.diamond``); a variant without one raises
+    CheckerNotApplicableError."""
+    try:
+        final = diamond(trace.variant, trace.initial.total_chips())
+    except closedform.UnsupportedVariantError as exc:
+        raise CheckerNotApplicableError(str(exc))
+    for before, rec, after in trace.replay(verify=False):
+        xy = final.get((rec.site, rec.fire_index_at_site))
+        if xy is not None:
+            yield before, rec, after, xy
+
+
 def check_diamond_move_bounds(trace: Trace) -> list[BoundViolation]:
     """Chip positions immediately before each diamond move, base variant, even n.
 
     Right before the diamond move with grid coordinates (x, y) fires at site
     s = x - y, the chip valued -(y+1) must sit at or left of s and the chip
-    valued x+1 at or right of s.
+    valued x+1 at or right of s.  A trace with no chip of a value it needs
+    raises CheckerNotApplicableError.
     """
     v = trace.variant
     n = trace.initial.total_chips()
     _require_scope("diamond_move_bounds", v, n)
-    final = diamond(v, n)
-    by_value = {chip.value: chip.id for _, chip in trace.initial.chips()}
+    by_value = {chip.value: chip for _, chip in trace.initial.chips()}
     out = []
-    for before, rec, after in trace.replay(verify=False):
-        xy = final.get((rec.site, rec.fire_index_at_site))
-        if xy is not None:
-            x, y = xy
-            positions = before.positions()
-            neg_pos = positions[by_value[-(y + 1)]]
-            if neg_pos > rec.site:
-                out.append(BoundViolation(rec.step, by_value[-(y + 1)], -(y + 1),
-                                          neg_pos, "diamond_move_bounds", rec.site))
-            pos_pos = positions[by_value[x + 1]]
-            if pos_pos < rec.site:
-                out.append(BoundViolation(rec.step, by_value[x + 1], x + 1,
-                                          pos_pos, "diamond_move_bounds", rec.site))
+    for before, rec, _, (x, y) in _diamond_moves(trace):
+        # side -1: at or left of the firing site; side 1: at or right of it
+        for value, side in ((-(y + 1), -1), (x + 1, 1)):
+            if value not in by_value:
+                raise CheckerNotApplicableError(
+                    f"diamond_move_bounds needs a chip valued {value}; the trace has none")
+            chip = by_value[value]
+            site = next(s for s, chips in before.occupancy.items() if chip in chips)
+            if side * (site - rec.site) < 0:
+                out.append(BoundViolation(rec.step, chip.id, value, site,
+                                          "diamond_move_bounds", rec.site))
     return out
 
 
@@ -252,94 +264,60 @@ def check_diamond_count_bounds(trace: Trace) -> list[BoundViolation]:
     n = trace.initial.total_chips()
     _require_scope("diamond_count_bounds", v, n)
     m = closedform.derive_m(v, n)
-    final = diamond(v, n)
     out = []
-    for before, rec, after in trace.replay(verify=False):
-        xy = final.get((rec.site, rec.fire_index_at_site))
-        if xy is None:
-            continue
+    for _, rec, after, xy in _diamond_moves(trace):
         k = rec.site
         j = m - max(xy)
         chips = list(after.chips())
-        if k <= 0:
-            have = sum(1 for site, chip in chips if chip.value < k and site < k)
-            need = j + k + m - 1
-            if have < need:
-                out.append(BoundViolation(rec.step, None, None, k,
-                                          "diamond_count_bounds", need))
-        if k >= 0:
-            have = sum(1 for site, chip in chips if chip.value > k and site > k)
-            need = j - k + m - 1
-            if have < need:
-                out.append(BoundViolation(rec.step, None, None, k,
-                                          "diamond_count_bounds", need))
+        # side -1 counts below and left of k <= 0, side 1 above and right of k >= 0
+        for side in (-1, 1):
+            if side * k >= 0:
+                have = sum(1 for site, chip in chips
+                           if side * chip.value > side * k and side * site > side * k)
+                need = j - side * k + m - 1
+                if have < need:
+                    out.append(BoundViolation(rec.step, None, None, k,
+                                              "diamond_count_bounds", need))
     return out
 
 
-@dataclass
-class DiamondConfigurationView:
-    """First diamond move each chip attended, and the site where it happened."""
-
-    variant: Variant
-    n: int
-    m: int
-    # chip id -> (value, site of first attended diamond move, occ_from_start)
-    assignment: dict[int, tuple[int, int, int]]
-
-    def induced_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for _, site, _ in self.assignment.values():
-            counts[site] = counts.get(site, 0) + 1
-        return dict(sorted(counts.items()))
-
-
-def diamond_configuration(trace: Trace) -> DiamondConfigurationView:
-    """Assign each chip to the site of the first diamond move it is present at.
+def diamond_configuration(trace: Trace) -> dict[int, tuple[int, int, int]]:
+    """First diamond move each chip attended: chip id -> (value, site,
+    occ_from_start) of that move.
 
     Present means sitting at the firing site when the move executes, chosen
     or not.  Raises if some chip never attends a diamond move.
     """
-    v = trace.variant
     n = trace.initial.total_chips()
-    try:
-        final = diamond(v, n)
-    except closedform.UnsupportedVariantError as exc:
-        raise CheckerNotApplicableError(str(exc))
     assignment: dict[int, tuple[int, int, int]] = {}
-    for before, rec, after in trace.replay(verify=False):
-        if (rec.site, rec.fire_index_at_site) in final:
-            for chip in before.chips_at(rec.site):
-                if chip.id not in assignment:
-                    assignment[chip.id] = (chip.value, rec.site, rec.fire_index_at_site)
+    for before, rec, _, _ in _diamond_moves(trace):
+        for chip in before.chips_at(rec.site):
+            if chip.id not in assignment:
+                assignment[chip.id] = (chip.value, rec.site, rec.fire_index_at_site)
     if len(assignment) != n:
         raise ChipFiringError(
             f"only {len(assignment)} of {n} chips attended a diamond move")
-    return DiamondConfigurationView(v, n, closedform.derive_m(v, n), assignment)
+    return assignment
 
 
-def check_diamond_config_bounds(view: DiamondConfigurationView) -> list[BoundViolation]:
+def check_diamond_config_bounds(trace: Trace) -> list[BoundViolation]:
     """Counting bound on the diamond configuration, one-self-loop variant.
 
     For k in [-m-1, 0] and l in [0, k+m-1]: at most k+m-l-1 chips valued
     below k are assigned to sites right of l; mirrored on the positive side.
     """
-    _require_scope("diamond_config_bounds", view.variant, view.n)
-    m = view.m
-    entries = list(view.assignment.values())
+    v = trace.variant
+    n = trace.initial.total_chips()
+    _require_scope("diamond_config_bounds", v, n)
+    m = closedform.derive_m(v, n)
+    entries = list(diamond_configuration(trace).values())
     out = []
     for k in range(-m - 1, 1):
         for l in range(0, k + m):
             limit = k + m - l - 1
-            low = sum(1 for value, site, _ in entries if value < k and site > l)
-            if low > limit:
-                out.append(BoundViolation(-1, None, k, l, "diamond_config_bounds", limit))
-            high = sum(1 for value, site, _ in entries if value > -k and site < -l)
-            if high > limit:
-                out.append(BoundViolation(-1, None, -k, -l, "diamond_config_bounds", limit))
+            for side in (1, -1):  # 1: below k, right of l; -1: mirrored
+                if sum(1 for value, site, _ in entries
+                       if side * value < k and side * site > l) > limit:
+                    out.append(BoundViolation(-1, None, side * k, side * l,
+                                              "diamond_config_bounds", limit))
     return out
-
-
-def _check_diamond_configuration(trace: Trace) -> list[BoundViolation]:
-    """``check_diamond_config_bounds`` of the trace's diamond configuration, in scope only."""
-    _require_scope("diamond_config_bounds", trace.variant, trace.initial.total_chips())
-    return check_diamond_config_bounds(diamond_configuration(trace))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import analysis, closedform, explorer, poset
 from .engine import (CapExceededError, NonTerminationError, Trace,
@@ -55,14 +54,23 @@ def _build_variant(args) -> tuple[Variant, int]:
     return variant, n
 
 
+def _open_output(path: str):
+    """``path`` opened for writing; a path that cannot be written is a usage error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_report(args, report: dict):
     if getattr(args, "report", None):
-        Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
+        with _open_output(args.report) as fp:
+            fp.write(json.dumps(report, indent=2) + "\n")
 
 
 def _write_trace(path: str | None, trace: Trace):
     if path:
-        with open(path, "w") as fp:
+        with _open_output(path) as fp:
             trace.write_jsonl(fp)
 
 
@@ -153,7 +161,8 @@ def cmd_poset(args) -> int:
     else:
         report = poset.CheckReport("none", [], space.n_states)
     if args.dot:
-        Path(args.dot).write_text(poset.export_dot(poset.build_poset(space)) + "\n")
+        with _open_output(args.dot) as fp:
+            fp.write(poset.export_dot(poset.build_poset(space)) + "\n")
     _write_report(args, report.to_json())
     print(f"poset {variant} n={n}: {space.n_states} states, check={args.check} "
           f"{'PASS' if report.passed else 'FAIL'} ({len(report.violations)} violations)")
@@ -203,7 +212,9 @@ def cmd_counterexample(args) -> int:
             raise UsageError(f"loops-1mod4 case needs --m >= 1, got {m}")
         if args.state_cap is not None:
             raise UsageError("loops-1mod4 case takes no --state-cap: its schedule runs no search")
-        trace = explorer.adversarial_1mod4(m, seed=args.seed or 0)
+        if args.seed is not None:
+            raise UsageError("loops-1mod4 case takes no --seed: its schedule draws no random numbers")
+        trace = explorer.adversarial_1mod4(m)
         if analysis.is_weakly_sorted(trace.final_config()):
             print(f"adversarial schedule at m={m} unexpectedly sorted")
             return EXIT_FAIL

@@ -101,9 +101,6 @@ class LabeledConfiguration:
     def values_by_site(self) -> dict[int, tuple[int, ...]]:
         return {site: self.values_at(site) for site in sorted(self.occupancy)}
 
-    def positions(self) -> dict[int, int]:
-        return {chip.id: site for site, chip in self.chips()}
-
     def total_chips(self) -> int:
         return sum(map(len, self.occupancy.values()))
 

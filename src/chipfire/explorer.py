@@ -7,10 +7,10 @@ is expanded breadth first; since every move raises the total fire count by
 one, levels are graded and deduplication stays within a level.
 
 Inside the search a state is one row of ``uint16`` chips, each
-``(site + 128) << 8 | (value + 128)``, in ascending order, so the row's
-big-endian bytes are the state's byte key (``_key``) and rows sort like
-keys.  A level is one sorted ``(S, n)`` array and is expanded as a whole:
-the chips at a site are contiguous in a row, so a T-column combination
+``(site + 128) << 8 | (value + 128)``, in ascending order (``_row`` and
+``_state`` convert), so rows sort like the signed ``(site, value)``
+sequences they encode.  A level is one sorted ``(S, n)`` array and is
+expanded as a whole: the chips at a site are contiguous in a row, so a T-column combination
 (in lexicographic order) is a move exactly when its first and last columns
 share a site whose threshold is T.
 """
@@ -28,8 +28,8 @@ from .engine import (CapExceededError, LabeledConfiguration, ScriptedValuesStrat
 from .poset import DEFAULT_STATE_CAP, _first_unique
 from .variants import Variant
 
-KEY_OFFSET = 128  # byte keys store site + 128 and value + 128
-KEY_LIMIT = 120   # largest |site| reach and |value| a byte key is allowed to hold
+KEY_OFFSET = 128  # a uint16 chip stores site + 128 and value + 128, one byte each
+KEY_LIMIT = 120   # largest |site| reach and |value| a uint16 chip is allowed to hold
 SITE_STEP = 1 << 8  # one site to the right, in a uint16 chip
 SLICE_CELLS = 1 << 21  # rows x combinations tested at once while expanding a level
 COMBINATION_LIMIT = 1 << 21  # most column combinations a search may test per state
@@ -39,11 +39,11 @@ CanonicalState = tuple[tuple[int, tuple[int, ...]], ...]
 
 
 class StateKeyLimitError(ValueError):
-    """The initial configuration could reach sites or holds values a byte key cannot hold."""
+    """The initial configuration could reach sites or holds values a uint16 chip cannot hold."""
 
 
 def canonicalize(config: LabeledConfiguration) -> CanonicalState:
-    return tuple((site, config.values_at(site)) for site in sorted(config.occupancy))
+    return tuple(config.values_by_site().items())
 
 
 def is_weakly_sorted_state(state: CanonicalState) -> bool:
@@ -51,27 +51,16 @@ def is_weakly_sorted_state(state: CanonicalState) -> bool:
     return all(a <= b for a, b in zip(flat, flat[1:]))
 
 
-def _key(state: CanonicalState) -> bytes:
-    """Flat ``(site, value)`` sequence offset by KEY_OFFSET, one byte each.
-
-    Keys of equal length sort like the signed sequences they encode.
-    """
-    return bytes(x + KEY_OFFSET for site, values in state for v in values for x in (site, v))
-
-
-def _unkey(key: bytes) -> CanonicalState:
-    occ: dict[int, list[int]] = {}
-    for i in range(0, len(key), 2):
-        occ.setdefault(key[i] - KEY_OFFSET, []).append(key[i + 1] - KEY_OFFSET)
-    return tuple((s, tuple(v)) for s, v in occ.items())
-
-
 def _row(state: CanonicalState) -> np.ndarray:
-    return np.frombuffer(_key(state), ">u2").astype(np.uint16)
+    return np.array([(site + KEY_OFFSET) << 8 | (v + KEY_OFFSET)
+                     for site, values in state for v in values], np.uint16)
 
 
 def _state(row: np.ndarray) -> CanonicalState:
-    return _unkey(row.astype(">u2").tobytes())
+    occ: dict[int, list[int]] = {}
+    for chip in row.tolist():
+        occ.setdefault((chip >> 8) - KEY_OFFSET, []).append((chip & 0xFF) - KEY_OFFSET)
+    return tuple((s, tuple(v)) for s, v in occ.items())
 
 
 def _check_key_limit(state: CanonicalState):
@@ -81,7 +70,7 @@ def _check_key_limit(state: CanonicalState):
         maxval = max(abs(v) for _, vals in state for v in vals)
         if radius > KEY_LIMIT or maxval > KEY_LIMIT:
             raise StateKeyLimitError(
-                f"labeled states are byte keys: need |site|, |value| <= {KEY_LIMIT}, "
+                f"labeled states are uint16 chips: need |site|, |value| <= {KEY_LIMIT}, "
                 f"got reach {radius} and max |value| {maxval}")
 
 
@@ -151,8 +140,8 @@ class _MoveTable:
         """``(site, chosen values)`` of the first move from ``row`` to ``child``."""
         _, children, block, comb = self.expand(row[None])
         i = int(np.flatnonzero((children == child).all(axis=1))[0])
-        chips = row[self.blocks[block[i]][0][comb[i]]].tolist()
-        return (chips[0] >> 8) - KEY_OFFSET, tuple((c & 0xFF) - KEY_OFFSET for c in chips)
+        (move,) = _state(row[self.blocks[block[i]][0][comb[i]]])
+        return move
 
 
 @dataclass
@@ -297,7 +286,7 @@ def find_unsorted_terminal(initial: LabeledConfiguration, variant: Variant,
     return trace
 
 
-def adversarial_1mod4(m: int, seed: int = 0) -> Trace:
+def adversarial_1mod4(m: int) -> Trace:
     """Hold-both-lowest-chips schedule for one-self-loop runs with 4m+1 chips.
 
     Runs with the two lowest-valued chips held back for as long as legal
@@ -311,6 +300,4 @@ def adversarial_1mod4(m: int, seed: int = 0) -> Trace:
     initial = standard_initial(variant, n)
     low = min(chip.value for _, chip in initial.chips())
     held = [chip.id for _, chip in initial.chips() if chip.value == low]
-    trace = run_to_completion(initial, variant, HoldStrategy(held), seed=seed,
-                              n=n, preset="origin")
-    return trace
+    return run_to_completion(initial, variant, HoldStrategy(held), n=n, preset="origin")

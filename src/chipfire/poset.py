@@ -50,6 +50,7 @@ class FireCountSpace:
         self._idx = {s: i for i, s in enumerate(self.sites)}
         # row of a site's first move in nodes() and done_bits
         self._first_row = dict(zip(self.sites, (np.cumsum(self.totals) - self.totals).tolist()))
+        self._chips: dict[int, np.ndarray] = {}
 
     @property
     def n_states(self) -> int:
@@ -93,10 +94,27 @@ class FireCountSpace:
                           & ~done[first[a.site] + a.occ_from_start - 1])
 
     def chips_vector(self, site: int) -> np.ndarray:
-        """Chip count at window site ``site`` in every state, from the flow matrix."""
-        i = self._idx[site]
-        lo = max(i - 1, 0)
-        return self.initial[i] + self.states[:, lo:i + 2] @ self.flow[lo:i + 2, i + 1]
+        """Chip count at window site ``site`` in every state, from the flow
+        matrix; computed once per site and shared, so it is read-only."""
+        chips = self._chips.get(site)
+        if chips is None:
+            i = self._idx[site]
+            lo = max(i - 1, 0)
+            chips = self._chips[site] = (
+                self.initial[i] + self.states[:, lo:i + 2] @ self.flow[lo:i + 2, i + 1])
+            chips.setflags(write=False)
+        return chips
+
+    def excess_chips(self, move: MoveInstance) -> tuple[int, int] | None:
+        """``(most chips, first state)`` over the states where ``move`` is the
+        next move at its site and more than threshold chips are there, or
+        None if there is no such state."""
+        chips = self.chips_vector(move.site)
+        over = ((self.states[:, self._idx[move.site]] == move.occ_from_start - 1)
+                & (chips > self.variant.threshold(move.site)))
+        if not over.any():
+            return None
+        return int(chips[over].max()), int(np.flatnonzero(over)[0])
 
 
 def _first_unique(rows: np.ndarray) -> np.ndarray:
@@ -310,7 +328,6 @@ def check_grid_structure(space: FireCountSpace) -> CheckReport:
     grid = {xy: space.move(site, occ_from_start=occ)
             for (site, occ), xy in diamond(space.variant, space.n).items()}
     violations: list[dict] = []
-    chips_cache: dict[int, np.ndarray] = {}
     for (x, y), node in grid.items():
         for pred in (grid.get((x + 1, y)), grid.get((x, y + 1))):
             if pred is not None and not space.precedes(pred, node):
@@ -318,20 +335,13 @@ def check_grid_structure(space: FireCountSpace) -> CheckReport:
                     "node": node.node_id(), "clause": "precedence",
                     "detail": f"{pred.node_id()} does not always precede {node.node_id()}",
                 })
-        site = node.site
-        if site not in chips_cache:
-            chips_cache[site] = space.chips_vector(site)
-        chips = chips_cache[site]
-        th = space.variant.threshold(site)
-        idx = space._idx[site]
-        sel = ((space.states[:, idx] == node.occ_from_start - 1)
-               & (chips >= th) & (chips != th))
-        if np.any(sel):
-            witness = int(np.flatnonzero(sel)[0])
+        excess = space.excess_chips(node)
+        if excess is not None:
+            chips, witness = excess
             violations.append({
                 "node": node.node_id(), "clause": "exact_chips",
-                "detail": f"fires with {int(chips[sel].max())} chips present",
-                "chips": int(chips[sel].max()),
+                "detail": f"fires with {chips} chips present",
+                "chips": chips,
                 "witness_state": {str(s): int(v) for s, v in
                                   zip(space.sites, space.states[witness])},
             })
@@ -359,38 +369,25 @@ def check_exponential_grid(space: FireCountSpace) -> CheckReport:
             if site == 0:
                 continue
             nb = site - 1 if site > 0 else site + 1
-            f_site = space.total_fires(site)
-            for j in range(1, f_site + 1):
-                if indexing == "occ_from_start":
-                    mid = space.move(site, occ_from_start=j)
-                    lo = space.move(nb, occ_from_start=j + 1)
-                    hi = space.move(nb, occ_from_start=j + 2)
-                else:
-                    mid = space.move(site, occ_from_last=j)
-                    lo = space.move(nb, occ_from_last=j + 1)
-                    hi = space.move(nb, occ_from_last=j + 2)
-                if not space.precedes(lo, mid):
-                    sandwich[indexing].append({
-                        "node": mid.node_id(), "clause": "sandwich_lower",
-                        "detail": f"{lo.node_id()} does not always precede {mid.node_id()}"})
-                if not space.precedes(mid, hi):
-                    sandwich[indexing].append({
-                        "node": mid.node_id(), "clause": "sandwich_upper",
-                        "detail": f"{mid.node_id()} does not always precede {hi.node_id()}"})
+            for j in range(1, space.total_fires(site) + 1):
+                mid = space.move(site, **{indexing: j})
+                lo = space.move(nb, **{indexing: j + 1})
+                hi = space.move(nb, **{indexing: j + 2})
+                for a, b, clause in ((lo, mid, "sandwich_lower"), (mid, hi, "sandwich_upper")):
+                    if not space.precedes(a, b):
+                        sandwich[indexing].append({
+                            "node": mid.node_id(), "clause": clause,
+                            "detail": f"{a.node_id()} does not always precede {b.node_id()}"})
     exact: list[dict] = []
     for site in space.sites:
         if abs(site) > t:
             continue
-        chips = space.chips_vector(site)
-        th = space.variant.threshold(site)
-        idx = space._idx[site]
         for occ in range(2, space.total_fires(site) + 1):
-            sel = (space.states[:, idx] == occ - 1) & (chips >= th) & (chips != th)
-            if np.any(sel):
-                exact.append({
-                    "node": space.move(site, occ_from_start=occ).node_id(),
-                    "clause": "exact_chips",
-                    "detail": f"fires with {int(chips[sel].max())} chips present"})
+            node = space.move(site, occ_from_start=occ)
+            excess = space.excess_chips(node)
+            if excess is not None:
+                exact.append({"node": node.node_id(), "clause": "exact_chips",
+                              "detail": f"fires with {excess[0]} chips present"})
     readings_ok = {k: not v for k, v in sandwich.items()}
     canonical = next((k for k, ok in readings_ok.items() if ok), None)
     violations = exact + (sandwich[canonical] if canonical else

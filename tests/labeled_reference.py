@@ -10,7 +10,15 @@ move table produces them.
 from itertools import combinations
 
 from chipfire import explorer
-from chipfire.explorer import _key
+
+
+def key(state) -> bytes:
+    """Flat ``(site, value)`` sequence offset by 128, one byte each.
+
+    Keys of equal length sort like the signed sequences they encode; a
+    level's rows, as big-endian bytes, are these keys.
+    """
+    return bytes(x + 128 for site, values in state for v in values for x in (site, v))
 
 
 def successor_outcomes(state, variant):
@@ -62,13 +70,13 @@ def first_moves(state, variant):
 
 def levels(start, variant):
     """Sorted byte keys and first-occurrence parent indices of every level."""
-    keys, parents = [[_key(start)]], [[]]
+    keys, parents = [[key(start)]], [[]]
     frontier = [start]
     while True:
         children = {}
         for r, state in enumerate(frontier):
             for _, _, child in successors(state, variant):
-                children.setdefault(_key(child), (r, child))
+                children.setdefault(key(child), (r, child))
         if not children:
             return keys, parents
         level = sorted(children)

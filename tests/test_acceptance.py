@@ -158,8 +158,7 @@ def test_criterion_07_self_loop_variant():
                 assert trace.fire_counts() == counts
                 assert analysis.check_loop_bounds(trace) == []
                 assert analysis.check_diamond_count_bounds(trace) == []
-                view = analysis.diamond_configuration(trace)
-                assert analysis.check_diamond_config_bounds(view) == []
+                assert analysis.check_diamond_config_bounds(trace) == []
         report = explore(standard_initial(LOOPS, 7), LOOPS)
         assert report.terminal_count == report.sorted_terminal_count
 

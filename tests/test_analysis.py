@@ -128,6 +128,15 @@ def test_diamond_move_bounds_seeds():
             assert check_diamond_move_bounds(_run(base(), n, seed)) == []
 
 
+def test_diamond_move_bounds_refuses_trace_without_a_value_it_needs():
+    # a base trace whose labels are not -m..-1, 1..m: the first diamond move
+    # needs the chip valued -1 or 1, and the n=4 diamond needs -2 and 2
+    trace = run_to_completion(LabeledConfiguration.from_values({0: [-5, -1, 1, 5]}),
+                              base(), RandomStrategy())
+    with pytest.raises(CheckerNotApplicableError, match="needs a chip valued -2"):
+        check_diamond_move_bounds(trace)
+
+
 def test_diamond_move_bounds_applicability():
     with pytest.raises(CheckerNotApplicableError):
         check_diamond_move_bounds(_run(base(), 5, 0))
@@ -177,34 +186,36 @@ def test_diamond_count_bounds_example_n7():
             assert low_left >= 1
 
 
+def _induced_counts(trace):
+    """Chips assigned to each site by the trace's diamond configuration."""
+    counts = {}
+    for _, site, _ in diamond_configuration(trace).values():
+        counts[site] = counts.get(site, 0) + 1
+    return dict(sorted(counts.items()))
+
+
 def test_diamond_configuration_shapes():
     trace = run_to_completion(standard_initial(base(), 2), base(), LeftmostStrategy())
-    view = diamond_configuration(trace)
-    assert view.induced_counts() == {0: 2}
+    assert _induced_counts(trace) == {0: 2}
 
     for trace in all_complete_traces(standard_initial(base(), 4), base()):
-        view = diamond_configuration(trace)
-        assert set(view.induced_counts()) <= {-1, 0, 1}
+        assert set(_induced_counts(trace)) <= {-1, 0, 1}
 
     trace = _run(loops_everywhere(), 7, 1)
-    view = diamond_configuration(trace)
-    assert view.induced_counts() == {-1: 2, 0: 3, 1: 2}
+    assert _induced_counts(trace) == {-1: 2, 0: 3, 1: 2}
 
 
 def test_diamond_config_bounds():
     for n in (7, 11):
         for seed in range(30):
-            view = diamond_configuration(_run(loops_everywhere(), n, seed))
-            assert check_diamond_config_bounds(view) == []
+            assert check_diamond_config_bounds(_run(loops_everywhere(), n, seed)) == []
     # n=3 has no nontrivial (k, l) pairs beyond the vacuous ones
-    view = diamond_configuration(_run(loops_everywhere(), 3, 0))
-    assert check_diamond_config_bounds(view) == []
+    assert check_diamond_config_bounds(_run(loops_everywhere(), 3, 0)) == []
 
 
 def test_diamond_config_bounds_applicability():
-    view = diamond_configuration(_run(base(), 4, 0))
     with pytest.raises(CheckerNotApplicableError):
-        check_diamond_config_bounds(view)
+        check_diamond_config_bounds(_run(base(), 4, 0))
 
 
 def test_conservation_all_variants():
@@ -241,7 +252,7 @@ ALL_CHECKERS = [
     ("diamond_move_bounds", check_diamond_move_bounds),
     ("loop_bounds", check_loop_bounds),
     ("diamond_count_bounds", check_diamond_count_bounds),
-    ("diamond_config_bounds", analysis._check_diamond_configuration),
+    ("diamond_config_bounds", check_diamond_config_bounds),
 ]
 
 

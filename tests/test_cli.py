@@ -240,12 +240,26 @@ def test_state_cap_below_one_is_usage_error(argv, cap, capsys):
     (["--case", "odd", "--n", "3", "--m", "5"], "takes --n, not --m"),
     (["--case", "odd", "--n", "3", "--seed", "5"], "odd case takes no --seed"),
     (["--case", "loops-1mod4", "--m", "1", "--state-cap", "1"],
-     "loops-1mod4 case takes no --state-cap")])
+     "loops-1mod4 case takes no --state-cap"),
+    (["--case", "loops-1mod4", "--m", "1", "--seed", "5"], "loops-1mod4 case takes no --seed")])
 def test_counterexample_rejects_flag_its_case_ignores(argv, message, capsys):
     assert main(["counterexample"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["simulate", "--n", "4"], "--report"),
+    (["simulate", "--n", "4"], "--trace"),
+    (["poset", "--n", "4"], "--dot"),
+    (["verify", "--n", "4", "--runs", "1"], "--report")])
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_output_path_is_usage_error(argv, flag, where, tmp_path, capsys):
+    path = tmp_path / "missing" / "out" if where == "missing-dir" else tmp_path
+    assert main(argv + [flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
 
 def test_simulate_rejects_state_cap(capsys):

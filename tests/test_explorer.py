@@ -179,8 +179,8 @@ def test_explorer_agrees_with_engine_choices():
                                        (origin_loops(2), 6), (exponential(1), 8)])
 def test_levels_match_reference_bfs(variant, n):
     """Every level's rows are, as big-endian bytes, the reference's sorted
-    ``_key`` values, with the same first-occurrence parents; origin_loops
-    and exponential mix thresholds."""
+    byte keys (``labeled_reference.key``), with the same first-occurrence
+    parents; origin_loops and exponential mix thresholds."""
     initial = standard_initial(variant, n)
     levels, parents, _, visited, _ = explorer._explore_levels(
         initial, variant, DEFAULT_STATE_CAP, record_parents=True)

@@ -281,3 +281,17 @@ def test_chips_vector_matches_chips_at(variant, n):
         want = [chips_at(dict(zip(space.sites, map(int, row))), site, variant, {0: n})
                 for row in space.states]
         assert space.chips_vector(site).tolist() == want
+
+
+@pytest.mark.parametrize("variant,n", REFERENCE_SPACES, ids=str)
+def test_excess_chips_matches_chips_at(variant, n):
+    """Odd base n reaches moves fired with more than threshold chips."""
+    space = reachable_states(variant, n)
+    counts = [dict(zip(space.sites, map(int, row))) for row in space.states]
+    for move in space.nodes():
+        over = [(chips, r) for r, fired in enumerate(counts)
+                if fired[move.site] == move.occ_from_start - 1
+                and (chips := chips_at(fired, move.site, variant, {0: n}))
+                > variant.threshold(move.site)]
+        want = (max(chips for chips, _ in over), over[0][1]) if over else None
+        assert space.excess_chips(move) == want, move

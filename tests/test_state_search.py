@@ -20,6 +20,7 @@ from chipfire.explorer import canonicalize, explore
 from chipfire.poset import reachable_states
 from chipfire.variants import (Variant, base, exponential, loops_and_edges, loops_everywhere,
                                multi_edge, origin_loops)
+import labeled_reference
 from labeled_reference import successor_outcomes
 from poset_reference import chips_at
 
@@ -176,9 +177,11 @@ def test_byte_keys_sort_like_signed_rows():
         states = sorted({c for s in states for c in successor_outcomes(s, base())})
     rows = np.array([[x for site, values in s for v in values for x in (site, v)]
                      for s in states], np.int8)
-    order = sorted(range(len(states)), key=lambda i: explorer._key(states[i]))
+    order = sorted(range(len(states)), key=lambda i: labeled_reference.key(states[i]))
     assert np.array_equal(rows[order], np.unique(rows, axis=0))
-    assert all(explorer._unkey(explorer._key(s)) == s for s in states)
+    assert all(explorer._row(s).astype(">u2").tobytes() == labeled_reference.key(s)
+               for s in states)
+    assert all(explorer._state(explorer._row(s)) == s for s in states)
 
 
 def test_key_limit_rejects_before_searching():
