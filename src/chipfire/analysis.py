@@ -215,12 +215,8 @@ def check_loop_bounds(trace: Trace) -> list[BoundViolation]:
 
 def _diamond_moves(trace: Trace):
     """``(before, rec, after, (x, y))`` for each of the trace's moves in the
-    diamond of final moves (``poset.diamond``); a variant without one raises
-    CheckerNotApplicableError."""
-    try:
-        final = diamond(trace.variant, trace.initial.total_chips())
-    except closedform.UnsupportedVariantError as exc:
-        raise CheckerNotApplicableError(str(exc))
+    diamond of final moves (``poset.diamond``)."""
+    final = diamond(trace.variant, trace.initial.total_chips())
     for before, rec, after in trace.replay(verify=False):
         xy = final.get((rec.site, rec.fire_index_at_site))
         if xy is not None:

@@ -13,12 +13,13 @@ of a multi-run command uses seed + i.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from . import analysis, closedform, explorer, poset
-from .engine import (CapExceededError, NonTerminationError, Trace,
-                     make_strategy, run_to_completion, standard_initial)
+from .engine import (CapExceededError, NonTerminationError, make_strategy,
+                     run_to_completion, standard_initial)
 from .variants import Variant
 
 EXIT_PASS = 0
@@ -54,24 +55,21 @@ def _build_variant(args) -> tuple[Variant, int]:
     return variant, n
 
 
-def _open_output(path: str):
-    """``path`` opened for writing; a path that cannot be written is a usage error."""
-    try:
-        return open(path, "w")
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+def _open_outputs(args, stack: contextlib.ExitStack):
+    """Replace each output path of ``args`` by its file, opened for writing on
+    ``stack``; a path that cannot be written is a usage error."""
+    for flag in ("report", "trace", "dot"):
+        path = getattr(args, flag, None)
+        if path:
+            try:
+                setattr(args, flag, stack.enter_context(open(path, "w")))
+            except OSError as exc:
+                raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_report(args, report: dict):
-    if getattr(args, "report", None):
-        with _open_output(args.report) as fp:
-            fp.write(json.dumps(report, indent=2) + "\n")
-
-
-def _write_trace(path: str | None, trace: Trace):
-    if path:
-        with _open_output(path) as fp:
-            trace.write_jsonl(fp)
+    if args.report:
+        args.report.write(json.dumps(report, indent=2) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -80,7 +78,8 @@ def cmd_simulate(args) -> int:
     strategy = make_strategy(args.strategy)
     trace = run_to_completion(initial, variant, strategy, seed=args.seed,
                               n=n, preset=args.preset)
-    _write_trace(args.trace, trace)
+    if args.trace:
+        trace.write_jsonl(args.trace)
     final = trace.final_config()
     print(f"variant={variant} n={n} preset={args.preset} strategy={args.strategy} "
           f"seed={args.seed} moves={len(trace)}")
@@ -161,8 +160,7 @@ def cmd_poset(args) -> int:
     else:
         report = poset.CheckReport("none", [], space.n_states)
     if args.dot:
-        with _open_output(args.dot) as fp:
-            fp.write(poset.export_dot(poset.build_poset(space)) + "\n")
+        args.dot.write(poset.export_dot(poset.build_poset(space)) + "\n")
     _write_report(args, report.to_json())
     print(f"poset {variant} n={n}: {space.n_states} states, check={args.check} "
           f"{'PASS' if report.passed else 'FAIL'} ({len(report.violations)} violations)")
@@ -172,8 +170,7 @@ def cmd_poset(args) -> int:
 def cmd_explore(args) -> int:
     variant, n = _build_variant(args)
     initial = standard_initial(variant, n, args.preset)
-    report = explorer.explore(initial, variant, state_cap=args.state_cap,
-                              witness_unsorted=True)
+    report = explorer.explore(initial, variant, state_cap=args.state_cap)
     payload = report.to_json()
     if report.witness is not None:
         trace = explorer.find_unsorted_terminal(initial, variant, report=report)
@@ -187,12 +184,8 @@ def cmd_explore(args) -> int:
 
 def cmd_counterexample(args) -> int:
     if args.case == "odd":
-        if args.m is not None:
-            raise UsageError("odd case takes --n, not --m")
         if args.n is None or args.n % 2 == 0 or args.n < 3:
             raise UsageError("odd case needs odd --n >= 3: no counterexample exists otherwise")
-        if args.seed is not None:
-            raise UsageError("odd case takes no --seed: its witness search is deterministic")
         variant = Variant("base")
         initial = standard_initial(variant, args.n)
         trace = explorer.find_unsorted_terminal(
@@ -200,27 +193,18 @@ def cmd_counterexample(args) -> int:
         if trace is None:
             print(f"no unsorted terminal exists for base n={args.n}")
             return EXIT_FAIL
-    elif args.case == "loops-1mod4":
-        m = args.m
-        if m is None:
-            if args.n is None or args.n % 4 != 1 or args.n < 5:
-                raise UsageError("loops-1mod4 case needs --m >= 1 or --n = 4m+1 >= 5")
-            m = (args.n - 1) // 4
-        elif args.n is not None:
-            raise UsageError("loops-1mod4 case takes --m or --n, not both")
-        elif m < 1:
-            raise UsageError(f"loops-1mod4 case needs --m >= 1, got {m}")
+    else:  # loops-1mod4
+        if args.n is None or args.n % 4 != 1 or args.n < 5:
+            raise UsageError("loops-1mod4 case needs --n = 4m+1 >= 5")
         if args.state_cap is not None:
             raise UsageError("loops-1mod4 case takes no --state-cap: its schedule runs no search")
-        if args.seed is not None:
-            raise UsageError("loops-1mod4 case takes no --seed: its schedule draws no random numbers")
+        m = (args.n - 1) // 4
         trace = explorer.adversarial_1mod4(m)
         if analysis.is_weakly_sorted(trace.final_config()):
             print(f"adversarial schedule at m={m} unexpectedly sorted")
             return EXIT_FAIL
-    else:
-        raise UsageError(f"unknown case {args.case}")
-    _write_trace(args.trace, trace)
+    if args.trace:
+        trace.write_jsonl(args.trace)
     final = trace.final_config()
     print(f"counterexample {args.case}: {len(trace)} moves, weakly_sorted=False")
     print("terminal:", json.dumps({str(s): list(v) for s, v in final.values_by_site().items()}))
@@ -239,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Labeled chip-firing on the integer line: simulate, verify, explore.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run=False, preset=True, search=True, variant=True):
+    def common(p, run=False, preset=True, search=True, variant=True, seed=True):
         """Flags shared by the subcommands: ``run`` adds the strategy of
         engine runs, ``search`` the state cap of the exhaustive searches,
         ``variant`` the graph and its parameters.  Flags are never
@@ -264,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="number of chips")
         if preset:
             p.add_argument("--preset", choices=["origin", "staircase"], default="origin")
-        p.add_argument("--seed", type=at_least(0, "--seed"), default=0)
+        if seed:
+            p.add_argument("--seed", type=at_least(0, "--seed"), default=0)
         if search:
             p.add_argument("--state-cap", type=at_least(1, "--state-cap"),
                            default=poset.DEFAULT_STATE_CAP)
@@ -293,25 +278,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_explore)
 
-    # each case fixes its own variant and the origin preset; --seed and
-    # --state-cap default to None here, so a case refuses the one it ignores
+    # each case fixes its own variant and the origin preset, and neither
+    # draws random numbers; --state-cap defaults to None here, so the
+    # loops-1mod4 case, which runs no search, refuses it
     p = sub.add_parser("counterexample", help="produce a non-sorting witness trace")
-    common(p, preset=False, variant=False)
+    common(p, preset=False, variant=False, seed=False)
     p.add_argument("--case", choices=["odd", "loops-1mod4"], required=True)
-    p.add_argument("--m", type=int, default=None, help="size parameter for loops-1mod4")
     p.add_argument("--trace", type=str, default=None, help="write witness JSON-lines trace here")
-    p.set_defaults(func=cmd_counterexample, seed=None, state_cap=None)
+    p.set_defaults(func=cmd_counterexample, state_cap=None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (closedform.UnsupportedVariantError, explorer.StateKeyLimitError) as exc:
+        # outputs are opened before any work, so a bad path costs nothing
+        with contextlib.ExitStack() as outputs:
+            _open_outputs(args, outputs)
+            return args.func(args)
+    except (UsageError, closedform.UnsupportedVariantError, explorer.StateKeyLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:

@@ -18,6 +18,7 @@ Supported grids (all with every chip starting at the origin):
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 
 from .variants import Variant
@@ -59,58 +60,29 @@ def derive_m(variant: Variant, n: int) -> int:
         _require(n % r == 0 and (n // r) % 4 == 3,
                  f"loops_and_edges(r={r}) needs n = r*(4m-1), got n={n}")
         return (n // r + 1) // 4
-    if kind == "exponential":
-        _require(n == 2 ** (variant.t + 2),
-                 f"exponential(t={variant.t}) needs n = 2**(t+2) = {2 ** (variant.t + 2)}, got {n}")
-        return 2 ** (variant.t + 1)
-    raise UnsupportedVariantError(f"unknown kind {kind}")
-
-
-def _loop_scheme(m: int) -> list[int]:
-    # one chip each of -m, 0, m; two each in between
-    values = [-m, 0, m] if m > 0 else [0]
-    for v in range(1, m):
-        values += [-v, -v, v, v]
-    return sorted(values)
+    # exponential, the last of the kinds ``Variant`` accepts
+    _require(n == 2 ** (variant.t + 2),
+             f"exponential(t={variant.t}) needs n = 2**(t+2) = {2 ** (variant.t + 2)}, got {n}")
+    return 2 ** (variant.t + 1)
 
 
 def canonical_labels(variant: Variant, n: int, preset: str = "origin") -> tuple[int, ...]:
     """Value multiset of the standard initial configuration, weakly increasing.
 
     Read into the terminal slots left to right, this multiset is exactly the
-    expected sorted terminal.
+    expected sorted terminal: from the origin each chip labeled k ends at
+    site k, so the labels are the sorted terminal's sites, except for the
+    exponential variant, labeled -m..-1, 1..m.
     """
     if preset == "staircase":
         _require(variant.kind == "base", "staircase preset exists only for the base variant")
         _require(n >= 1, "staircase parameter must be >= 1")
         return tuple(range(-n, 0)) + tuple(range(1, n + 2))
-    m = derive_m(variant, n)
-    kind = variant.kind
-    if kind == "base":
-        vals = list(range(-m, 0)) + list(range(1, m + 1))
-        if n % 2 == 1:
-            vals.append(0)
-        return tuple(sorted(vals))
-    if kind == "multi_edge":
-        vals = [v for v in list(range(-m, 0)) + list(range(1, m + 1)) for _ in range(variant.r)]
-        return tuple(sorted(vals))
-    if kind == "origin_loops":
-        vals = list(range(-m, 0)) + [0] * variant.s + list(range(1, m + 1))
-        return tuple(sorted(vals))
-    if kind == "loops_everywhere":
-        if n % 4 == 3:
-            return tuple(_loop_scheme(m))
-        # n = 4m + 1: two chips each of -m..-1 and 1..m, one chip 0
-        vals = [0]
-        for v in range(1, m + 1):
-            vals += [-v, -v, v, v]
-        return tuple(sorted(vals))
-    if kind == "loops_and_edges":
-        return tuple(sorted(_loop_scheme(m) * variant.r))
-    if kind == "exponential":
-        half = 2 ** (variant.t + 1)
-        return tuple(sorted(list(range(-half, 0)) + list(range(1, half + 1))))
-    raise UnsupportedVariantError(f"unknown kind {kind}")
+    if variant.kind == "exponential":
+        m = derive_m(variant, n)
+        return tuple(range(-m, 0)) + tuple(range(1, m + 1))
+    return tuple(site for site, count in terminal_unlabeled(variant, n).items()
+                 for _ in range(count))
 
 
 def total_fires(variant: Variant, n: int, site: int) -> int:
@@ -127,27 +99,16 @@ def total_fires(variant: Variant, n: int, site: int) -> int:
             # 2-per-site terminal: (m-|k|)(m-|k|+1)
             return (m - k) * (m - k + 1) if k <= m else 0
         return (m - k) ** 2 if k <= m else 0
-    if kind == "exponential":
-        t = variant.t
-        return 2 * (t - k) + 3 if k <= t + 1 else 0
-    raise UnsupportedVariantError(f"unknown kind {kind}")
+    t = variant.t  # exponential
+    return 2 * (t - k) + 3 if k <= t + 1 else 0
 
 
 def fire_count_table(variant: Variant, n: int) -> dict[int, int]:
     """Per-site firing counts, restricted to sites that fire at least once."""
-    derive_m(variant, n)
     table = {}
     k = 0
-    while True:
-        f = total_fires(variant, n, k)
-        if f == 0 and k > 0:
-            break
-        if f > 0:
-            table[k] = f
-            if k > 0:
-                table[-k] = f
-        if f == 0:
-            break
+    while f := total_fires(variant, n, k):
+        table[k] = table[-k] = f
         k += 1
     return dict(sorted(table.items()))
 
@@ -171,8 +132,6 @@ def terminal_unlabeled(variant: Variant, n: int) -> dict[int, int]:
         if variant.s:
             out[0] = variant.s
     elif kind == "loops_everywhere":
-        if n == 1:
-            return {0: 1}
         if n % 4 == 3:
             out[m] = out[-m] = 1
             out[0] = 1
@@ -188,13 +147,11 @@ def terminal_unlabeled(variant: Variant, n: int) -> dict[int, int]:
         out[0] = r
         for k in range(1, m):
             out[k] = out[-k] = 2 * r
-    elif kind == "exponential":
+    else:  # exponential
         t = variant.t
         for k in range(1, t + 2):
             out[k] = out[-k] = 2 ** (t + 1 - k)
         out[t + 2] = out[-t - 2] = 1
-    else:
-        raise UnsupportedVariantError(f"unknown kind {kind}")
     assert sum(out.values()) == n
     return dict(sorted(out.items()))
 
@@ -219,15 +176,9 @@ def expected_sorted_terminal(variant: Variant, n: int, preset: str = "origin") -
         raise NoSortingTheoremError(f"base with odd n={n} does not sort")
     if variant.kind == "loops_everywhere" and n % 4 == 1 and n > 1:
         raise NoSortingTheoremError(f"loops_everywhere with n={n} = 4m+1 does not sort")
-    labels = canonical_labels(variant, n)
-    slots = terminal_unlabeled(variant, n)
-    out: dict[int, tuple[int, ...]] = {}
-    pos = 0
-    for site in sorted(slots):
-        cnt = slots[site]
-        out[site] = tuple(labels[pos:pos + cnt])
-        pos += cnt
-    return out
+    labels = iter(canonical_labels(variant, n))
+    return {site: tuple(islice(labels, count))
+            for site, count in terminal_unlabeled(variant, n).items()}
 
 
 def initial_counts(variant: Variant, n: int) -> dict[int, int]:

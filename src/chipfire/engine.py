@@ -206,16 +206,17 @@ class MoveRecord(NamedTuple):
 
 @dataclass
 class Trace:
-    """An initial configuration plus the ordered moves of one complete run."""
+    """An initial configuration, the ordered moves of one complete run and
+    the configuration they end in (built with the moves, never replayed)."""
 
     variant: Variant
     initial: LabeledConfiguration
     records: list[MoveRecord]
     strategy: str
     seed: int
+    _final: LabeledConfiguration = field(repr=False)
     n: int | None = None
     preset: str | None = None
-    _final: LabeledConfiguration | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.records)
@@ -242,11 +243,6 @@ class Trace:
             raise ChipFiringError("trace does not end in a terminal configuration")
 
     def final_config(self) -> LabeledConfiguration:
-        if self._final is None:
-            config = self.initial
-            for rec in self.records:
-                config = config.apply(self.variant, rec.site, rec.chosen_ids)
-            self._final = config
         return self._final
 
     def fire_counts(self) -> dict[int, int]:
@@ -499,7 +495,5 @@ def run_to_completion(initial: LabeledConfiguration, variant: Variant,
         rec, config = _fire(config, variant, len(records), site, chosen_ids, fires)
         records.append(rec)
         _update_enabled(enabled, config, variant, site)
-    trace = Trace(variant=variant, initial=initial, records=records,
-                  strategy=strategy.name, seed=seed, n=n, preset=preset)
-    trace._final = config
-    return trace
+    return Trace(variant=variant, initial=initial, records=records,
+                 strategy=strategy.name, seed=seed, _final=config, n=n, preset=preset)

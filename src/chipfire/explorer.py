@@ -173,15 +173,14 @@ class ExplorationReport:
         }
 
 
-def _explore_levels(initial: LabeledConfiguration, variant: Variant,
-                    state_cap: int, record_parents: bool):
+def _explore_levels(initial: LabeledConfiguration, variant: Variant, state_cap: int):
     """Graded BFS over sorted ``uint16`` rows, one level at a time.
 
     Each level is its sorted array of rows.  A child's parent index is that
     of its first occurrence when the previous level's moves are taken in
-    (row, first column, combination) order, and is kept per level when
-    ``record_parents``.  Returns (levels, parents, terminals, visited,
-    moves), terminals as (level, index, state) in visiting order.
+    (row, first column, combination) order, and is kept per level.  Returns
+    (levels, parents, terminals, visited, moves), terminals as (level,
+    index, state) in visiting order.
     """
     start = canonicalize(initial)
     _check_key_limit(start)
@@ -216,9 +215,8 @@ def _explore_levels(initial: LabeledConfiguration, variant: Variant,
                 states_visited=visited, level=depth, frontier=len(frontier))
         frontier = children
         depth += 1
-        if record_parents:
-            levels.append(children)
-            parents.append(parent.astype(np.int32))
+        levels.append(children)
+        parents.append(parent.astype(np.int32))
     return levels, parents, terminals, visited, moves
 
 
@@ -235,23 +233,20 @@ def _witness_moves(levels: list[np.ndarray], parents: list[np.ndarray], moves: _
 
 
 def explore(initial: LabeledConfiguration, variant: Variant,
-            state_cap: int = DEFAULT_STATE_CAP,
-            witness_unsorted: bool = False) -> ExplorationReport:
+            state_cap: int = DEFAULT_STATE_CAP) -> ExplorationReport:
     """Visit the full reachable canonical-state graph and collect terminals.
 
     Raises CapExceededError (carrying states_visited, level and frontier)
-    when the cap is hit.  With ``witness_unsorted`` the report includes a
-    move sequence to some non-weakly-sorted terminal when one exists (at the
-    cost of keeping the whole level history in memory).
+    when the cap is hit.  The whole level history is kept, and the report's
+    witness is a move sequence to the first non-weakly-sorted terminal
+    visited, if there is one.
     """
-    levels, parents, term_locs, visited, moves = _explore_levels(
-        initial, variant, state_cap, record_parents=witness_unsorted)
+    levels, parents, term_locs, visited, moves = _explore_levels(initial, variant, state_cap)
     terminals = []
     witness = None
     for li, ri, state in term_locs:
         terminals.append(state)
-        if (witness_unsorted and witness is None
-                and not is_weakly_sorted_state(state)):
+        if witness is None and not is_weakly_sorted_state(state):
             witness = _witness_moves(levels, parents, moves, li, ri)
     terminals = tuple(sorted(set(terminals)))
     sorted_count = sum(is_weakly_sorted_state(t) for t in terminals)
@@ -270,14 +265,11 @@ def find_unsorted_terminal(initial: LabeledConfiguration, variant: Variant,
     """Trace reaching a non-weakly-sorted terminal, or None if none exists.
 
     A cap overflow raises CapExceededError (inconclusive), which is distinct
-    from an exhaustive None.  ``report``, from ``explore(initial, variant,
-    witness_unsorted=True)``, saves the search: its witness is replayed.
+    from an exhaustive None.  ``report``, from ``explore(initial, variant)``,
+    saves the search: its witness is replayed.
     """
     if report is None:
-        report = explore(initial, variant, state_cap, witness_unsorted=True)
-    elif report.witness is None and report.sorted_terminal_count < report.terminal_count:
-        raise ValueError("report has unsorted terminals but no witness: "
-                         "explore it with witness_unsorted=True")
+        report = explore(initial, variant, state_cap)
     if report.witness is None:
         return None
     strategy = ScriptedValuesStrategy(report.witness)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chipfire import explorer, poset
+from chipfire import cli, explorer, poset
 from chipfire.cli import main
 
 
@@ -175,9 +175,10 @@ def test_counterexample_odd_even_n_is_usage_error():
 
 @pytest.mark.parametrize("m", ["0", "-2"])
 def test_counterexample_loops_m_below_one_is_usage_error(m, capsys):
-    assert main(["counterexample", "--case", "loops-1mod4", "--m", m]) == 2
+    n = str(4 * int(m) + 1)
+    assert main(["counterexample", "--case", "loops-1mod4", "--n", n]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: loops-1mod4 case needs --m >= 1, got {m}\n"
+    assert err == "error: loops-1mod4 case needs --n = 4m+1 >= 5\n"
 
 
 @pytest.mark.parametrize("runs", ["0", "-3"])
@@ -190,7 +191,7 @@ def test_verify_runs_below_one_is_usage_error(runs, capsys):
 
 def test_counterexample_loops(tmp_path):
     report = tmp_path / "cx.json"
-    rc = main(["counterexample", "--case", "loops-1mod4", "--m", "1",
+    rc = main(["counterexample", "--case", "loops-1mod4", "--n", "5",
                "--report", str(report)])
     assert rc == 0
     data = json.loads(report.read_text())
@@ -217,7 +218,7 @@ def test_verify_rejects_preset(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", "4"], ["verify", "--n", "4", "--runs", "1"], ["poset", "--n", "5"],
-    ["explore", "--n", "4"], ["counterexample", "--case", "loops-1mod4", "--m", "1"]])
+    ["explore", "--n", "4"]])
 def test_negative_seed_is_usage_error(argv, capsys):
     assert main(argv + ["--seed", "-1"]) == 2
     captured = capsys.readouterr()
@@ -235,31 +236,48 @@ def test_state_cap_below_one_is_usage_error(argv, cap, capsys):
     assert captured.err == f"error: --state-cap must be >= 1, got {cap}\n"
 
 
-@pytest.mark.parametrize("argv,message", [
-    (["--case", "loops-1mod4", "--m", "1", "--n", "13"], "takes --m or --n, not both"),
-    (["--case", "odd", "--n", "3", "--m", "5"], "takes --n, not --m"),
-    (["--case", "odd", "--n", "3", "--seed", "5"], "odd case takes no --seed"),
-    (["--case", "loops-1mod4", "--m", "1", "--state-cap", "1"],
-     "loops-1mod4 case takes no --state-cap"),
-    (["--case", "loops-1mod4", "--m", "1", "--seed", "5"], "loops-1mod4 case takes no --seed")])
-def test_counterexample_rejects_flag_its_case_ignores(argv, message, capsys):
-    assert main(["counterexample"] + argv) == 2
+def test_counterexample_loops_rejects_state_cap(capsys):
+    # the adversarial schedule runs no search
+    assert main(["counterexample", "--case", "loops-1mod4", "--n", "5", "--state-cap", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message in captured.err
+    assert "loops-1mod4 case takes no --state-cap" in captured.err
+
+
+@pytest.mark.parametrize("case", [["odd", "--n", "3"], ["loops-1mod4", "--n", "5"]])
+@pytest.mark.parametrize("flag", ["--seed", "--m"])
+def test_counterexample_takes_no_seed_or_m(case, flag, capsys):
+    # neither case draws random numbers, and --n is the one size flag
+    assert _usage_exit(["counterexample", "--case", *case, flag, "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {flag} 1" in captured.err
 
 
 @pytest.mark.parametrize("argv,flag", [
     (["simulate", "--n", "4"], "--report"),
     (["simulate", "--n", "4"], "--trace"),
     (["poset", "--n", "4"], "--dot"),
-    (["verify", "--n", "4", "--runs", "1"], "--report")])
+    (["verify", "--n", "4", "--runs", "1"], "--report"),
+    (["explore", "--n", "4"], "--report"),
+    (["counterexample", "--case", "odd", "--n", "3"], "--report"),
+    (["counterexample", "--case", "loops-1mod4", "--n", "5"], "--trace")])
 @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
-def test_unwritable_output_path_is_usage_error(argv, flag, where, tmp_path, capsys):
+def test_unwritable_output_path_is_usage_error(argv, flag, where, tmp_path, capsys,
+                                               monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the output was opened")
+
+    # every run, search and space the subcommands build
+    for owner, name in [(cli, "run_to_completion"), (explorer, "explore"),
+                        (explorer, "find_unsorted_terminal"), (explorer, "adversarial_1mod4"),
+                        (poset, "reachable_states")]:
+        monkeypatch.setattr(owner, name, refuse)
     path = tmp_path / "missing" / "out" if where == "missing-dir" else tmp_path
     assert main(argv + [flag, str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_simulate_rejects_state_cap(capsys):
@@ -275,3 +293,34 @@ def test_verify_rejects_state_cap(capsys):
 def test_parameter_the_variant_ignores_is_usage_error(capsys):
     assert main(["simulate", "--variant", "base", "--r", "3", "--n", "4"]) == 2
     assert "takes no parameter r" in capsys.readouterr().err
+
+
+def test_simulate_without_n_is_usage_error(capsys):
+    assert main(["simulate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--n is required" in captured.err
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_poset_with_empty_window_passes_grid_check(n, tmp_path, capsys):
+    # no site fires: one state, the empty diamond
+    report = tmp_path / "r.json"
+    assert main(["poset", "--n", n, "--check", "grid", "--report", str(report)]) == 0
+    assert "1 states, check=grid PASS" in capsys.readouterr().out
+    data = json.loads(report.read_text())
+    assert data["passed"] and data["states_explored"] == 1 and data["diamond_nodes"] == 0
+
+
+def test_poset_expgrid_on_base_is_usage_error(capsys):
+    assert main(["poset", "--n", "6", "--check", "expgrid"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "needs the exponential variant" in captured.err
+
+
+def test_explore_with_no_enabled_site(tmp_path, capsys):
+    # one chip fits no threshold block: the start is the only state and terminal
+    report = tmp_path / "r.json"
+    assert main(["explore", "--n", "1", "--report", str(report)]) == 0
+    assert "states=1 terminals=1 confluent=True" in capsys.readouterr().out
+    data = json.loads(report.read_text())
+    assert data["terminals"] == [{"0": [0]}] and data["witness"] is None

@@ -185,3 +185,43 @@ def test_labels_sum_and_sorted_fill():
         assert {s: len(v) for s, v in labeled.items()} == terminal
         flat = [x for s in sorted(labeled) for x in labeled[s]]
         assert flat == sorted(flat)
+
+
+def _per_kind_labels(variant, n):
+    """Reference: the origin preset's labels spelled out kind by kind."""
+    m = cf.derive_m(variant, n)
+    pm = list(range(-m, 0)) + list(range(1, m + 1))
+    doubled = [v for v in pm for _ in range(2)]
+    loop_scheme = [-m, 0, m] + [v for v in pm if abs(v) < m for _ in range(2)] if m else [0]
+    labels = {
+        "base": pm + [0] * (n % 2),
+        "multi_edge": pm * variant.r,
+        "origin_loops": pm + [0] * variant.s,
+        "loops_everywhere": loop_scheme if n % 4 == 3 else doubled + [0],
+        "loops_and_edges": loop_scheme * variant.r,
+        "exponential": pm,
+    }[variant.kind]
+    return tuple(sorted(labels))
+
+
+def _supported_below(limit):
+    """Every supported origin (variant, n) with n < ``limit`` and r, s, t <= 3."""
+    variants = ([base(), loops_everywhere()]
+                + [kind(r) for kind in (multi_edge, loops_and_edges) for r in (1, 2, 3)]
+                + [origin_loops(s) for s in range(4)] + [exponential(t) for t in range(4)])
+    out = []
+    for variant in variants:
+        for n in range(limit):
+            try:
+                cf.derive_m(variant, n)
+            except cf.UnsupportedVariantError:
+                continue
+            out.append((variant, n))
+    return out
+
+
+def test_canonical_labels_match_per_kind_reference():
+    pairs = _supported_below(80)
+    assert len(pairs) == 392
+    for variant, n in pairs:
+        assert cf.canonical_labels(variant, n) == _per_kind_labels(variant, n), (variant, n)

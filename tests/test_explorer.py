@@ -99,13 +99,10 @@ def test_find_unsorted_terminal_witness_replays():
 def test_find_unsorted_terminal_replays_a_given_report(monkeypatch):
     initial = standard_initial(base(), 5)
     searched = find_unsorted_terminal(initial, base())
-    report = explore(initial, base(), witness_unsorted=True)
-    no_witness = explore(initial, base())
+    report = explore(initial, base())
     monkeypatch.setattr(explorer, "_explore_levels", None)  # no second search
     given = find_unsorted_terminal(initial, base(), report=report)
     assert [r.to_json() for r in given.records] == [r.to_json() for r in searched.records]
-    with pytest.raises(ValueError, match="witness_unsorted=True"):
-        find_unsorted_terminal(initial, base(), report=no_witness)
 
 
 def test_find_unsorted_terminal_none_for_even():
@@ -183,7 +180,7 @@ def test_levels_match_reference_bfs(variant, n):
     parents; origin_loops and exponential mix thresholds."""
     initial = standard_initial(variant, n)
     levels, parents, _, visited, _ = explorer._explore_levels(
-        initial, variant, DEFAULT_STATE_CAP, record_parents=True)
+        initial, variant, DEFAULT_STATE_CAP)
     want_keys, want_parents = labeled_reference.levels(canonicalize(initial), variant)
     assert [[row.astype(">u2").tobytes() for row in level] for level in levels] == want_keys
     assert [p.tolist() for p in parents] == want_parents
@@ -193,8 +190,8 @@ def test_levels_match_reference_bfs(variant, n):
 def _levels_and_report(variant, n):
     initial = standard_initial(variant, n)
     levels, parents, terminals, visited, _ = explorer._explore_levels(
-        initial, variant, DEFAULT_STATE_CAP, record_parents=True)
-    report = explore(initial, variant, witness_unsorted=True).to_json()
+        initial, variant, DEFAULT_STATE_CAP)
+    report = explore(initial, variant).to_json()
     return ([level.tolist() for level in levels], [p.tolist() for p in parents],
             terminals, visited, report)
 
@@ -231,7 +228,7 @@ def test_hold_empty_control_matches_unlabeled_terminal():
 
 
 def test_report_json_shape():
-    rep = explore(standard_initial(base(), 3), base(), witness_unsorted=True)
+    rep = explore(standard_initial(base(), 3), base())
     data = rep.to_json()
     assert data["terminal_count"] == 3
     assert data["confluent"] is False

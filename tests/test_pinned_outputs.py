@@ -70,7 +70,7 @@ EXPLORE_CASES = {
     "base-staircase-3": (base(), 3, "staircase"),
 }
 
-# SHA-1 of json.dumps(explore(..., witness_unsorted=True).to_json(), sort_keys=True)
+# SHA-1 of json.dumps(explore(...).to_json(), sort_keys=True)
 EXPLORE_SHA1 = {
     "base-8": "c4cec2a2b8d0f562600255e19f4a122a7ffa3543",
     "base-9": "e119e67c8eb645f3eb0ba1ebc78dc7e7b006d859",
@@ -139,7 +139,7 @@ def test_verify_report_pinned(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(EXPLORE_CASES))
 def test_explore_report_pinned(case):
     variant, n, preset = EXPLORE_CASES[case]
-    report = explore(standard_initial(variant, n, preset), variant, witness_unsorted=True)
+    report = explore(standard_initial(variant, n, preset), variant)
     data = json.dumps(report.to_json(), sort_keys=True).encode()
     assert hashlib.sha1(data).hexdigest() == EXPLORE_SHA1[case]
 

@@ -167,7 +167,7 @@ def test_duplicate_terminal_rows_are_detected(monkeypatch):
 # --- labeled search ---------------------------------------------------------
 
 def test_explore_base_n7_report_pinned():
-    report = explore(standard_initial(base(), 7), base(), witness_unsorted=True)
+    report = explore(standard_initial(base(), 7), base())
     assert report.to_json() == json.loads((DATA / "explore_base_n7.json").read_text())
 
 
