@@ -1,9 +1,11 @@
 """Trace-level checkers: position bounds, counting bounds, sortedness.
 
 Every checker replays a complete trace and returns the full list of
-violations (empty on success).  ``SCOPES`` holds the ``(variant, n)`` each
-checker applies to; ``applicable_checkers`` lists the checkers in scope, and
-one applied outside it raises CheckerNotApplicableError, never passing silently.
+violations (empty on success).  A checker applies to ``(variant, n)`` when
+its ``SCOPES`` entry holds and, for all but conservation, the closed form
+gives its ``m`` (``_scope_m``); ``applicable_checkers`` lists the checkers
+that apply, and one applied outside its scope raises
+CheckerNotApplicableError, never passing silently.
 """
 
 from __future__ import annotations
@@ -37,25 +39,33 @@ SCOPES: dict[str, Callable[[Variant, int], bool]] = {
 }
 
 
-def _require_scope(name: str, variant: Variant, n: int):
-    if not SCOPES[name](variant, n):
-        raise CheckerNotApplicableError(f"{name} does not apply to {variant} with n={n}")
+def _scope_m(name: str, variant: Variant, n: int) -> int | None:
+    """``m`` for checker ``name`` on ``(variant, n)`` (None for conservation,
+    which needs none); CheckerNotApplicableError unless its ``SCOPES`` entry
+    holds and ``closedform.derive_m`` accepts n."""
+    try:
+        if SCOPES[name](variant, n):
+            return None if name == "conservation" else closedform.derive_m(variant, n)
+    except closedform.UnsupportedVariantError:
+        pass
+    raise CheckerNotApplicableError(f"{name} does not apply to {variant} with n={n}")
 
 
 def applicable_checkers(variant: Variant, n: int) -> list[tuple[str, Callable]]:
-    """``(name, checker)``, checker taking a trace, for each scope that holds, in order.
+    """``(name, checker)``, checker taking a trace, for each checker that
+    applies (``_scope_m``), in ``SCOPES`` order.
 
-    The checkers are looked up at call time, so a wrapper put on this
-    module's attribute (a tracing span, say) is what runs."""
-    checkers = {
-        "conservation": check_conservation,
-        "chip_bounds": check_chip_bounds,
-        "diamond_move_bounds": check_diamond_move_bounds,
-        "loop_bounds": check_loop_bounds,
-        "diamond_count_bounds": check_diamond_count_bounds,
-        "diamond_config_bounds": check_diamond_config_bounds,
-    }
-    return [(name, checkers[name]) for name, applies in SCOPES.items() if applies(variant, n)]
+    Each checker is looked up as this module's ``check_<name>`` at call
+    time, so a wrapper put on that attribute (a tracing span, say) is what
+    runs."""
+    out = []
+    for name in SCOPES:
+        try:
+            _scope_m(name, variant, n)
+        except CheckerNotApplicableError:
+            continue
+        out.append((name, globals()[f"check_{name}"]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -92,8 +102,8 @@ def check_conservation(trace: Trace) -> list[BoundViolation]:
     """Chip count and drift-corrected weighted position sum after every step.
 
     After a prefix with fire counts c, the weighted sum of positions equals
-    its initial value plus sum_s c[s] * (right_mult(s) - left_mult(s)); the
-    drift term vanishes for left/right-symmetric variants.
+    its initial value plus sum_s c[s] * (right - left) of ``site_row(s)``;
+    the drift term vanishes for left/right-symmetric variants.
     """
     v = trace.variant
     total0 = trace.initial.total_chips()
@@ -124,10 +134,7 @@ def check_chip_bounds(trace: Trace) -> list[BoundViolation]:
     a violating one, or one where those chips break a bound, is scanned in
     full.
     """
-    v = trace.variant
-    n = trace.initial.total_chips()
-    _require_scope("chip_bounds", v, n)
-    m = closedform.derive_m(v, n)
+    m = _scope_m("chip_bounds", trace.variant, trace.initial.total_chips())
     out = []
 
     def breaks(site, chips):
@@ -173,10 +180,7 @@ def check_loop_bounds(trace: Trace) -> list[BoundViolation]:
     k+m is even that slot holds two chips and two may sit there; verified
     exhaustively over all reachable states at n = 7 and n = 11.
     """
-    v = trace.variant
-    n = trace.initial.total_chips()
-    _require_scope("loop_bounds", v, n)
-    m = closedform.derive_m(v, n)
+    m = _scope_m("loop_bounds", trace.variant, trace.initial.total_chips())
     out = []
 
     def limits(k: int) -> tuple[int, int]:
@@ -231,9 +235,7 @@ def check_diamond_move_bounds(trace: Trace) -> list[BoundViolation]:
     valued x+1 at or right of s.  A trace with no chip of a value it needs
     raises CheckerNotApplicableError.
     """
-    v = trace.variant
-    n = trace.initial.total_chips()
-    _require_scope("diamond_move_bounds", v, n)
+    _scope_m("diamond_move_bounds", trace.variant, trace.initial.total_chips())
     by_value = {chip.value: chip for _, chip in trace.initial.chips()}
     out = []
     for before, rec, _, (x, y) in _diamond_moves(trace):
@@ -256,10 +258,7 @@ def check_diamond_count_bounds(trace: Trace) -> list[BoundViolation]:
     After the j-th diamond move at site k <= 0 there are at least j+k+m-1
     chips valued below k at positions left of k; mirrored for k >= 0.
     """
-    v = trace.variant
-    n = trace.initial.total_chips()
-    _require_scope("diamond_count_bounds", v, n)
-    m = closedform.derive_m(v, n)
+    m = _scope_m("diamond_count_bounds", trace.variant, trace.initial.total_chips())
     out = []
     for _, rec, after, xy in _diamond_moves(trace):
         k = rec.site
@@ -282,7 +281,7 @@ def diamond_configuration(trace: Trace) -> dict[int, tuple[int, int, int]]:
     occ_from_start) of that move.
 
     Present means sitting at the firing site when the move executes, chosen
-    or not.  Raises if some chip never attends a diamond move.
+    or not.  CheckerNotApplicableError if some chip never attends one.
     """
     n = trace.initial.total_chips()
     assignment: dict[int, tuple[int, int, int]] = {}
@@ -291,7 +290,7 @@ def diamond_configuration(trace: Trace) -> dict[int, tuple[int, int, int]]:
             if chip.id not in assignment:
                 assignment[chip.id] = (chip.value, rec.site, rec.fire_index_at_site)
     if len(assignment) != n:
-        raise ChipFiringError(
+        raise CheckerNotApplicableError(
             f"only {len(assignment)} of {n} chips attended a diamond move")
     return assignment
 
@@ -302,10 +301,7 @@ def check_diamond_config_bounds(trace: Trace) -> list[BoundViolation]:
     For k in [-m-1, 0] and l in [0, k+m-1]: at most k+m-l-1 chips valued
     below k are assigned to sites right of l; mirrored on the positive side.
     """
-    v = trace.variant
-    n = trace.initial.total_chips()
-    _require_scope("diamond_config_bounds", v, n)
-    m = closedform.derive_m(v, n)
+    m = _scope_m("diamond_config_bounds", trace.variant, trace.initial.total_chips())
     entries = list(diamond_configuration(trace).values())
     out = []
     for k in range(-m - 1, 1):

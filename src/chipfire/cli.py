@@ -13,8 +13,8 @@ of a multi-run command uses seed + i.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
+import os
 import sys
 
 from . import analysis, closedform, explorer, poset
@@ -55,21 +55,27 @@ def _build_variant(args) -> tuple[Variant, int]:
     return variant, n
 
 
-def _open_outputs(args, stack: contextlib.ExitStack):
-    """Replace each output path of ``args`` by its file, opened for writing on
-    ``stack``; a path that cannot be written is a usage error."""
+def _check_outputs(args):
+    """A ``--report``, ``--trace`` or ``--dot`` path that cannot be written is
+    a usage error, found before any work.  The check leaves each path as it
+    was; a command opens its outputs only once its work is done, so one that
+    exits 2 or 3 leaves them untouched."""
     for flag in ("report", "trace", "dot"):
         path = getattr(args, flag, None)
         if path:
+            existed = os.path.lexists(path)
             try:
-                setattr(args, flag, stack.enter_context(open(path, "w")))
+                open(path, "a").close()
             except OSError as exc:
                 raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+            if not existed:
+                os.remove(path)
 
 
 def _write_report(args, report: dict):
     if args.report:
-        args.report.write(json.dumps(report, indent=2) + "\n")
+        with open(args.report, "w") as fp:
+            fp.write(json.dumps(report, indent=2) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -79,7 +85,8 @@ def cmd_simulate(args) -> int:
     trace = run_to_completion(initial, variant, strategy, seed=args.seed,
                               n=n, preset=args.preset)
     if args.trace:
-        trace.write_jsonl(args.trace)
+        with open(args.trace, "w") as fp:
+            trace.write_jsonl(fp)
     final = trace.final_config()
     print(f"variant={variant} n={n} preset={args.preset} strategy={args.strategy} "
           f"seed={args.seed} moves={len(trace)}")
@@ -160,7 +167,8 @@ def cmd_poset(args) -> int:
     else:
         report = poset.CheckReport("none", [], space.n_states)
     if args.dot:
-        args.dot.write(poset.export_dot(poset.build_poset(space)) + "\n")
+        with open(args.dot, "w") as fp:
+            fp.write(poset.export_dot(poset.build_poset(space)) + "\n")
     _write_report(args, report.to_json())
     print(f"poset {variant} n={n}: {space.n_states} states, check={args.check} "
           f"{'PASS' if report.passed else 'FAIL'} ({len(report.violations)} violations)")
@@ -204,7 +212,8 @@ def cmd_counterexample(args) -> int:
             print(f"adversarial schedule at m={m} unexpectedly sorted")
             return EXIT_FAIL
     if args.trace:
-        trace.write_jsonl(args.trace)
+        with open(args.trace, "w") as fp:
+            trace.write_jsonl(fp)
     final = trace.final_config()
     print(f"counterexample {args.case}: {len(trace)} moves, weakly_sorted=False")
     print("terminal:", json.dumps({str(s): list(v) for s, v in final.values_by_site().items()}))
@@ -292,10 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # outputs are opened before any work, so a bad path costs nothing
-        with contextlib.ExitStack() as outputs:
-            _open_outputs(args, outputs)
-            return args.func(args)
+        _check_outputs(args)
+        return args.func(args)
     except (UsageError, closedform.UnsupportedVariantError, explorer.StateKeyLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -66,23 +66,34 @@ def derive_m(variant: Variant, n: int) -> int:
     return 2 ** (variant.t + 1)
 
 
-def canonical_labels(variant: Variant, n: int, preset: str = "origin") -> tuple[int, ...]:
-    """Value multiset of the standard initial configuration, weakly increasing.
+def canonical_labels(variant: Variant, n: int) -> tuple[int, ...]:
+    """Value multiset of the origin preset, weakly increasing.
 
     Read into the terminal slots left to right, this multiset is exactly the
     expected sorted terminal: from the origin each chip labeled k ends at
     site k, so the labels are the sorted terminal's sites, except for the
     exponential variant, labeled -m..-1, 1..m.
     """
-    if preset == "staircase":
-        _require(variant.kind == "base", "staircase preset exists only for the base variant")
-        _require(n >= 1, "staircase parameter must be >= 1")
-        return tuple(range(-n, 0)) + tuple(range(1, n + 2))
     if variant.kind == "exponential":
         m = derive_m(variant, n)
         return tuple(range(-m, 0)) + tuple(range(1, m + 1))
     return tuple(site for site, count in terminal_unlabeled(variant, n).items()
                  for _ in range(count))
+
+
+def initial_values(variant: Variant, n: int, preset: str = "origin") -> dict[int, tuple[int, ...]]:
+    """Chip values per site of a preset's initial configuration.
+
+    ``origin`` puts the n canonical labels at site 0.  ``staircase`` (base
+    variant, n >= 1) puts 2n+1 chips: values -n..-1 at site -1 and 1..n+1 at
+    site 0.  Any other preset raises UnsupportedVariantError.
+    """
+    if preset == "origin":
+        return {0: canonical_labels(variant, n)}
+    _require(preset == "staircase", f"unknown preset {preset!r}")
+    _require(variant.kind == "base", "staircase preset exists only for the base variant")
+    _require(n >= 1, f"staircase preset needs n >= 1, got {n}")
+    return {-1: tuple(range(-n, 0)), 0: tuple(range(1, n + 2))}
 
 
 def total_fires(variant: Variant, n: int, site: int) -> int:
@@ -164,14 +175,13 @@ def expected_sorted_terminal(variant: Variant, n: int, preset: str = "origin") -
     combinations with no such guarantee (odd base n > 1, loops_everywhere
     with n = 4m + 1 > 1).
     """
-    if preset == "staircase":
-        # Starting from values -n..-1 at site -1 and 1..n+1 at site 0, the
-        # weighted position sum forces the terminal one site left of the
-        # value ladder: value k ends at site k-1, the origin stays occupied
-        # by value 1 and site -1 goes empty.
-        _require(variant.kind == "base", "staircase preset exists only for the base variant")
-        labels = canonical_labels(variant, n, preset="staircase")
-        return {value - 1: (value,) for value in labels}
+    if preset != "origin":
+        # From the staircase (``initial_values``) the weighted position sum
+        # forces the terminal one site left of the value ladder: value k ends
+        # at site k-1, the origin stays occupied by value 1 and site -1 goes
+        # empty.
+        return {value - 1: (value,) for values in initial_values(variant, n, preset).values()
+                for value in values}
     if variant.kind == "base" and n % 2 == 1 and n > 1:
         raise NoSortingTheoremError(f"base with odd n={n} does not sort")
     if variant.kind == "loops_everywhere" and n % 4 == 1 and n > 1:
@@ -181,28 +191,24 @@ def expected_sorted_terminal(variant: Variant, n: int, preset: str = "origin") -
             for site, count in terminal_unlabeled(variant, n).items()}
 
 
-def initial_counts(variant: Variant, n: int) -> dict[int, int]:
-    """Unlabeled origin-preset initial configuration."""
-    derive_m(variant, n)
-    return {0: n} if n else {}
-
-
 def flow_balance_residual(variant: Variant, n: int) -> dict[int, int]:
     """Per-site residual of initial + inflow - outflow - terminal (all zero iff consistent).
 
-    Inflow to site i is right_mult(i-1)*f(i-1) + left_mult(i+1)*f(i+1);
-    outflow is (left_mult(i)+right_mult(i))*f(i) -- loop chips return to the
-    site and cancel.
+    With ``(left, loop, right)`` from ``site_row``, inflow to site i is
+    right(i-1)*f(i-1) + left(i+1)*f(i+1); outflow is (left(i)+right(i))*f(i)
+    -- loop chips return to the site and cancel.  The origin preset starts
+    with n chips at site 0.
     """
     fires = fire_count_table(variant, n)
     terminal = terminal_unlabeled(variant, n)
-    init = initial_counts(variant, n)
+    init = {0: n}
     lo = min(list(fires) + list(terminal) + [0]) - 1
     hi = max(list(fires) + list(terminal) + [0]) + 1
     res = {}
     for i in range(lo, hi + 1):
-        inflow = (variant.right_mult(i - 1) * fires.get(i - 1, 0)
-                  + variant.left_mult(i + 1) * fires.get(i + 1, 0))
-        outflow = (variant.left_mult(i) + variant.right_mult(i)) * fires.get(i, 0)
+        left, _, right, _ = variant.site_row(i)
+        inflow = (variant.site_row(i - 1)[2] * fires.get(i - 1, 0)
+                  + variant.site_row(i + 1)[0] * fires.get(i + 1, 0))
+        outflow = (left + right) * fires.get(i, 0)
         res[i] = init.get(i, 0) + inflow - outflow - terminal.get(i, 0)
     return res

@@ -2,10 +2,11 @@
 
 Chips carry an immutable integer value and a unique id.  A firing move at
 site ``i`` chooses ``threshold(i)`` chips there, orders them by
-``(value, id)``, and sends the smallest ``left_mult`` to ``i-1``, keeps the
-middle ``loop_mult`` at ``i``, and sends the largest ``right_mult`` to
-``i+1``.  Ties between equal values are broken by chip id (lower id fires
-left), so every run is reproducible from its seed.
+``(value, id)``, and, with ``(left, loop, right)`` from ``site_row(i)``,
+sends the smallest ``left`` to ``i-1``, keeps the middle ``loop`` at ``i``,
+and sends the largest ``right`` to ``i+1``.  Ties between equal values are
+broken by chip id (lower id fires left), so every run is reproducible from
+its seed.
 """
 
 from __future__ import annotations
@@ -165,23 +166,8 @@ class LabeledConfiguration:
 
 
 def standard_initial(variant: Variant, n: int, preset: str = "origin") -> LabeledConfiguration:
-    """Canonical initial configuration.
-
-    ``origin`` puts n chips with the variant's canonical label multiset at
-    site 0.  ``staircase`` (base variant only) puts 2n+1 chips: values
-    -n..-1 at site -1 and 1..n+1 at site 0.
-    """
-    if preset == "origin":
-        values = closedform.canonical_labels(variant, n)
-        return LabeledConfiguration.from_values({0: values})
-    if preset == "staircase":
-        if variant.kind != "base":
-            raise closedform.UnsupportedVariantError("staircase preset exists only for the base variant")
-        return LabeledConfiguration.from_values({
-            -1: range(-n, 0),
-            0: range(1, n + 2),
-        })
-    raise closedform.UnsupportedVariantError(f"unknown preset {preset!r}")
+    """The initial configuration of ``preset`` (``closedform.initial_values``)."""
+    return LabeledConfiguration.from_values(closedform.initial_values(variant, n, preset))
 
 
 class MoveRecord(NamedTuple):

@@ -100,7 +100,7 @@ class _MoveTable:
             delta = np.zeros((256, t), np.uint16)
             fires = thresholds == t
             for b in np.flatnonzero(fires):
-                left, loop, _ = variant.split(int(b) - KEY_OFFSET)
+                left, loop, _, _ = variant.site_row(int(b) - KEY_OFFSET)
                 delta[b, :left] = -SITE_STEP % (1 << 16)
                 delta[b, left + loop:] = SITE_STEP
             combos = np.array(list(combinations(range(nchips), t)), np.intp)

@@ -33,9 +33,8 @@ class Variant:
     ``k`` and ``k+1`` has multiplicity ``2**(t-k)`` for ``0 <= k <= t``
     (mirrored on the negative side) and 1 farther out.
 
-    ``left_mult``, ``loop_mult`` and ``right_mult`` are the defining
-    formulas; ``site_row`` caches their values per site, and ``threshold``
-    and ``split`` read that cache.
+    ``site_row`` is the one per-site table: it states the multiplicities
+    and caches them per site; ``threshold`` reads it.
     """
 
     kind: str = "base"
@@ -58,7 +57,7 @@ class Variant:
             if getattr(self, name) != default and name not in PARAMETERS[self.kind]:
                 raise ValueError(f"variant {self.kind} takes no parameter {name}")
 
-    def bundle(self, j: int) -> int:
+    def _bundle(self, j: int) -> int:
         """Multiplicity of the edge bundle between sites ``j`` and ``j+1``."""
         if self.kind in ("multi_edge", "loops_and_edges"):
             return self.r
@@ -67,39 +66,23 @@ class Variant:
                 return 2 ** (self.t - j)
             if -self.t - 1 <= j <= -1:
                 return 2 ** (self.t + j + 1)
-            return 1
         return 1
 
-    def left_mult(self, site: int) -> int:
-        return self.bundle(site - 1)
-
-    def right_mult(self, site: int) -> int:
-        return self.bundle(site)
-
-    def loop_mult(self, site: int) -> int:
-        if self.kind == "origin_loops":
-            return self.s if site == 0 else 0
-        if self.kind == "loops_everywhere":
-            return 1
-        if self.kind == "loops_and_edges":
-            return self.r
-        return 0
-
     def site_row(self, site: int) -> tuple[int, int, int, int]:
-        """(left, loop, right, threshold) at ``site``, computed once per site."""
+        """(left, loop, right, threshold) at ``site``, computed once per site:
+        the edges to the left neighbour, the self-loops, the edges to the
+        right neighbour, and their sum."""
         row = self._rows.get(site)
         if row is None:
-            left, loop, right = self.left_mult(site), self.loop_mult(site), self.right_mult(site)
+            left, right = self._bundle(site - 1), self._bundle(site)
+            loop = {"origin_loops": self.s if site == 0 else 0, "loops_everywhere": 1,
+                    "loops_and_edges": self.r}.get(self.kind, 0)
             row = self._rows[site] = (left, loop, right, left + loop + right)
         return row
 
     def threshold(self, site: int) -> int:
         """Number of chips a firing move at ``site`` chooses and redistributes."""
         return self.site_row(site)[3]
-
-    def split(self, site: int) -> tuple[int, int, int]:
-        """(left, loop, right) multiplicities at ``site``."""
-        return self.site_row(site)[:3]
 
     def to_json(self) -> dict:
         return {"kind": self.kind, **{name: getattr(self, name) for name in PARAMETERS[self.kind]}}

@@ -7,8 +7,7 @@ former full-scan checker, which tests every chip after every step; it is
 the oracle for the checker that tests only the sites a move changed.
 """
 
-from chipfire import closedform
-from chipfire.analysis import BoundViolation, _require_scope
+from chipfire.analysis import BoundViolation, _scope_m
 from chipfire.engine import IllegalMoveError, LabeledConfiguration, _chip_key
 
 
@@ -45,10 +44,7 @@ def apply(config, variant, site, chosen_ids):
 
 def check_chip_bounds(trace):
     """Every chip's position bound, tested on every chip after every step."""
-    v = trace.variant
-    n = trace.initial.total_chips()
-    _require_scope("chip_bounds", v, n)
-    m = closedform.derive_m(v, n)
+    m = _scope_m("chip_bounds", trace.variant, trace.initial.total_chips())
     out = []
 
     def scan(config, step):

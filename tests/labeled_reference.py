@@ -44,7 +44,7 @@ def successors(state, variant):
         th = variant.threshold(site)
         if len(values) < th:
             continue
-        left, loop, right = variant.split(site)
+        left, loop, right = variant.site_row(site)[:3]
         seen = set()
         for chosen in combinations(values, th):
             if chosen in seen:

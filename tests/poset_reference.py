@@ -24,9 +24,9 @@ def must_precede(a, b, space) -> bool:
 def chips_at(state: dict[int, int], site: int, variant, initial: dict[int, int]) -> int:
     """Chip count at ``site`` after the fires recorded in ``state``."""
     val = (initial.get(site, 0)
-           + variant.right_mult(site - 1) * state.get(site - 1, 0)
-           + variant.left_mult(site + 1) * state.get(site + 1, 0)
-           - (variant.left_mult(site) + variant.right_mult(site)) * state.get(site, 0))
+           + variant.site_row(site - 1)[2] * state.get(site - 1, 0)
+           + variant.site_row(site + 1)[0] * state.get(site + 1, 0)
+           - (variant.site_row(site)[0] + variant.site_row(site)[2]) * state.get(site, 0))
     if val < 0:
         raise ChipFiringError(f"negative chip count {val} at site {site}: corrupt state")
     return val

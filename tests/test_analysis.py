@@ -231,7 +231,7 @@ def test_conservation_drift_term_exponential():
     # sum really does drift; the checker accounts for it exactly
     variant = exponential(2)
     trace = _run(variant, 16, 1)
-    drifts = {s: variant.right_mult(s) - variant.left_mult(s) for s in range(-4, 5)}
+    drifts = {s: variant.site_row(s)[2] - variant.site_row(s)[0] for s in range(-4, 5)}
     assert any(d != 0 for d in drifts.values())
     assert check_conservation(trace) == []
 
@@ -277,3 +277,13 @@ def test_applicable_checkers_are_those_that_do_not_refuse(variant):
             runs.append(name)
         assert [name for name, _ in analysis.applicable_checkers(variant, n)] == runs, n
     assert covered
+
+
+def test_checker_without_closed_form_m_does_not_apply():
+    # chip_bounds' scope holds for multi_edge(2), but its m needs n divisible by 4
+    variant = multi_edge(2)
+    assert [name for name, _ in analysis.applicable_checkers(variant, 6)] == ["conservation"]
+    initial = LabeledConfiguration.from_values({0: [-2, -1, -1, 1, 1, 2]})
+    trace = run_to_completion(initial, variant, RandomStrategy(), seed=0)
+    with pytest.raises(CheckerNotApplicableError):
+        check_chip_bounds(trace)

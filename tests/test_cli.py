@@ -324,3 +324,36 @@ def test_explore_with_no_enabled_site(tmp_path, capsys):
     assert "states=1 terminals=1 confluent=True" in capsys.readouterr().out
     data = json.loads(report.read_text())
     assert data["terminals"] == [{"0": [0]}] and data["witness"] is None
+
+
+@pytest.mark.parametrize("code,argv,flags", [
+    (0, ["simulate", "--n", "4"], ["--trace", "--report"]),
+    (1, ["poset", "--n", "5", "--check", "grid"], ["--dot", "--report"]),
+    (2, ["verify", "--n", "4", "--runs", "0"], ["--report"]),
+    (2, ["simulate", "--preset", "staircase", "--n", "-1"], ["--trace", "--report"]),
+    (3, ["explore", "--n", "8", "--state-cap", "10"], ["--report"])])
+@pytest.mark.parametrize("exists", [True, False], ids=["existing", "new"])
+def test_outputs_are_written_only_on_exit_0_or_1(code, argv, flags, exists, tmp_path, capsys):
+    """Exit 0 and 1 write every output; a command that exits 2 or 3 after
+    its paths were checked leaves an existing file byte-identical and
+    creates none."""
+    paths = [tmp_path / flag.lstrip("-") for flag in flags]
+    if exists:
+        for path in paths:
+            path.write_bytes(b"old contents\n")
+    assert main(argv + [arg for flag, path in zip(flags, paths)
+                        for arg in (flag, str(path))]) == code
+    if code <= 1:
+        assert all(path.read_text().strip() not in ("", "old contents") for path in paths)
+    elif exists:
+        assert all(path.read_bytes() == b"old contents\n" for path in paths)
+    assert sorted(tmp_path.iterdir()) == (sorted(paths) if exists or code <= 1 else [])
+
+
+@pytest.mark.parametrize("command", ["simulate", "explore"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_staircase_needs_n_at_least_one(command, n, capsys):
+    assert main([command, "--preset", "staircase", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: staircase preset needs n >= 1, got {n}\n"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipfire import closedform as cf
+from chipfire.engine import standard_initial
 from chipfire.variants import Variant, base, exponential, loops_and_edges, loops_everywhere, multi_edge, origin_loops
 
 # the full grid the acceptance suite exercises
@@ -30,19 +31,19 @@ def solve_fires_by_flow_balance(variant, n):
     b = np.zeros(len(sites))
     for s in sites:
         row = idx[s]
-        a[row, idx[s]] = -(variant.left_mult(s) + variant.right_mult(s))
+        a[row, idx[s]] = -(variant.site_row(s)[0] + variant.site_row(s)[2])
         if s - 1 in idx:
-            a[row, idx[s - 1]] = variant.right_mult(s - 1)
+            a[row, idx[s - 1]] = variant.site_row(s - 1)[2]
         if s + 1 in idx:
-            a[row, idx[s + 1]] = variant.left_mult(s + 1)
+            a[row, idx[s + 1]] = variant.site_row(s + 1)[0]
         b[row] = terminal.get(s, 0) - (n if s == 0 else 0)
     f = np.linalg.solve(a, b)
     counts = {s: round(f[idx[s]]) for s in sites}
     # exact integer verification of the solved system
     for s in range(-span - 1, span + 2):
-        inflow = (variant.right_mult(s - 1) * counts.get(s - 1, 0)
-                  + variant.left_mult(s + 1) * counts.get(s + 1, 0))
-        outflow = (variant.left_mult(s) + variant.right_mult(s)) * counts.get(s, 0)
+        inflow = (variant.site_row(s - 1)[2] * counts.get(s - 1, 0)
+                  + variant.site_row(s + 1)[0] * counts.get(s + 1, 0))
+        outflow = (variant.site_row(s)[0] + variant.site_row(s)[2]) * counts.get(s, 0)
         assert (n if s == 0 else 0) + inflow - outflow == terminal.get(s, 0)
     return {s: c for s, c in counts.items() if c}
 
@@ -66,7 +67,7 @@ def test_canonical_labels_examples():
     assert cf.canonical_labels(exponential(1), 8) == (-4, -3, -2, -1, 1, 2, 3, 4)
     assert cf.canonical_labels(loops_and_edges(2), 6) == (-1, -1, 0, 0, 1, 1)
     assert cf.canonical_labels(loops_everywhere(), 5) == (-1, -1, 0, 1, 1)
-    assert cf.canonical_labels(base(), 7, preset="staircase") == tuple(range(-7, 0)) + tuple(range(1, 9))
+    assert cf.initial_values(base(), 7, "staircase") == {-1: tuple(range(-7, 0)), 0: tuple(range(1, 9))}
 
 
 def test_total_fires_examples():
@@ -225,3 +226,10 @@ def test_canonical_labels_match_per_kind_reference():
     assert len(pairs) == 392
     for variant, n in pairs:
         assert cf.canonical_labels(variant, n) == _per_kind_labels(variant, n), (variant, n)
+
+
+@pytest.mark.parametrize("owner", [cf.initial_values, standard_initial,
+                                   cf.expected_sorted_terminal], ids=lambda f: f.__name__)
+def test_unknown_preset_is_refused(owner):
+    with pytest.raises(cf.UnsupportedVariantError, match="unknown preset 'bogus'"):
+        owner(base(), 4, "bogus")

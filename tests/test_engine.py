@@ -230,7 +230,7 @@ def rebuild_apply(config, v, site, chosen):
     """The move applied the slow way: every site re-sorted by the constructor."""
     present = config.chips_at(site)
     fired = sorted((c for c in present if c.id in chosen), key=lambda c: (c.value, c.id))
-    left, loop, _ = v.split(site)
+    left, loop, _ = v.site_row(site)[:3]
     occ = dict(config.occupancy)
     occ[site] = tuple(c for c in present if c.id not in chosen) + tuple(fired[left:left + loop])
     occ[site - 1] = config.chips_at(site - 1) + tuple(fired[:left])

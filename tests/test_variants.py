@@ -1,5 +1,6 @@
 import pytest
 
+import variant_reference as ref
 from chipfire.variants import Variant, base, exponential, loops_and_edges, loops_everywhere, multi_edge, origin_loops
 
 
@@ -17,16 +18,16 @@ def brute_force_bundles(t, span=30):
 def test_base_multiplicities():
     v = base()
     for site in (-3, 0, 7):
-        assert v.split(site) == (1, 0, 1)
+        assert v.site_row(site)[:3] == (1, 0, 1)
         assert v.threshold(site) == 2
 
 
 def test_multi_edge_and_loops():
-    assert multi_edge(3).split(5) == (3, 0, 3)
-    assert origin_loops(2).split(0) == (1, 2, 1)
-    assert origin_loops(2).split(1) == (1, 0, 1)
+    assert multi_edge(3).site_row(5) == (3, 0, 3, 6)
+    assert origin_loops(2).site_row(0) == (1, 2, 1, 4)
+    assert origin_loops(2).site_row(1) == (1, 0, 1, 2)
     assert loops_everywhere().threshold(-4) == 3
-    assert loops_and_edges(2).split(1) == (2, 2, 2)
+    assert loops_and_edges(2).site_row(1) == (2, 2, 2, 6)
     assert loops_and_edges(2).threshold(0) == 6
 
 
@@ -35,8 +36,8 @@ def test_exponential_matches_bundle_enumeration(t):
     v = exponential(t)
     bundles = brute_force_bundles(t)
     for site in range(-10, 11):
-        assert v.left_mult(site) == bundles[site - 1]
-        assert v.right_mult(site) == bundles[site]
+        left, _, right, _ = v.site_row(site)
+        assert (left, right) == (bundles[site - 1], bundles[site])
         assert v.threshold(site) == bundles[site - 1] + bundles[site]
 
 
@@ -49,10 +50,8 @@ def test_threshold_at_least_two():
     for v in (base(), multi_edge(2), origin_loops(3), loops_everywhere(),
               loops_and_edges(2), exponential(2)):
         for site in range(-6, 7):
-            assert v.threshold(site) >= 2
-            assert v.left_mult(site) >= 1
-            assert v.right_mult(site) >= 1
-            assert v.loop_mult(site) >= 0
+            left, loop, right, threshold = v.site_row(site)
+            assert threshold >= 2 and left >= 1 and right >= 1 and loop >= 0
 
 
 def test_validation():
@@ -89,7 +88,6 @@ def test_parameter_the_kind_ignores_is_rejected(kind, param):
                                *(exponential(t) for t in range(4))], ids=str)
 def test_site_table_matches_formulas(v):
     for site in range(-40, 41):
-        left, loop, right = v.left_mult(site), v.loop_mult(site), v.right_mult(site)
-        assert v.split(site) == (left, loop, right)
+        left, loop, right = ref.left_mult(v, site), ref.loop_mult(v, site), ref.right_mult(v, site)
         assert v.threshold(site) == left + loop + right
         assert v.site_row(site) == (left, loop, right, left + loop + right)
