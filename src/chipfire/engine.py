@@ -238,6 +238,9 @@ class Trace:
         return dict(sorted(counts.items()))
 
     def header_json(self) -> dict:
+        """The trace's first JSON line.  Its ``n`` is the preset's parameter
+        when ``preset`` is set (a staircase with ``n`` 2 holds 5 chips) and
+        the chip count when ``preset`` is null."""
         return {
             "variant": self.variant.to_json(),
             "n": self.initial.total_chips() if self.n is None else self.n,

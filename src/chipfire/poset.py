@@ -100,8 +100,9 @@ class FireCountSpace:
         if chips is None:
             i = self._idx[site]
             lo = max(i - 1, 0)
+            column = self.flow[lo:i + 2, i + 1].astype(np.float64)
             chips = self._chips[site] = (
-                self.initial[i] + self.states[:, lo:i + 2] @ self.flow[lo:i + 2, i + 1])
+                self.initial[i] + (self.states[:, lo:i + 2] @ column).astype(np.int64))
             chips.setflags(write=False)
         return chips
 
@@ -177,6 +178,20 @@ def _expand(frontier: np.ndarray, keys: np.ndarray, rows: np.ndarray, cols: np.n
     return succ, child[first]
 
 
+def _check_bounds(totals: np.ndarray, flow: np.ndarray):
+    """Refuse a space the search cannot represent exactly: a fire count
+    above the int16 rows' maximum, or chip counts whose float64 product
+    ``F @ flow`` could pass 2**53, where doubles stop holding every integer."""
+    fires = np.iinfo(np.int16).max
+    if totals.max() > fires:
+        raise ChipFiringError(
+            f"a site fires {int(totals.max())} times, above the int16 bound {fires}")
+    worst = fires * int(np.abs(flow).sum(axis=0).max())
+    if worst >= 2 ** 53:
+        raise ChipFiringError(
+            f"chip counts up to {worst} pass the float64 exactness bound 2**53")
+
+
 def reachable_states(variant: Variant, n: int,
                      state_cap: int = DEFAULT_STATE_CAP) -> FireCountSpace:
     """Breadth-first closure of all fire-count vectors reachable from zero.
@@ -184,7 +199,8 @@ def reachable_states(variant: Variant, n: int,
     Each move raises the total fire count by one, so levels are graded and
     deduplication never needs to look across levels.  Raises CapExceededError
     (without partial results) when the cap is hit, and ChipFiringError if the
-    dynamics contradict the closed-form window or totals.
+    dynamics contradict the closed-form window or totals, or if a total or
+    a chip count would not fit the representation (see ``_check_bounds``).
     """
     table = closedform.fire_count_table(variant, n)
     sites = tuple(sorted(table))
@@ -203,6 +219,8 @@ def reachable_states(variant: Variant, n: int,
     for i, site in enumerate(sites):
         left, _, right, _ = variant.site_row(site)
         flow[i, i:i + 3] = left, -(left + right), right
+    _check_bounds(totals, flow)
+    flow_f = flow.astype(np.float64)
 
     place, word = _key_layout(totals)
     frontier = np.zeros((1, w), np.int16)
@@ -210,15 +228,18 @@ def reachable_states(variant: Variant, n: int,
     levels = [frontier]
     visited = 1
     while True:
-        chips = init_ext + frontier @ flow
-        if np.any(chips < 0):
-            raise ChipFiringError("negative chip count reached: corrupt state space")
+        chips = init_ext + (frontier @ flow_f).astype(np.int64)
         enabled = chips >= thresh_ext
-        if enabled[:, 0].any() or enabled[:, -1].any():
-            raise ChipFiringError("a site outside the closed-form window became enabled")
-        enabled = enabled[:, 1:-1]
-        if np.any(enabled & (frontier >= totals)):
+        # one test for three faults; a virtual site (total 0) is spent from the start
+        spent = np.ones_like(enabled)
+        spent[:, 1:-1] = frontier >= totals
+        if ((chips < 0) | (enabled & spent)).any():
+            if (chips < 0).any():
+                raise ChipFiringError("negative chip count reached: corrupt state space")
+            if enabled[:, [0, -1]].any():
+                raise ChipFiringError("a site outside the closed-form window became enabled")
             raise ChipFiringError("a site exceeded its closed-form total fire count")
+        enabled = enabled[:, 1:-1]
         # column by column: the frontier is sorted and one fire at one column
         # keeps that order, so the dedup sort merges W sorted runs
         cols, rows = np.nonzero(enabled.T)
@@ -268,10 +289,13 @@ def build_poset(space: FireCountSpace) -> FiringPoset:
     packed = space.done_bits
     before = np.array([~np.any(packed & ~row, axis=1) for row in packed], np.bool_).reshape(k, k)
     np.fill_diagonal(before, False)
-    b = before.astype(np.int32)
+    b = before.astype(np.float64)
     cover = before & (b @ b == 0)
-    relation = frozenset((nodes[i], nodes[j]) for i, j in zip(*np.nonzero(before)))
-    covers = frozenset((nodes[i], nodes[j]) for i, j in zip(*np.nonzero(cover)))
+
+    def pairs(mask):  # Python ints index and hash faster than NumPy scalars
+        i, j = np.nonzero(mask)
+        return frozenset((nodes[a], nodes[b]) for a, b in zip(i.tolist(), j.tolist()))
+    relation, covers = pairs(before), pairs(cover)
     return FiringPoset(space.variant, space.n, tuple(nodes), relation, covers)
 
 

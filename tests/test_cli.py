@@ -137,6 +137,20 @@ def test_counterexample_odd(tmp_path):
     assert len(lines) == 2  # header + the single move reaching an unsorted terminal
 
 
+def test_trace_header_n_is_preset_parameter_or_chip_count(tmp_path):
+    # a staircase's header n is its parameter, not its 2n+1 chips; a trace
+    # with no preset (the witness of the labeled search) records its chips
+    staircase, witness = tmp_path / "staircase.jsonl", tmp_path / "witness.jsonl"
+    assert main(["simulate", "--preset", "staircase", "--n", "2", "--trace", str(staircase)]) == 0
+    header = json.loads(staircase.read_text().splitlines()[0])
+    assert (header["preset"], header["n"]) == ("staircase", 2)
+    assert sum(map(len, header["initial"].values())) == 5
+    assert main(["counterexample", "--case", "odd", "--n", "3", "--trace", str(witness)]) == 0
+    header = json.loads(witness.read_text().splitlines()[0])
+    assert (header["preset"], header["n"]) == (None, 3)
+    assert sum(map(len, header["initial"].values())) == 3
+
+
 @pytest.mark.parametrize("flag,value", [("--variant", "loops"), ("--r", "2"), ("--s", "1"),
                                         ("--t", "1"), ("--preset", "staircase")])
 def test_counterexample_rejects_variant_and_preset(flag, value, capsys):

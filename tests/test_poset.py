@@ -251,7 +251,7 @@ def test_grid_check_json_report():
 
 REFERENCE_SPACES = [(base(), n) for n in range(2, 11)] + [
     (exponential(0), 4), (exponential(1), 8), (loops_everywhere(), 7), (loops_everywhere(), 11),
-    (multi_edge(2), 8), (origin_loops(2), 6)]
+    (multi_edge(2), 8), (origin_loops(2), 6), (exponential(3), 32)]
 
 
 @pytest.mark.parametrize("variant,n", REFERENCE_SPACES, ids=str)

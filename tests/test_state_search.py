@@ -71,6 +71,10 @@ ROW_PINS = {
     "exponential2-16": (exponential(2), 16, (93, 7), "f7bd00545c35903e56248126d479cc8f6fd6f3af"),
     "exponential3-32": (exponential(3), 32, (351, 9), "7e668e8cad8e85e47dd27c4970ba8e4752c0eda6"),
     "base-10": (base(), 10, (747, 9), "cc230fa4b7e5c5dc01c9b8a961c83c003a94e022"),
+    # the largest flow entries pinned (128 at the origin), recorded before
+    # chip counts were computed as float64 products
+    "exponential6-256": (exponential(6), 256, (19_737, 15),
+                         "be42c731b439882c6f3ddaf230cb48a132fbb026"),
 }
 
 
@@ -139,6 +143,24 @@ def test_negative_chips_are_detected(monkeypatch):
                         lambda variant, n: {s: 20 for s in range(-3, 4)})
     with pytest.raises(ChipFiringError, match="negative chip count"):
         reachable_states(_Leaky(), 2)
+
+
+def test_total_above_int16_is_refused(monkeypatch):
+    _patch_table(monkeypatch, lambda t: t.update({0: 40_000}))
+    with pytest.raises(ChipFiringError, match="above the int16 bound 32767"):
+        reachable_states(base(), 6)
+
+
+class _Heavy(Variant):
+    """Bundles so heavy that chip counts could pass float64's exact integers."""
+
+    def site_row(self, site):
+        return 2 ** 40, 0, 2 ** 40, 2 ** 41
+
+
+def test_chips_past_float64_exactness_are_refused():
+    with pytest.raises(ChipFiringError, match="exactness bound 2\\*\\*53"):
+        reachable_states(_Heavy(), 4)
 
 
 def test_premature_deadlock_is_detected(monkeypatch):
