@@ -1,10 +1,15 @@
 """Trace-level checkers: position bounds, counting bounds, sortedness.
 
-Every checker replays a complete trace and returns the full list of
-violations (empty on success).  A checker applies to ``(variant, n)`` when
-its ``SCOPES`` entry holds and, for all but conservation, the closed form
-gives its ``m`` (``_scope_m``); ``applicable_checkers`` lists the checkers
-that apply, and one applied outside its scope raises
+Every checker takes a complete trace and returns the full list of
+violations (empty on success).  Conservation replays the trace on its own
+and recounts every step: it is the independent oracle.  The five bound
+checkers are per-step observers of ``(before, MoveRecord, after)``;
+``check_bounds`` feeds any set of them from one replay, looking each move up
+once in one ``poset.diamond`` table, and each ``check_<name>`` is
+``check_bounds`` with that one name.  A checker applies to ``(variant, n)``
+when its ``SCOPES`` entry holds and, for all but conservation, the closed
+form gives its ``m`` (``_scope_m``); ``applicable_checkers`` lists the
+checkers that apply, and one applied outside its scope raises
 CheckerNotApplicableError, never passing silently.
 """
 
@@ -15,7 +20,7 @@ from math import ceil, floor
 from typing import Callable
 
 from . import closedform
-from .engine import ChipFiringError, LabeledConfiguration, Trace
+from .engine import ChipFiringError, LabeledConfiguration, MoveRecord, Trace
 from .poset import diamond
 from .variants import Variant
 
@@ -51,20 +56,16 @@ def _scope_m(name: str, variant: Variant, n: int) -> int | None:
     raise CheckerNotApplicableError(f"{name} does not apply to {variant} with n={n}")
 
 
-def applicable_checkers(variant: Variant, n: int) -> list[tuple[str, Callable]]:
-    """``(name, checker)``, checker taking a trace, for each checker that
-    applies (``_scope_m``), in ``SCOPES`` order.
-
-    Each checker is looked up as this module's ``check_<name>`` at call
-    time, so a wrapper put on that attribute (a tracing span, say) is what
-    runs."""
+def applicable_checkers(variant: Variant, n: int) -> list[str]:
+    """The names of the checkers that apply (``_scope_m``), in ``SCOPES``
+    order: ``conservation`` first, then those ``check_bounds`` takes."""
     out = []
     for name in SCOPES:
         try:
             _scope_m(name, variant, n)
         except CheckerNotApplicableError:
             continue
-        out.append((name, globals()[f"check_{name}"]))
+        out.append(name)
     return out
 
 
@@ -122,6 +123,229 @@ def check_conservation(trace: Trace) -> list[BoundViolation]:
     return out
 
 
+# --- bound checkers: per-step observers fed by one replay --------------------
+
+class _Observer:
+    """One bound checker, built from the trace and its ``m`` (scanning the
+    initial configuration as step -1 where its bound covers it), shown each
+    move as ``step(before, rec, after, xy)``, and returning its violations
+    from ``finish()``.  ``xy`` is the move's diamond coordinates; an
+    observer with ``diamond_only`` set sees the diamond moves only, the
+    others every move with ``xy`` None."""
+
+    diamond_only = False
+
+    def __init__(self, trace: Trace, m: int | None):
+        self.m = m
+        self.out: list[BoundViolation] = []
+
+    def step(self, before: LabeledConfiguration, rec: MoveRecord,
+             after: LabeledConfiguration, xy: tuple[int, int] | None):
+        raise NotImplementedError
+
+    def finish(self) -> list[BoundViolation]:
+        return self.out
+
+
+class _ChipBounds(_Observer):
+    def __init__(self, trace: Trace, m: int):
+        super().__init__(trace, m)
+        self.outstanding = self._scan(trace.initial, -1)
+
+    def _breaks(self, site: int, chips) -> bool:
+        m = self.m
+        for chip in chips:
+            k = chip.value
+            if (k < 0 and site > k + m) or (k > 0 and site < k - m):
+                return True
+        return False
+
+    def _scan(self, config: LabeledConfiguration, step: int) -> bool:
+        """Append every violation in ``config``; True if there was one."""
+        m, out = self.m, self.out
+        found = len(out)
+        for site, chip in config.chips():
+            if chip.value < 0 and site > chip.value + m:
+                out.append(BoundViolation(step, chip.id, chip.value, site,
+                                          "chip_bounds", chip.value + m))
+            elif chip.value > 0 and site < chip.value - m:
+                out.append(BoundViolation(step, chip.id, chip.value, site,
+                                          "chip_bounds", chip.value - m))
+        return len(out) > found
+
+    def step(self, before, rec, after, xy):
+        occupancy, s, breaks = after.occupancy, rec.site, self._breaks
+        if (self.outstanding or breaks(s - 1, occupancy.get(s - 1, ()))
+                or breaks(s, occupancy.get(s, ())) or breaks(s + 1, occupancy.get(s + 1, ()))):
+            self.outstanding = self._scan(after, rec.step)
+
+
+class _LoopBounds(_Observer):
+    def __init__(self, trace: Trace, m: int):
+        super().__init__(trace, m)
+        # extreme-occupancy clauses in report order, (value, site, sign): a
+        # chip counts toward one when sign*value >= sign*value_c and
+        # sign*site <= sign*site_c
+        self.clauses = []
+        for k in range(1, m + 1):
+            if (k + m) % 2:
+                self.clauses += [(k, floor((k - m) / 2), 1), (-k, ceil((m - k) / 2), -1)]
+        # chip value -> (lo, hi, ((clause index, sign, sign*site_c), ...))
+        self.table = {}
+        for _, chip in trace.initial.chips():
+            k = chip.value
+            if k > 0:
+                lo, hi = floor((k - m) / 2), floor((k + m) / 2)
+            elif k < 0:
+                lo, hi = ceil((k - m) / 2), ceil((k + m) / 2)
+            else:
+                lo, hi = ceil(-m / 2), floor(m / 2)
+            self.table[k] = (lo, hi, tuple((i, sign, sign * site)
+                                           for i, (value, site, sign) in enumerate(self.clauses)
+                                           if sign * k >= sign * value))
+        self._scan(trace.initial, -1)
+
+    def _scan(self, config: LabeledConfiguration, step: int):
+        """One walk over ``config``: position violations in chip order, then
+        the extreme-occupancy clauses that hold more than one chip."""
+        table, out = self.table, self.out
+        counts = [0] * len(self.clauses)
+        for site, chips in sorted(config.occupancy.items()):
+            for chip in chips:
+                lo, hi, clauses = table[chip.value]
+                if site < lo or site > hi:
+                    out.append(BoundViolation(step, chip.id, chip.value, site,
+                                              "loop_bounds", lo if site < lo else hi))
+                for i, sign, edge in clauses:
+                    if sign * site <= edge:
+                        counts[i] += 1
+        for count, (value, site, _) in zip(counts, self.clauses):
+            if count > 1:
+                out.append(BoundViolation(step, None, value, site, "loop_bounds_extremes", 1))
+
+    def step(self, before, rec, after, xy):
+        self._scan(after, rec.step)
+
+
+class _DiamondMoveBounds(_Observer):
+    diamond_only = True
+
+    def __init__(self, trace: Trace, m: int):
+        super().__init__(trace, m)
+        self.by_value = {chip.value: chip for _, chip in trace.initial.chips()}
+
+    def step(self, before, rec, after, xy):
+        x, y = xy
+        # side -1: at or left of the firing site; side 1: at or right of it
+        for value, side in ((-(y + 1), -1), (x + 1, 1)):
+            chip = self.by_value.get(value)
+            if chip is None:
+                raise CheckerNotApplicableError(
+                    f"diamond_move_bounds needs a chip valued {value}; the trace has none")
+            site = next(s for s, chips in before.occupancy.items() if chip in chips)
+            if side * (site - rec.site) < 0:
+                self.out.append(BoundViolation(rec.step, chip.id, value, site,
+                                               "diamond_move_bounds", rec.site))
+
+
+class _DiamondCountBounds(_Observer):
+    diamond_only = True
+
+    def step(self, before, rec, after, xy):
+        m, k = self.m, rec.site
+        j = m - max(xy)
+        # side -1 counts below and left of k <= 0, side 1 above and right of k >= 0
+        for side in (-1, 1):
+            if side * k >= 0:
+                have = sum(1 for site, chips in after.occupancy.items() if side * site > side * k
+                           for chip in chips if side * chip.value > side * k)
+                need = j - side * k + m - 1
+                if have < need:
+                    self.out.append(BoundViolation(rec.step, None, None, k,
+                                                   "diamond_count_bounds", need))
+
+
+class _DiamondConfigBounds(_Observer):
+    """Builds the diamond configuration (``diamond_configuration``) and
+    checks its counting bound when finished."""
+
+    diamond_only = True
+
+    def __init__(self, trace: Trace, m: int | None):
+        super().__init__(trace, m)
+        self.n = trace.initial.total_chips()
+        self.assignment: dict[int, tuple[int, int, int]] = {}
+
+    def step(self, before, rec, after, xy):
+        assignment = self.assignment
+        for chip in before.occupancy[rec.site]:
+            if chip.id not in assignment:
+                assignment[chip.id] = (chip.value, rec.site, rec.fire_index_at_site)
+
+    def configuration(self) -> dict[int, tuple[int, int, int]]:
+        if len(self.assignment) != self.n:
+            raise CheckerNotApplicableError(
+                f"only {len(self.assignment)} of {self.n} chips attended a diamond move")
+        return self.assignment
+
+    def finish(self) -> list[BoundViolation]:
+        m, out = self.m, self.out
+        entries = list(self.configuration().values())
+        for k in range(-m - 1, 1):
+            for l in range(0, k + m):
+                limit = k + m - l - 1
+                for side in (1, -1):  # 1: below k, right of l; -1: mirrored
+                    if sum(1 for value, site, _ in entries
+                           if side * value < k and side * site > l) > limit:
+                        out.append(BoundViolation(-1, None, side * k, side * l,
+                                                  "diamond_config_bounds", limit))
+        return out
+
+
+# bound checker name -> its observer, in SCOPES order
+_OBSERVERS = {
+    "chip_bounds": _ChipBounds,
+    "diamond_move_bounds": _DiamondMoveBounds,
+    "loop_bounds": _LoopBounds,
+    "diamond_count_bounds": _DiamondCountBounds,
+    "diamond_config_bounds": _DiamondConfigBounds,
+}
+
+
+def _observe(trace: Trace, observers: list[_Observer]):
+    """Show every move of one replay of ``trace`` to ``observers``, each
+    move looked up once in the diamond table when one of them needs it."""
+    every = [obs.step for obs in observers if not obs.diamond_only]
+    on_diamond = [obs.step for obs in observers if obs.diamond_only]
+    final = diamond(trace.variant, trace.initial.total_chips()) if on_diamond else {}
+    for before, rec, after in trace.replay(verify=False):
+        for step in every:
+            step(before, rec, after, None)
+        if on_diamond:
+            xy = final.get((rec.site, rec.fire_index_at_site))
+            if xy is not None:
+                for step in on_diamond:
+                    step(before, rec, after, xy)
+
+
+def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
+    """``{name: violations}`` of the bound checkers ``names`` (any of
+    ``SCOPES`` but conservation), all fed from one replay of ``trace``.
+
+    CheckerNotApplicableError if any of them refuses: outside its scope
+    before the replay, or where the trace lacks what its bound needs.
+    """
+    n = trace.initial.total_chips()
+    observers = {}
+    for name in names:
+        if name not in _OBSERVERS:
+            raise ValueError(f"{name!r} is not a bound checker")
+        observers[name] = _OBSERVERS[name](trace, _scope_m(name, trace.variant, n))
+    if observers:
+        _observe(trace, list(observers.values()))
+    return {name: obs.finish() for name, obs in observers.items()}
+
+
 def check_chip_bounds(trace: Trace) -> list[BoundViolation]:
     """Per-step position bounds on the line without loops.
 
@@ -134,36 +358,7 @@ def check_chip_bounds(trace: Trace) -> list[BoundViolation]:
     a violating one, or one where those chips break a bound, is scanned in
     full.
     """
-    m = _scope_m("chip_bounds", trace.variant, trace.initial.total_chips())
-    out = []
-
-    def breaks(site, chips):
-        for chip in chips:
-            k = chip.value
-            if (k < 0 and site > k + m) or (k > 0 and site < k - m):
-                return True
-        return False
-
-    def scan(config, step):
-        """Append every violation in ``config``; True if there was one."""
-        found = len(out)
-        for site, chip in config.chips():
-            if chip.value < 0 and site > chip.value + m:
-                out.append(BoundViolation(step, chip.id, chip.value, site,
-                                          "chip_bounds", chip.value + m))
-            elif chip.value > 0 and site < chip.value - m:
-                out.append(BoundViolation(step, chip.id, chip.value, site,
-                                          "chip_bounds", chip.value - m))
-        return len(out) > found
-
-    outstanding = scan(trace.initial, -1)
-    for _, rec, after in trace.replay(verify=False):
-        occupancy = after.occupancy
-        s = rec.site
-        if (outstanding or breaks(s - 1, occupancy.get(s - 1, ()))
-                or breaks(s, occupancy.get(s, ())) or breaks(s + 1, occupancy.get(s + 1, ()))):
-            outstanding = scan(after, rec.step)
-    return out
+    return check_bounds(trace, ["chip_bounds"])["chip_bounds"]
 
 
 def check_loop_bounds(trace: Trace) -> list[BoundViolation]:
@@ -179,52 +374,11 @@ def check_loop_bounds(trace: Trace) -> list[BoundViolation]:
     left of floor((k-m)/2) at any time (mirrored for values <= -k).  When
     k+m is even that slot holds two chips and two may sit there; verified
     exhaustively over all reachable states at n = 7 and n = 11.
+
+    Each value's limits and clauses are worked out once per trace, and each
+    configuration is walked once.
     """
-    m = _scope_m("loop_bounds", trace.variant, trace.initial.total_chips())
-    out = []
-
-    def limits(k: int) -> tuple[int, int]:
-        if k > 0:
-            return floor((k - m) / 2), floor((k + m) / 2)
-        if k < 0:
-            return ceil((k - m) / 2), ceil((k + m) / 2)
-        return ceil(-m / 2), floor(m / 2)
-
-    def scan(config, step):
-        chips = [(chip.value, site) for site, chip in config.chips()]
-        for site, chip in config.chips():
-            lo, hi = limits(chip.value)
-            if site < lo or site > hi:
-                out.append(BoundViolation(step, chip.id, chip.value, site,
-                                          "loop_bounds", lo if site < lo else hi))
-        for k in range(1, m + 1):
-            if (k + m) % 2 == 0:
-                continue
-            low_extreme = floor((k - m) / 2)
-            cnt = sum(1 for value, site in chips if value >= k and site <= low_extreme)
-            if cnt > 1:
-                out.append(BoundViolation(step, None, k, low_extreme,
-                                          "loop_bounds_extremes", 1))
-            high_extreme = ceil((m - k) / 2)
-            cnt = sum(1 for value, site in chips if value <= -k and site >= high_extreme)
-            if cnt > 1:
-                out.append(BoundViolation(step, None, -k, high_extreme,
-                                          "loop_bounds_extremes", 1))
-
-    scan(trace.initial, -1)
-    for _, rec, after in trace.replay(verify=False):
-        scan(after, rec.step)
-    return out
-
-
-def _diamond_moves(trace: Trace):
-    """``(before, rec, after, (x, y))`` for each of the trace's moves in the
-    diamond of final moves (``poset.diamond``)."""
-    final = diamond(trace.variant, trace.initial.total_chips())
-    for before, rec, after in trace.replay(verify=False):
-        xy = final.get((rec.site, rec.fire_index_at_site))
-        if xy is not None:
-            yield before, rec, after, xy
+    return check_bounds(trace, ["loop_bounds"])["loop_bounds"]
 
 
 def check_diamond_move_bounds(trace: Trace) -> list[BoundViolation]:
@@ -235,21 +389,7 @@ def check_diamond_move_bounds(trace: Trace) -> list[BoundViolation]:
     valued x+1 at or right of s.  A trace with no chip of a value it needs
     raises CheckerNotApplicableError.
     """
-    _scope_m("diamond_move_bounds", trace.variant, trace.initial.total_chips())
-    by_value = {chip.value: chip for _, chip in trace.initial.chips()}
-    out = []
-    for before, rec, _, (x, y) in _diamond_moves(trace):
-        # side -1: at or left of the firing site; side 1: at or right of it
-        for value, side in ((-(y + 1), -1), (x + 1, 1)):
-            if value not in by_value:
-                raise CheckerNotApplicableError(
-                    f"diamond_move_bounds needs a chip valued {value}; the trace has none")
-            chip = by_value[value]
-            site = next(s for s, chips in before.occupancy.items() if chip in chips)
-            if side * (site - rec.site) < 0:
-                out.append(BoundViolation(rec.step, chip.id, value, site,
-                                          "diamond_move_bounds", rec.site))
-    return out
+    return check_bounds(trace, ["diamond_move_bounds"])["diamond_move_bounds"]
 
 
 def check_diamond_count_bounds(trace: Trace) -> list[BoundViolation]:
@@ -258,22 +398,7 @@ def check_diamond_count_bounds(trace: Trace) -> list[BoundViolation]:
     After the j-th diamond move at site k <= 0 there are at least j+k+m-1
     chips valued below k at positions left of k; mirrored for k >= 0.
     """
-    m = _scope_m("diamond_count_bounds", trace.variant, trace.initial.total_chips())
-    out = []
-    for _, rec, after, xy in _diamond_moves(trace):
-        k = rec.site
-        j = m - max(xy)
-        chips = list(after.chips())
-        # side -1 counts below and left of k <= 0, side 1 above and right of k >= 0
-        for side in (-1, 1):
-            if side * k >= 0:
-                have = sum(1 for site, chip in chips
-                           if side * chip.value > side * k and side * site > side * k)
-                need = j - side * k + m - 1
-                if have < need:
-                    out.append(BoundViolation(rec.step, None, None, k,
-                                              "diamond_count_bounds", need))
-    return out
+    return check_bounds(trace, ["diamond_count_bounds"])["diamond_count_bounds"]
 
 
 def diamond_configuration(trace: Trace) -> dict[int, tuple[int, int, int]]:
@@ -283,16 +408,9 @@ def diamond_configuration(trace: Trace) -> dict[int, tuple[int, int, int]]:
     Present means sitting at the firing site when the move executes, chosen
     or not.  CheckerNotApplicableError if some chip never attends one.
     """
-    n = trace.initial.total_chips()
-    assignment: dict[int, tuple[int, int, int]] = {}
-    for before, rec, _, _ in _diamond_moves(trace):
-        for chip in before.chips_at(rec.site):
-            if chip.id not in assignment:
-                assignment[chip.id] = (chip.value, rec.site, rec.fire_index_at_site)
-    if len(assignment) != n:
-        raise CheckerNotApplicableError(
-            f"only {len(assignment)} of {n} chips attended a diamond move")
-    return assignment
+    observer = _DiamondConfigBounds(trace, None)
+    _observe(trace, [observer])
+    return observer.configuration()
 
 
 def check_diamond_config_bounds(trace: Trace) -> list[BoundViolation]:
@@ -301,15 +419,4 @@ def check_diamond_config_bounds(trace: Trace) -> list[BoundViolation]:
     For k in [-m-1, 0] and l in [0, k+m-1]: at most k+m-l-1 chips valued
     below k are assigned to sites right of l; mirrored on the positive side.
     """
-    m = _scope_m("diamond_config_bounds", trace.variant, trace.initial.total_chips())
-    entries = list(diamond_configuration(trace).values())
-    out = []
-    for k in range(-m - 1, 1):
-        for l in range(0, k + m):
-            limit = k + m - l - 1
-            for side in (1, -1):  # 1: below k, right of l; -1: mirrored
-                if sum(1 for value, site, _ in entries
-                       if side * value < k and side * site > l) > limit:
-                    out.append(BoundViolation(-1, None, side * k, side * l,
-                                              "diamond_config_bounds", limit))
-    return out
+    return check_bounds(trace, ["diamond_config_bounds"])["diamond_config_bounds"]

@@ -56,13 +56,18 @@ def _build_variant(args) -> tuple[Variant, int]:
 
 
 def _check_outputs(args):
-    """A ``--report``, ``--trace`` or ``--dot`` path that cannot be written is
-    a usage error, found before any work.  The check leaves each path as it
-    was; a command opens its outputs only once its work is done, so one that
-    exits 2 or 3 leaves them untouched."""
+    """A ``--report``, ``--trace`` or ``--dot`` path that cannot be written,
+    or two of them naming one file, is a usage error, found before any work.
+    The check leaves each path as it was; a command opens its outputs only
+    once its work is done, so one that exits 2 or 3 leaves them untouched."""
+    named: dict[str, str] = {}
     for flag in ("report", "trace", "dot"):
         path = getattr(args, flag, None)
         if path:
+            real = os.path.realpath(path)
+            if real in named:
+                raise UsageError(f"--{named[real]} and --{flag} both name {path}")
+            named[real] = flag
             existed = os.path.lexists(path)
             try:
                 open(path, "a").close()
@@ -110,7 +115,7 @@ def cmd_verify(args) -> int:
         labeled_oracle = closedform.expected_sorted_terminal(variant, n)
     except closedform.NoSortingTheoremError:
         labeled_oracle = None
-    checkers = analysis.applicable_checkers(variant, n)
+    checkers = analysis.applicable_checkers(variant, n)  # conservation first
     runs = []
     ok = True
     for i in range(args.runs):
@@ -131,8 +136,11 @@ def cmd_verify(args) -> int:
         }
         if labeled_oracle is not None:
             detail["terminal_labeled_ok"] = final.values_by_site() == labeled_oracle
-        for name, checker in checkers:
-            detail["violations"][name] = len(checker(trace))
+        # conservation replays on its own as the independent oracle; the
+        # bound checkers share one more replay
+        detail["violations"]["conservation"] = len(analysis.check_conservation(trace))
+        for name, found in analysis.check_bounds(trace, checkers[1:]).items():
+            detail["violations"][name] = len(found)
         run_ok = (detail["fires_ok"] and detail["terminal_unlabeled_ok"]
                   and detail.get("terminal_labeled_ok", True)
                   and all(c == 0 for c in detail["violations"].values()))

@@ -130,12 +130,11 @@ class LabeledConfiguration:
         if len(chosen_set) != len(chosen) or len(chosen) != th:
             raise IllegalMoveError(f"move at site {site} must choose {th} distinct chips, got {chosen}")
         # present is in (value, id) order, so both parts come out in that order
-        fired, stay = [], []
-        for c in present:
-            (fired if c.id in chosen_set else stay).append(c)
+        fired = [c for c in present if c.id in chosen_set]
         if len(fired) != th:
             ids = {c.id for c in present}
             raise IllegalMoveError(f"chips {[i for i in chosen if i not in ids]} absent from site {site}")
+        stay = [c for c in present if c.id not in chosen_set]
         for c in fired[left:left + loop]:
             insort(stay, c, key=_chip_key)
         occ = occupancy.copy()
@@ -145,10 +144,14 @@ class LabeledConfiguration:
             del occ[site]
         for dest, moved in ((site - 1, fired[:left]), (site + 1, fired[left + loop:])):
             if moved:
-                chips = list(occupancy.get(dest, ()))
-                for c in moved:
-                    insort(chips, c, key=_chip_key)
-                occ[dest] = tuple(chips)
+                chips = occupancy.get(dest)
+                if chips:
+                    chips = list(chips)
+                    for c in moved:
+                        insort(chips, c, key=_chip_key)
+                    occ[dest] = tuple(chips)
+                else:  # a slice of ``fired``, already in order
+                    occ[dest] = tuple(moved)
         child = LabeledConfiguration.__new__(LabeledConfiguration)
         child.occupancy = occ
         return child
@@ -252,9 +255,14 @@ class Trace:
         }
 
     def write_jsonl(self, fp: IO[str]):
+        """The header line, then one line per move, each written as it is
+        formatted.  A move's line is ``json.dumps(rec.to_json())``, spelled
+        out: a list of ints prints as a JSON array."""
         fp.write(json.dumps(self.header_json()) + "\n")
-        for rec in self.records:
-            fp.write(json.dumps(rec.to_json()) + "\n")
+        for step, site, ids, values, present, fire_index in self.records:
+            fp.write(f'{{"step": {step}, "site": {site}, "chosen_values": {list(values)}, '
+                     f'"chosen_ids": {list(ids)}, "present_before": {present}, '
+                     f'"fire_index_at_site": {fire_index}}}\n')
 
     @classmethod
     def read_jsonl(cls, fp: IO[str]) -> "Trace":
@@ -280,25 +288,28 @@ class Trace:
         initial = config = LabeledConfiguration.from_values(values_by_site)
         records = []
         fires: dict[int, int] = {}
+
+        def where():  # the current line's location, formatted only for an error
+            return f"line {lineno}, step {d.get('step', len(records))}"
+
         for lineno, line in enumerate(fp, 2):
             if not line.strip():
                 continue
             d = _json_object(line, lineno)
-            where = f"line {lineno}, step {d.get('step', len(records))}"
             try:
                 step, site, values = d["step"], d["site"], d["chosen_values"]
             except KeyError as exc:
-                raise ChipFiringError(f"{where}: move record lacks {exc}") from exc
-            if not (_int_list([step, site]) and _int_list(values)):
+                raise ChipFiringError(f"{where()}: move record lacks {exc}") from exc
+            if not (type(step) is int and type(site) is int and _int_list(values)):
                 raise ChipFiringError(
-                    f"{where}: step, site and chosen_values must be JSON integers")
+                    f"{where()}: step, site and chosen_values must be JSON integers")
             if step != len(records):
-                raise ChipFiringError(f"{where}: expected step {len(records)}")
+                raise ChipFiringError(f"{where()}: expected step {len(records)}")
             try:
                 rec, config = _fire(config, variant, step, site,
                                     _ids_for_values(config, site, values), fires)
             except IllegalMoveError as exc:
-                raise IllegalMoveError(f"{where}: {exc}") from exc
+                raise IllegalMoveError(f"{where()}: {exc}") from exc
             records.append(rec)
         return cls(variant=variant, initial=initial, records=records,
                    strategy=header.get("strategy", "scripted"), seed=header.get("seed", 0),
@@ -334,17 +345,19 @@ def _json_object(line: str, lineno: int) -> dict:
 
 
 def _ids_for_values(config: LabeledConfiguration, site: int, values: Iterable[int]) -> tuple[int, ...]:
-    """Pick chip ids at ``site`` matching the value multiset, lowest ids first."""
-    pool: dict[int, list[int]] = {}
-    for chip in config.chips_at(site):
-        pool.setdefault(chip.value, []).append(chip.id)
-    for ids in pool.values():
-        ids.sort(reverse=True)
+    """Pick chip ids at ``site`` matching the value multiset, lowest ids first.
+
+    The site's chips are in (value, id) order, so one walk beside the sorted
+    values binds each value to the lowest free ids holding it."""
+    wanted = sorted(values)
     chosen = []
-    for value in sorted(values):
-        if value not in pool or not pool[value]:
-            raise IllegalMoveError(f"no chip valued {value} available at site {site}")
-        chosen.append(pool[value].pop())
+    for chip in config.chips_at(site):
+        if len(chosen) == len(wanted) or chip.value > wanted[len(chosen)]:
+            break
+        if chip.value == wanted[len(chosen)]:
+            chosen.append(chip.id)
+    if len(chosen) < len(wanted):
+        raise IllegalMoveError(f"no chip valued {wanted[len(chosen)]} available at site {site}")
     return tuple(sorted(chosen))
 
 
@@ -381,9 +394,9 @@ class RandomStrategy(Strategy):
         site = enabled[int(rng.integers(len(enabled)))]
         ids = sorted([c.id for c in config.chips_at(site)])
         # rng.choice(ids, ...) draws these same indices and returns ids[indices]
-        picked = rng.choice(len(ids), size=variant.threshold(site), replace=False)
+        picked = rng.choice(len(ids), size=variant.threshold(site), replace=False).tolist()
         picked.sort()
-        return site, tuple([ids[i] for i in picked.tolist()])
+        return site, tuple([ids[i] for i in picked])
 
 
 class ScriptedValuesStrategy(Strategy):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipfire import analysis
 from chipfire.analysis import (CheckerNotApplicableError, check_chip_bounds,
@@ -275,14 +277,57 @@ def test_applicable_checkers_are_those_that_do_not_refuse(variant):
             except CheckerNotApplicableError:
                 continue
             runs.append(name)
-        assert [name for name, _ in analysis.applicable_checkers(variant, n)] == runs, n
+        assert analysis.applicable_checkers(variant, n) == runs, n
     assert covered
+
+
+def _covered(variant, n) -> bool:
+    try:
+        closedform.fire_count_table(variant, n)
+    except closedform.UnsupportedVariantError:
+        return False
+    return True
+
+
+# every (variant, n) the closed forms cover, n = 1..12, for all six kinds
+COVERED = [(variant, n) for variant in SCOPE_VARIANTS for n in range(1, 13)
+           if _covered(variant, n)]
+
+
+@given(st.sampled_from(COVERED), st.integers(0, 10_000), st.sampled_from(["random", "leftmost"]))
+@settings(max_examples=80, deadline=None)
+def test_shared_pass_matches_each_checker_on_origin_runs(case, seed, strategy):
+    """One ``check_bounds`` pass over the checkers that apply gives each
+    one's own result; adding one that refuses makes the pass refuse."""
+    variant, n = case
+    trace = run_to_completion(standard_initial(variant, n), variant,
+                              RandomStrategy() if strategy == "random" else LeftmostStrategy(),
+                              seed=seed)
+    single = {}
+    for name, checker in ALL_CHECKERS[1:]:
+        try:
+            single[name] = checker(trace)
+        except CheckerNotApplicableError:
+            single[name] = None
+    names = [name for name, found in single.items() if found is not None]
+    assert names == analysis.applicable_checkers(variant, n)[1:]
+    assert analysis.check_bounds(trace, names) == {name: single[name] for name in names}
+    if len(names) < len(single):
+        with pytest.raises(CheckerNotApplicableError):
+            analysis.check_bounds(trace, list(single))
+
+
+def test_check_bounds_takes_bound_checkers_only():
+    trace = _run(base(), 4, 0)
+    assert analysis.check_bounds(trace, []) == {}
+    with pytest.raises(ValueError, match="'conservation' is not a bound checker"):
+        analysis.check_bounds(trace, ["conservation"])
 
 
 def test_checker_without_closed_form_m_does_not_apply():
     # chip_bounds' scope holds for multi_edge(2), but its m needs n divisible by 4
     variant = multi_edge(2)
-    assert [name for name, _ in analysis.applicable_checkers(variant, 6)] == ["conservation"]
+    assert analysis.applicable_checkers(variant, 6) == ["conservation"]
     initial = LabeledConfiguration.from_values({0: [-2, -1, -1, 1, 1, 2]})
     trace = run_to_completion(initial, variant, RandomStrategy(), seed=0)
     with pytest.raises(CheckerNotApplicableError):

@@ -89,19 +89,23 @@ def _initial(variant, n, name, seed) -> LabeledConfiguration:
     return LabeledConfiguration.from_values(by_site)
 
 
-def _outcomes():
+def _traces():
+    """(case, seed) -> the run from ``_initial``, in CASES and SEEDS order."""
+    return {(case, seed): run_to_completion(_initial(variant, n, case, seed), variant,
+                                            RandomStrategy(), seed=seed, move_cap=10 ** 5)
+            for case, (variant, n) in CASES.items() for seed in SEEDS}
+
+
+def _outcomes(traces):
     """checker -> [(case, seed, violation list or refusal text)]."""
     out = {name: [] for name in CHECKERS}
-    for case, (variant, n) in CASES.items():
-        for seed in SEEDS:
-            trace = run_to_completion(_initial(variant, n, case, seed), variant,
-                                      RandomStrategy(), seed=seed, move_cap=10 ** 5)
-            for name, checker in CHECKERS.items():
-                try:
-                    result = violations_to_json(checker(trace))
-                except ChipFiringError as exc:
-                    result = f"{type(exc).__name__}: {exc}"
-                out[name].append((case, seed, result))
+    for (case, seed), trace in traces.items():
+        for name, checker in CHECKERS.items():
+            try:
+                result = violations_to_json(checker(trace))
+            except ChipFiringError as exc:
+                result = f"{type(exc).__name__}: {exc}"
+            out[name].append((case, seed, result))
     return out
 
 
@@ -110,8 +114,13 @@ def _sha1(items) -> str:
 
 
 @pytest.fixture(scope="module")
-def outcomes():
-    return _outcomes()
+def traces():
+    return _traces()
+
+
+@pytest.fixture(scope="module")
+def outcomes(traces):
+    return _outcomes(traces)
 
 
 @pytest.mark.parametrize("name", list(CHECKERS))
@@ -136,6 +145,29 @@ def test_out_of_scope_checkers_refuse(outcomes):
             if not analysis.SCOPES[name](variant, n):
                 assert isinstance(result, str) and result.startswith(
                     "CheckerNotApplicableError: "), (name, case, result)
+
+
+def test_shared_pass_matches_each_checker(traces, outcomes):
+    """``check_bounds`` over the bound checkers in a trace's scope gives each
+    checker's own violation list when none of them refuses, and refuses when
+    one does."""
+    bounds = [name for name in CHECKERS if name != "conservation"]
+    single = {(case, seed, name): result
+              for name in bounds for case, seed, result in outcomes[name]}
+    compared = refused = 0
+    for (case, seed), trace in traces.items():
+        variant, n = CASES[case]
+        names = [name for name in bounds if analysis.SCOPES[name](variant, n)]
+        if any(isinstance(single[case, seed, name], str) for name in names):
+            with pytest.raises(analysis.CheckerNotApplicableError):
+                analysis.check_bounds(trace, names)
+            refused += 1
+        else:
+            shared = analysis.check_bounds(trace, names)
+            assert {name: violations_to_json(found) for name, found in shared.items()} == {
+                name: single[case, seed, name] for name in names}, (case, seed)
+            compared += 1
+    assert compared and refused
 
 
 _REAL_APPLY = LabeledConfiguration.apply

@@ -294,6 +294,39 @@ def test_unwritable_output_path_is_usage_error(argv, flag, where, tmp_path, caps
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (["simulate", "--n", "4"], ("--trace", "--report")),
+    (["counterexample", "--case", "odd", "--n", "3"], ("--trace", "--report")),
+    (["counterexample", "--case", "loops-1mod4", "--n", "5"], ("--report", "--trace")),
+    (["poset", "--n", "4"], ("--report", "--dot"))])
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+def test_two_outputs_naming_one_file_is_usage_error(argv, flags, spelling, tmp_path, capsys,
+                                                   monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the outputs were checked")
+
+    for owner, name in [(cli, "run_to_completion"), (explorer, "find_unsorted_terminal"),
+                        (explorer, "adversarial_1mod4"), (poset, "reachable_states")]:
+        monkeypatch.setattr(owner, name, refuse)
+    first = tmp_path / "out"
+    first.write_text("kept\n")
+    if spelling == "same":
+        second = first
+    elif spelling == "dotted":
+        second = tmp_path / "." / "out"
+    else:
+        second = tmp_path / "link"
+        second.symlink_to(first)
+    assert main(argv + [flags[0], str(first), flags[1], str(second)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the flags are checked as --report, --trace, --dot; the later one's path is named
+    path = dict(zip(flags, (first, second)))
+    early, late = sorted(flags, key=["--report", "--trace", "--dot"].index)
+    assert captured.err == f"error: {early} and {late} both name {path[late]}\n"
+    assert first.read_text() == "kept\n"
+
+
 def test_simulate_rejects_state_cap(capsys):
     assert _usage_exit(["simulate", "--n", "4", "--state-cap", "10"]) == 2
     assert "--state-cap" in capsys.readouterr().err

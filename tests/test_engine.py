@@ -511,6 +511,32 @@ def test_read_trace_keeps_its_final_configuration(case, monkeypatch):
     assert final.values_by_site() == original.final_config().values_by_site()
 
 
+@given(st.sampled_from(ROUND_TRIP_CASES), st.integers(0, 10_000),
+       st.sampled_from([RandomStrategy, LeftmostStrategy]))
+@settings(max_examples=60, deadline=None)
+def test_trace_lines_are_the_records_json(case, seed, strategy):
+    """Every line ``write_jsonl`` formats is ``json.dumps`` of the header or
+    record, and reading them back gives the same run: the same records
+    (chip ids too, where no two chips share a value) and final configuration."""
+    v, n = case
+    original = run_to_completion(standard_initial(v, n), v, strategy(), seed=seed,
+                                 n=n, preset="origin")
+    buf = io.StringIO()
+    original.write_jsonl(buf)
+    text = buf.getvalue()
+    assert text.splitlines() == [json.dumps(original.header_json())] + [
+        json.dumps(rec.to_json()) for rec in original.records]
+    assert text.endswith("\n")
+    trace = engine.Trace.read_jsonl(io.StringIO(text))
+    values = [chip.value for _, chip in original.initial.chips()]
+    if len(set(values)) == len(values):
+        assert trace.records == original.records
+        assert trace.final_config() == original.final_config()
+    assert [rec._replace(chosen_ids=()) for rec in trace.records] == [
+        rec._replace(chosen_ids=()) for rec in original.records]
+    assert trace.final_config().values_by_site() == original.final_config().values_by_site()
+
+
 class CountingGenerator:
     """A numpy Generator that counts the calls made to each of its methods."""
 
