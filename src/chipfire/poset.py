@@ -3,10 +3,10 @@
 Move enabling depends only on chip counts, so the reachable state space of
 fire-count vectors (one counter per site) captures every legal schedule at
 once.  A move instance ``(site, occurrence)`` must precede another exactly
-when no reachable state has the second done but not the first; that
-containment test over the materialized space yields the full precedence
-relation, its transitive reduction (the Hasse diagram), and the grid-shape
-checks on the diamond of final moves.
+when no reachable state has the second done but not the first; as fire
+counts only grow along a run, one table of least fire counts decides that,
+which yields the full precedence relation, its transitive reduction (the
+Hasse diagram), and the grid-shape checks on the diamond of final moves.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class FireCountSpace:
 
     def __post_init__(self):
         self._idx = {s: i for i, s in enumerate(self.sites)}
-        # row of a site's first move in nodes() and done_bits
+        # row of a site's first move in nodes() and least_fires
         self._first_row = dict(zip(self.sites, (np.cumsum(self.totals) - self.totals).tolist()))
         self._chips: dict[int, np.ndarray] = {}
 
@@ -76,22 +76,24 @@ class FireCountSpace:
                 for site in self.sites for j in range(1, self.total_fires(site) + 1)]
 
     @cached_property
-    def done_bits(self) -> np.ndarray:
-        """Bit-packed done vectors, row r for ``nodes()[r]``: bit s is set when
-        state s has that move done.  Built on first use, from a contiguous
-        copy of one site's column at a time."""
-        bits = np.empty((int(self.totals.sum()), (self.n_states + 7) // 8), np.uint8)
-        for i, site in enumerate(self.sites):
-            column = self.states[:, i].copy()
-            for j in range(int(self.totals[i])):
-                bits[self._first_row[site] + j] = np.packbits(column > j)
-        return bits
+    def least_fires(self) -> np.ndarray:
+        """(k, W) int16, row r for ``nodes()[r] = (t, o)``: each window site's
+        least fire count over the states where site t has fired exactly o
+        times.  Fire counts only grow, so every state with move (t, o) done
+        lies above one of those: ``(s, j)`` precedes it iff ``j <= row[s]``."""
+        least = np.empty((int(self.totals.sum()), len(self.sites)), np.int16)
+        columns = np.ascontiguousarray(self.states.T)  # reduceat runs along long rows
+        for column, first in zip(columns, self._first_row.values()):
+            order = np.argsort(column, kind="stable")
+            starts = np.cumsum(np.bincount(column))[:-1]  # where values 1..total start, sorted
+            least[first:first + len(starts)] = np.minimum.reduceat(
+                columns.take(order, axis=1), starts, axis=1).T
+        return least
 
     def precedes(self, a: MoveInstance, b: MoveInstance) -> bool:
         """True iff no reachable state has ``b`` done while ``a`` is not."""
-        first, done = self._first_row, self.done_bits
-        return not np.any(done[first[b.site] + b.occ_from_start - 1]
-                          & ~done[first[a.site] + a.occ_from_start - 1])
+        row = self._first_row[b.site] + b.occ_from_start - 1
+        return a.occ_from_start <= int(self.least_fires[row, self._idx[a.site]])
 
     def chips_vector(self, site: int) -> np.ndarray:
         """Chip count at window site ``site`` in every state, from the flow
@@ -278,16 +280,14 @@ class FiringPoset:
 def build_poset(space: FireCountSpace) -> FiringPoset:
     """Full precedence relation over all move instances, plus cover edges.
 
-    ``a`` precedes ``b`` iff the set of states where ``b`` is done is
-    contained in the set where ``a`` is done; containment is checked on
-    ``space.done_bits``, one row of the relation matrix at a time, as in
-    ``FireCountSpace.precedes``.  A pair is a cover when no move lies
-    between its ends.
+    The relation is ``FireCountSpace.precedes`` for all pairs at once, one
+    comparison against ``space.least_fires``.  A pair is a cover when no
+    move lies between its ends.
     """
-    nodes = space.nodes()
-    k = len(nodes)
-    packed = space.done_bits
-    before = np.array([~np.any(packed & ~row, axis=1) for row in packed], np.bool_).reshape(k, k)
+    nodes = space.nodes()  # by site, then occurrence
+    occ = np.array([node.occ_from_start for node in nodes], np.int16)
+    site_of = np.repeat(np.arange(len(space.sites)), space.totals)
+    before = occ[:, None] <= space.least_fires[:, site_of].T
     np.fill_diagonal(before, False)
     b = before.astype(np.float64)
     cover = before & (b @ b == 0)

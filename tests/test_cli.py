@@ -173,13 +173,13 @@ def test_explore_searches_once(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "r.json").read_text())["witness"] is not None
 
 
-def test_poset_without_check_or_dot_builds_no_done_bits(monkeypatch):
+def test_poset_without_check_or_dot_builds_no_least_fires(monkeypatch):
     def refuse(space):
-        raise AssertionError("done bits built")
+        raise AssertionError("least fire counts built")
 
-    monkeypatch.setattr(poset.FireCountSpace, "done_bits", property(refuse))
+    monkeypatch.setattr(poset.FireCountSpace, "least_fires", property(refuse))
     assert main(["poset", "--n", "10"]) == 0
-    with pytest.raises(AssertionError, match="done bits built"):
+    with pytest.raises(AssertionError, match="least fire counts built"):
         main(["poset", "--n", "10", "--check", "grid"])
 
 
@@ -350,12 +350,14 @@ def test_simulate_without_n_is_usage_error(capsys):
 
 @pytest.mark.parametrize("n", ["0", "1"])
 def test_poset_with_empty_window_passes_grid_check(n, tmp_path, capsys):
-    # no site fires: one state, the empty diamond
-    report = tmp_path / "r.json"
-    assert main(["poset", "--n", n, "--check", "grid", "--report", str(report)]) == 0
+    # no site fires: one state, the empty diamond, a DOT without nodes or edges
+    report, dot = tmp_path / "r.json", tmp_path / "p.dot"
+    assert main(["poset", "--n", n, "--check", "grid", "--report", str(report),
+                 "--dot", str(dot)]) == 0
     assert "1 states, check=grid PASS" in capsys.readouterr().out
     data = json.loads(report.read_text())
     assert data["passed"] and data["states_explored"] == 1 and data["diamond_nodes"] == 0
+    assert dot.read_text() == "digraph firing_poset {\n}\n"
 
 
 def test_poset_expgrid_on_base_is_usage_error(capsys):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chipfire import closedform, poset
@@ -6,7 +7,7 @@ from chipfire.poset import (build_poset, check_exponential_grid, check_grid_stru
                             diamond, export_dot, reachable_states)
 from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
                                origin_loops)
-from poset_reference import chips_at, must_precede
+from poset_reference import chips_at, containment_relation, must_precede
 
 
 def test_chips_at_examples():
@@ -257,21 +258,30 @@ REFERENCE_SPACES = [(base(), n) for n in range(2, 11)] + [
 @pytest.mark.parametrize("variant,n", REFERENCE_SPACES, ids=str)
 def test_build_poset_matches_pairwise_reference(variant, n):
     space = reachable_states(variant, n)
-    assert "done_bits" not in vars(space)  # built on first use only
+    assert "least_fires" not in vars(space)  # built on first use only
     p = build_poset(space)
     nodes = space.nodes()
     assert p.nodes == tuple(nodes)
-    assert space.done_bits.shape == (len(nodes), (space.n_states + 7) // 8)
+    assert space.least_fires.shape == (len(nodes), len(space.sites))
+    assert space.least_fires.dtype == np.int16
     relation = set()
     for a in nodes:
         for b in nodes:
             before = must_precede(a, b, space)
-            assert space.precedes(a, b) == before, (a, b)
+            assert space.precedes(a, b) is before, (a, b)
             if before and a != b:
                 relation.add((a, b))
     assert p.relation == relation
     between = {(a, b) for a, c in relation for d, b in relation if c == d}
     assert p.covers == relation - between
+
+
+@pytest.mark.parametrize("variant,n", [(base(), n) for n in range(17)] + [
+    (loops_everywhere(), 15), (exponential(2), 16), (multi_edge(2), 16), (origin_loops(3), 13),
+    (loops_and_edges(2), 14)], ids=str)
+def test_build_poset_matches_containment_relation(variant, n):
+    space = reachable_states(variant, n)
+    assert build_poset(space).relation == containment_relation(space)
 
 
 @pytest.mark.parametrize("variant,n", REFERENCE_SPACES, ids=str)
