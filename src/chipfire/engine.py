@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter, mul
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -361,17 +362,80 @@ def _ids_for_values(config: LabeledConfiguration, site: int, values: Iterable[in
     return tuple(sorted(chosen))
 
 
+# --- random draws ----------------------------------------------------------
+
+_RAW_BLOCK = 512  # PCG64 words taken at a time
+_LOW32 = 0xFFFFFFFF
+
+
+class RandomDraws:
+    """The draws of ``np.random.default_rng(seed)``'s ``integers`` and
+    ``choice``, made in Python from its raw PCG64 words.
+
+    The Generator's own calls cost ~3 and ~12 µs each, mostly call overhead,
+    not drawing.  Here the same algorithms run on the same bits: words are
+    taken in blocks with ``bit_generator.random_raw`` and split into 32-bit
+    halves, low half first, the order of the Generator's ``next_uint32``.
+    Nothing else reads the bit generator.  ``tests/test_engine.py`` checks
+    every draw against the installed numpy.
+    """
+
+    __slots__ = ("_half",)
+
+    def __init__(self, seed: int):
+        bits = np.random.default_rng(seed).bit_generator
+
+        def blocks():
+            while True:
+                yield bits.random_raw(_RAW_BLOCK).astype("<u8", copy=False).view("<u4").tolist()
+        self._half = chain.from_iterable(blocks()).__next__
+
+    def integers(self, k: int) -> int:
+        """``Generator.integers(k)`` for ``1 <= k <= 2**32``: Lemire's bounded
+        draw on [0, k-1], one 32-bit half per try; k == 1 takes none."""
+        if k == 1:
+            return 0
+        m = self._half() * k
+        if m & _LOW32 < k:  # only then can the try be rejected
+            floor = (1 << 32) % k
+            while m & _LOW32 < floor:
+                m = self._half() * k
+        return m >> 32
+
+    def sample(self, p: int, size: int) -> list[int]:
+        """The indices of ``Generator.choice(p, size, replace=False)``,
+        sorted.  numpy runs Floyd's algorithm, then shuffles the picks; the
+        shuffle's draws are made and only its order is dropped.  For
+        ``p > 10000`` and ``size > p // 50`` numpy instead shuffles the tail
+        of ``range(p)``, and so does this."""
+        integers = self.integers
+        if p > 10000 and size > p // 50:
+            idx = list(range(p))
+            for i in range(p - 1, p - size - 1, -1):
+                j = integers(i + 1)
+                idx[i], idx[j] = idx[j], idx[i]
+            return sorted(idx[p - size:])
+        taken: list[int] = []
+        for j in range(p - size, p):
+            v = integers(j + 1)
+            taken.append(j if v in taken else v)
+        for i in range(size - 1, 0, -1):
+            integers(i + 1)
+        taken.sort()
+        return taken
+
+
 # --- strategies ------------------------------------------------------------
 
 class Strategy:
     """Picks the next move given the configuration, its enabled sites (sorted,
     non-empty, owned by the run: read them, never keep or change them), the
-    variant and the run RNG."""
+    variant and the run's random draws."""
 
     name = "abstract"
 
     def choose(self, config: LabeledConfiguration, enabled: list[int], variant: Variant,
-               rng: np.random.Generator) -> tuple[int, tuple[int, ...]]:
+               rng: RandomDraws) -> tuple[int, tuple[int, ...]]:
         raise NotImplementedError
 
 
@@ -391,12 +455,9 @@ class RandomStrategy(Strategy):
     name = "random"
 
     def choose(self, config, enabled, variant, rng):
-        site = enabled[int(rng.integers(len(enabled)))]
+        site = enabled[rng.integers(len(enabled))]
         ids = sorted([c.id for c in config.chips_at(site)])
-        # rng.choice(ids, ...) draws these same indices and returns ids[indices]
-        picked = rng.choice(len(ids), size=variant.threshold(site), replace=False).tolist()
-        picked.sort()
-        return site, tuple([ids[i] for i in picked])
+        return site, tuple([ids[i] for i in rng.sample(len(ids), variant.threshold(site))])
 
 
 class ScriptedValuesStrategy(Strategy):
@@ -485,7 +546,7 @@ def run_to_completion(initial: LabeledConfiguration, variant: Variant,
     """
     if move_cap is None:
         move_cap = default_move_cap(variant, initial)
-    rng = np.random.default_rng(seed)
+    rng = RandomDraws(seed)
     config = initial
     records: list[MoveRecord] = []
     fires: dict[int, int] = {}

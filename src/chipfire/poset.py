@@ -97,14 +97,17 @@ class FireCountSpace:
 
     def chips_vector(self, site: int) -> np.ndarray:
         """Chip count at window site ``site`` in every state, from the flow
-        matrix; computed once per site and shared, so it is read-only."""
+        matrix, as ``int32``: a count never exceeds the ``n`` chips, and the
+        search refuses negative ones.  Computed once per site and shared, so
+        it is read-only."""
         chips = self._chips.get(site)
         if chips is None:
             i = self._idx[site]
             lo = max(i - 1, 0)
             column = self.flow[lo:i + 2, i + 1].astype(np.float64)
-            chips = self._chips[site] = (
-                self.initial[i] + (self.states[:, lo:i + 2] @ column).astype(np.int64))
+            counts = self.states[:, lo:i + 2] @ column
+            counts += self.initial[i]
+            chips = self._chips[site] = counts.astype(np.int32)
             chips.setflags(write=False)
         return chips
 
@@ -227,8 +230,12 @@ def reachable_states(variant: Variant, n: int,
     place, word = _key_layout(totals)
     frontier = np.zeros((1, w), np.int16)
     keys = np.zeros((1, int(word[-1]) + 1), np.int64)
-    levels = [frontier]
-    visited = 1
+    # each level is appended to ``states`` as it is made, so the states are
+    # never held twice.  ``resize`` reallocates in place (glibc remaps a
+    # large block's pages rather than copying them) and zero-fills new rows,
+    # so the array grows by a quarter at a time and is trimmed at the end.
+    states = frontier.copy()
+    visited, depth = 1, 0
     while True:
         chips = init_ext + (frontier @ flow_f).astype(np.int64)
         enabled = chips >= thresh_ext
@@ -252,16 +259,21 @@ def reachable_states(variant: Variant, n: int,
             break
         if not enabled.any(axis=1).all():
             raise ChipFiringError("a non-final state had no successors (premature deadlock)")
+        parents = frontier.shape[0]
         frontier, keys = _expand(frontier, keys, rows, cols, place, word)
+        depth += 1
         visited += frontier.shape[0]
         if visited > state_cap:
             raise CapExceededError(
                 f"fire-count space exceeded {state_cap} states", states_visited=visited,
-                level=len(levels), frontier=levels[-1].shape[0])
-        levels.append(frontier)
+                level=depth, frontier=parents)
+        if visited > states.shape[0]:
+            states.resize((max(visited, states.shape[0] * 5 // 4), w), refcheck=False)
+        states[visited - frontier.shape[0]:visited] = frontier
     if not np.array_equal(frontier[0], totals):
         raise ChipFiringError("terminal fire-count state differs from closed-form totals")
-    return FireCountSpace(variant, n, sites, totals, initial, np.vstack(levels), flow)
+    states.resize((visited, w), refcheck=False)
+    return FireCountSpace(variant, n, sites, totals, initial, states, flow)
 
 
 # --- precedence relation ----------------------------------------------------

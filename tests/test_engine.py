@@ -537,38 +537,139 @@ def test_trace_lines_are_the_records_json(case, seed, strategy):
     assert trace.final_config().values_by_site() == original.final_config().values_by_site()
 
 
-class CountingGenerator:
-    """A numpy Generator that counts the calls made to each of its methods."""
+class CountedDraws(engine.RandomDraws):
+    """RandomDraws that counts the 32-bit halves it takes."""
 
-    def __init__(self, rng):
-        self._rng = rng
-        self.calls: dict[str, int] = {}
+    __slots__ = ("halves",)
 
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.halves = 0
+        half = self._half
 
-        def counted(*args, **kwargs):
-            self.calls[name] = self.calls.get(name, 0) + 1
-            return method(*args, **kwargs)
-        return counted
+        def counted():
+            self.halves += 1
+            return half()
+        self._half = counted
 
 
-@pytest.mark.parametrize("v,n", [(base(), 30), (loops_everywhere(), 11)])
-def test_random_strategy_draws_integers_and_choice_once_per_move(v, n, monkeypatch):
-    """The RNG stream seeded traces rest on: one ``integers`` and one
-    ``choice`` call per move, nothing else."""
-    for seed in range(3):
-        plain = run_to_completion(standard_initial(v, n), v, RandomStrategy(), seed=seed)
-        generators = []
+def assert_same_words(draws, rng, seed):
+    """``rng`` has taken as many raw words as ``draws`` has halves and holds
+    the same unused high half, so the two streams continue alike."""
+    fresh = np.random.default_rng(seed).bit_generator
+    fresh.random_raw((draws.halves + 1) // 2)
+    assert rng.bit_generator.state["state"] == fresh.state["state"]
+    assert rng.bit_generator.state["has_uint32"] == draws.halves % 2
 
-        def counting_rng(seed, default_rng=np.random.default_rng):
-            generators.append(CountingGenerator(default_rng(seed)))
-            return generators[-1]
-        monkeypatch.setattr(engine.np.random, "default_rng", counting_rng)
-        trace = run_to_completion(standard_initial(v, n), v, RandomStrategy(), seed=seed)
-        monkeypatch.undo()
-        assert trace.records == plain.records
-        assert [g.calls for g in generators] == [{"integers": len(trace), "choice": len(trace)}]
+
+def numpy_draw(rng, call):
+    """What the Generator gives for a logged ``(method, args)``."""
+    name, args = call
+    if name == "integers":
+        return int(rng.integers(*args))
+    p, size = args
+    return sorted(rng.choice(p, size=size, replace=False).tolist())
+
+
+class LoggedDraws:
+    """Passes draws through to the run's RandomDraws and logs each with its result."""
+
+    def __init__(self, draws, log):
+        self.draws, self.log = draws, log
+
+    def integers(self, k):
+        self.log.append((("integers", (k,)), self.draws.integers(k)))
+        return self.log[-1][1]
+
+    def sample(self, p, size):
+        self.log.append((("sample", (p, size)), self.draws.sample(p, size)))
+        return self.log[-1][1]
+
+
+class LoggingStrategy(RandomStrategy):
+    """Random moves that log the draws they make."""
+
+    def __init__(self):
+        self.log = []
+        self.draws = None
+
+    def choose(self, config, enabled, variant, rng):
+        self.draws = rng
+        return super().choose(config, enabled, variant, LoggedDraws(rng, self.log))
+
+
+DRAW_CASES = [(base(), 30), (multi_edge(2), 16), (origin_loops(2), 12), (loops_everywhere(), 11),
+              (loops_and_edges(2), 14), (exponential(2), 16)]
+
+
+@pytest.mark.parametrize("v,n", DRAW_CASES)
+def test_random_runs_draw_what_numpy_draws(v, n, monkeypatch):
+    """Every draw of a random run equals the installed numpy's
+    ``Generator.integers``/``choice`` on the same seed, and afterwards both
+    have consumed the same raw words.  Each variant gives its own shapes:
+    enabled-site counts, site sizes and thresholds, among them a single
+    enabled site and a site holding exactly its threshold."""
+    monkeypatch.setattr(engine, "RandomDraws", CountedDraws)
+    shapes = set()
+    for seed in range(12):
+        strategy = LoggingStrategy()
+        trace = run_to_completion(standard_initial(v, n), v, strategy, seed=seed)
+        assert len(strategy.log) == 2 * len(trace)
+        rng = np.random.default_rng(seed)
+        for call, result in strategy.log:
+            assert numpy_draw(rng, call) == result, (seed, call)
+            shapes.add(call)
+        assert_same_words(strategy.draws, rng, seed)
+    assert ("integers", (1,)) in shapes
+    assert any(name == "sample" and args[0] == args[1] for name, args in shapes)
+
+
+@pytest.mark.parametrize("bounds", [
+    [1, 2, 3, 7, 100],
+    [2 ** 31 + 1, 3 * 2 ** 30 + 1],  # a try is rejected with odds ~1/2 and ~1/4
+    [2 ** 32 - 5, 2 ** 32 - 1, 2 ** 32, 1, 2 ** 31 + 1, 5],
+])
+def test_bounded_draw_matches_numpy_integers(bounds):
+    halves = tries = 0
+    for seed in range(40):
+        draws, rng = CountedDraws(seed), np.random.default_rng(seed)
+        for i in range(300):
+            k = bounds[i % len(bounds)]
+            assert draws.integers(k) == int(rng.integers(k)), (seed, i, k)
+            tries += k != 1
+        assert_same_words(draws, rng, seed)
+        halves += draws.halves
+    assert halves > tries if max(bounds) > 2 ** 31 else halves == tries
+
+
+def test_bounded_draw_rejects_exactly_the_tries_below_the_floor():
+    """Lemire's rule at its edge, on chosen halves: for k = 2**31 + 1 a try
+    is rejected iff the low word of ``half * k`` is below 2**32 % k."""
+    k, floor = 2 ** 31 + 1, 2 ** 31 - 1
+    assert 2 ** 32 % k == floor
+    halves = [floor - 1, 2 ** 32 - 1, 7]
+    assert [h * k & 0xFFFFFFFF for h in halves] == [floor - 1, floor, 2 ** 31 + 7]
+    draws = engine.RandomDraws(0)
+    draws._half = iter(halves).__next__
+    assert draws.integers(k) == (2 ** 32 - 1) * k >> 32  # the second half, the first rejected
+    assert draws.integers(k) == 7 * k >> 32 == 3
+
+
+def test_sample_matches_numpy_choice():
+    """Every (p, size) up to p = 24, then sites far larger than any
+    threshold, on both sides of numpy's switch from Floyd's algorithm to a
+    shuffle of the tail of range(p) (p > 10000 and size > p // 50);
+    p == size == 1 takes no word."""
+    shapes = [(p, size) for p in range(1, 25) for size in range(1, p + 1)]
+    shapes += [(200, 2), (1000, 8), (10000, 201), (10001, 200),
+               (10001, 201), (12000, 256), (20000, 20000)]
+    for seed in range(8):
+        draws, rng = CountedDraws(seed), np.random.default_rng(seed)
+        for p, size in shapes:
+            assert draws.sample(p, size) == numpy_draw(rng, ("sample", (p, size))), (seed, p, size)
+        assert_same_words(draws, rng, seed)
+    draws = CountedDraws(0)
+    assert draws.sample(1, 1) == [0] and draws.integers(1) == 0 and draws.halves == 0
 
 
 @st.composite

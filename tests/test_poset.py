@@ -55,6 +55,17 @@ def test_reachable_states_cap():
     assert (err.value.states_visited, err.value.level, err.value.frontier) == (14, 5, 4)
 
 
+@pytest.mark.parametrize("variant,n", [(base(), 14), (loops_everywhere(), 15), (exponential(2), 16),
+                                       (multi_edge(2), 16), (origin_loops(3), 13)], ids=str)
+def test_reachable_states_run_level_by_level_in_sorted_order(variant, n):
+    """The row order reports and witnesses rest on: levels by total fire
+    count, each in ascending row order, every state once."""
+    states = reachable_states(variant, n).states
+    rows = [tuple(row) for row in states.tolist()]
+    assert rows == sorted(set(rows), key=lambda row: (sum(row), row))
+    assert states.dtype == np.int16 and states.flags["C_CONTIGUOUS"]
+
+
 def _greedy_sequence(variant, n, preference):
     """A complete legal firing sequence choosing sites by ``preference``."""
     table = closedform.fire_count_table(variant, n)
@@ -291,6 +302,7 @@ def test_chips_vector_matches_chips_at(variant, n):
         want = [chips_at(dict(zip(space.sites, map(int, row))), site, variant, {0: n})
                 for row in space.states]
         assert space.chips_vector(site).tolist() == want
+        assert space.chips_vector(site).dtype == np.int32
 
 
 @pytest.mark.parametrize("variant,n", REFERENCE_SPACES, ids=str)
@@ -304,4 +316,6 @@ def test_excess_chips_matches_chips_at(variant, n):
                 and (chips := chips_at(fired, move.site, variant, {0: n}))
                 > variant.threshold(move.site)]
         want = (max(chips for chips, _ in over), over[0][1]) if over else None
-        assert space.excess_chips(move) == want, move
+        got = space.excess_chips(move)
+        assert got == want, move
+        assert got is None or list(map(type, got)) == [int, int]
