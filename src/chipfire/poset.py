@@ -51,6 +51,7 @@ class FireCountSpace:
         # row of a site's first move in nodes() and least_fires
         self._first_row = dict(zip(self.sites, (np.cumsum(self.totals) - self.totals).tolist()))
         self._chips: dict[int, np.ndarray] = {}
+        self._excess: dict[int, dict[int, tuple[int, int]]] = {}
 
     @property
     def n_states(self) -> int:
@@ -62,11 +63,17 @@ class FireCountSpace:
 
     def move(self, site: int, occ_from_start: int | None = None,
              occ_from_last: int | None = None) -> MoveInstance:
+        """The move instance given by either index, or by both if they agree."""
         f = self.total_fires(site)
+        if occ_from_start is None and occ_from_last is None:
+            raise ValueError("a move needs occ_from_start or occ_from_last")
         if occ_from_start is None:
             occ_from_start = f - occ_from_last + 1
-        if occ_from_last is None:
+        elif occ_from_last is None:
             occ_from_last = f - occ_from_start + 1
+        elif occ_from_start + occ_from_last != f + 1:
+            raise ValueError(f"site {site} fires {f} times: occurrence {occ_from_start} from "
+                             f"the start is not {occ_from_last} from the last")
         if not (1 <= occ_from_start <= f):
             raise ValueError(f"site {site} fires {f} times, no occurrence {occ_from_start}")
         return MoveInstance(site, occ_from_start, occ_from_last)
@@ -96,31 +103,42 @@ class FireCountSpace:
         return a.occ_from_start <= int(self.least_fires[row, self._idx[a.site]])
 
     def chips_vector(self, site: int) -> np.ndarray:
-        """Chip count at window site ``site`` in every state, from the flow
-        matrix, as ``int32``: a count never exceeds the ``n`` chips, and the
-        search refuses negative ones.  Computed once per site and shared, so
-        it is read-only."""
+        """Chip count at window site ``site`` in every state, as ``int32``:
+        the initial count plus ``flow[j, i+1] * F_j`` over the site and its
+        window neighbours ``j``, exact as ``_check_bounds`` keeps every
+        partial sum below 2**31.  Computed once per site and shared, so it
+        is read-only."""
         chips = self._chips.get(site)
         if chips is None:
             i = self._idx[site]
-            lo = max(i - 1, 0)
-            column = self.flow[lo:i + 2, i + 1].astype(np.float64)
-            counts = self.states[:, lo:i + 2] @ column
-            counts += self.initial[i]
-            chips = self._chips[site] = counts.astype(np.int32)
+            chips = self._chips[site] = np.full(self.n_states, self.initial[i], np.int32)
+            for j in range(max(i - 1, 0), min(i + 2, len(self.sites))):
+                chips += np.multiply(self.states[:, j], self.flow[j, i + 1], dtype=np.int32)
             chips.setflags(write=False)
         return chips
+
+    def _excess_by_occurrence(self, site: int) -> dict[int, tuple[int, int]]:
+        """``occ_from_start -> (most chips, first state)`` over the states
+        with more than threshold chips at ``site``, grouped by which move is
+        next there.  One pass over the site's hot states serves all of its
+        moves; only this small table is kept."""
+        table = self._excess.get(site)
+        if table is None:
+            chips = self.chips_vector(site)
+            hot = np.flatnonzero(chips > self.variant.threshold(site))  # ascending rows
+            fired, first, group = np.unique(self.states[hot, self._idx[site]],
+                                            return_index=True, return_inverse=True)
+            most = np.zeros(len(fired), np.int32)
+            np.maximum.at(most, group, chips[hot])
+            table = self._excess[site] = dict(zip(
+                (fired + 1).tolist(), zip(most.tolist(), hot[first].tolist())))
+        return table
 
     def excess_chips(self, move: MoveInstance) -> tuple[int, int] | None:
         """``(most chips, first state)`` over the states where ``move`` is the
         next move at its site and more than threshold chips are there, or
         None if there is no such state."""
-        chips = self.chips_vector(move.site)
-        over = ((self.states[:, self._idx[move.site]] == move.occ_from_start - 1)
-                & (chips > self.variant.threshold(move.site)))
-        if not over.any():
-            return None
-        return int(chips[over].max()), int(np.flatnonzero(over)[0])
+        return self._excess_by_occurrence(move.site).get(move.occ_from_start)
 
 
 def _first_unique(rows: np.ndarray) -> np.ndarray:
@@ -166,27 +184,29 @@ def _key_layout(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _expand(frontier: np.ndarray, keys: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-            place: np.ndarray, word: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The next level and its keys: the first occurrence of each distinct
     child, where a child fires site ``cols[c]`` in state ``rows[c]``.
 
-    A child's key is its parent's plus one place value, so children are
-    deduplicated on keys and only the kept ones are built as rows.
+    A child's key is its parent's plus ``step[cols[c]]``, one place value
+    in one word, so children are deduplicated on keys and only the kept
+    ones are built as rows.
     """
-    # ``a[i, c[i]] += v`` is written on the flat view of a fresh C-ordered
-    # array, which is faster than indexing along two axes
     child = keys[rows]
-    child.reshape(-1)[np.arange(0, child.size, child.shape[1]) + word[cols]] += place[cols]
+    child += step[cols]
     first = _first_unique(child)
+    # ``a[i, c[i]] += 1`` is written on the flat view of a fresh C-ordered
+    # array, which is faster than indexing along two axes
     succ = frontier[rows[first]]
     succ.reshape(-1)[np.arange(0, succ.size, succ.shape[1]) + cols[first]] += 1
     return succ, child[first]
 
 
-def _check_bounds(totals: np.ndarray, flow: np.ndarray):
+def _check_bounds(totals: np.ndarray, flow: np.ndarray, n: int):
     """Refuse a space the search cannot represent exactly: a fire count
-    above the int16 rows' maximum, or chip counts whose float64 product
-    ``F @ flow`` could pass 2**53, where doubles stop holding every integer."""
+    above the int16 rows' maximum, chip counts whose float64 product
+    ``flow.T @ F.T`` could pass 2**53, where doubles stop holding every
+    integer, or a partial sum of ``chips_vector``'s int32 counts past 2**31."""
     fires = np.iinfo(np.int16).max
     if totals.max() > fires:
         raise ChipFiringError(
@@ -195,6 +215,10 @@ def _check_bounds(totals: np.ndarray, flow: np.ndarray):
     if worst >= 2 ** 53:
         raise ChipFiringError(
             f"chip counts up to {worst} pass the float64 exactness bound 2**53")
+    partial = n + int((totals @ np.abs(flow)).max())
+    if partial >= 2 ** 31:
+        raise ChipFiringError(
+            f"chip partial sums up to {partial} pass the int32 bound 2**31")
 
 
 def reachable_states(variant: Variant, n: int,
@@ -215,21 +239,27 @@ def reachable_states(variant: Variant, n: int,
     if w == 0:
         return FireCountSpace(variant, n, sites, totals, initial,
                               np.zeros((1, 0), np.int16), np.zeros((0, 2), np.int64))
-    # chips over the window plus one virtual site on each side: init_ext + F @ flow,
-    # where row i of flow is what one fire at window site i moves
-    ext = range(sites[0] - 1, sites[0] + w + 1)
-    init_ext = np.concatenate(([0], initial, [0]))
-    thresh_ext = np.array([variant.threshold(s) for s in ext], np.int64)
+    # row i of flow is what one fire at window site i moves, over the window
+    # plus one virtual site on each side
     flow = np.zeros((w, w + 2), np.int64)
     for i, site in enumerate(sites):
         left, _, right, _ = variant.site_row(site)
         flow[i, i:i + 3] = left, -(left + right), right
-    _check_bounds(totals, flow)
-    flow_f = flow.astype(np.float64)
+    _check_bounds(totals, flow, n)
+    # each level's chips, one row per extended site and one column per state:
+    # init + flow.T @ F.T, in float64 so BLAS computes it, and compared in
+    # float64 too, exact below 2**53 (see _check_bounds)
+    ext = range(sites[0] - 1, sites[0] + w + 1)
+    flow_t = flow.T.astype(np.float64)
+    init_col = np.concatenate(([0], initial, [0])).astype(np.float64)[:, None]
+    thresh_col = np.array([variant.threshold(s) for s in ext], np.float64)[:, None]
+    totals_col = totals.astype(np.float64)[:, None]
 
     place, word = _key_layout(totals)
+    step = np.zeros((w, int(word[-1]) + 1), np.int64)  # one fire's key increment per column
+    step[np.arange(w), word] = place
     frontier = np.zeros((1, w), np.int16)
-    keys = np.zeros((1, int(word[-1]) + 1), np.int64)
+    keys = np.zeros((1, step.shape[1]), np.int64)
     # each level is appended to ``states`` as it is made, so the states are
     # never held twice.  ``resize`` reallocates in place (glibc remaps a
     # large block's pages rather than copying them) and zero-fills new rows,
@@ -237,30 +267,34 @@ def reachable_states(variant: Variant, n: int,
     states = frontier.copy()
     visited, depth = 1, 0
     while True:
-        chips = init_ext + (frontier @ flow_f).astype(np.int64)
-        enabled = chips >= thresh_ext
-        # one test for three faults; a virtual site (total 0) is spent from the start
-        spent = np.ones_like(enabled)
-        spent[:, 1:-1] = frontier >= totals
-        if ((chips < 0) | (enabled & spent)).any():
-            if (chips < 0).any():
+        fires = frontier.T.astype(np.float64, order="C")
+        chips = flow_t @ fires
+        chips += init_col
+        enabled = chips >= thresh_col
+        # three faults, tested at once and told apart only when one occurs
+        if (chips.min() < 0 or enabled[[0, -1]].any()
+                or (enabled[1:-1] & (fires >= totals_col)).any()):
+            if chips.min() < 0:
                 raise ChipFiringError("negative chip count reached: corrupt state space")
-            if enabled[:, [0, -1]].any():
+            if enabled[[0, -1]].any():
                 raise ChipFiringError("a site outside the closed-form window became enabled")
             raise ChipFiringError("a site exceeded its closed-form total fire count")
-        enabled = enabled[:, 1:-1]
-        # column by column: the frontier is sorted and one fire at one column
-        # keeps that order, so the dedup sort merges W sorted runs
-        cols, rows = np.nonzero(enabled.T)
+        enabled = enabled[1:-1]
+        # site by site: the frontier is sorted and one fire at one site keeps
+        # that order, so the dedup sort merges W sorted runs.  Flat indices,
+        # split by hand, cost a third of a 2-d ``np.nonzero``
+        flat = np.flatnonzero(enabled)
+        cols = flat // enabled.shape[1]
+        rows = flat - cols * enabled.shape[1]
         if rows.size == 0:
             if frontier.shape[0] != 1:
                 raise ChipFiringError(
                     f"{frontier.shape[0]} distinct terminal fire-count states; expected 1")
             break
-        if not enabled.any(axis=1).all():
+        if not enabled.any(axis=0).all():
             raise ChipFiringError("a non-final state had no successors (premature deadlock)")
         parents = frontier.shape[0]
-        frontier, keys = _expand(frontier, keys, rows, cols, place, word)
+        frontier, keys = _expand(frontier, keys, rows, cols, step)
         depth += 1
         visited += frontier.shape[0]
         if visited > state_cap:
@@ -280,35 +314,46 @@ def reachable_states(variant: Variant, n: int,
 
 @dataclass
 class FiringPoset:
-    """Move instances with the full must-precede relation and its Hasse diagram."""
+    """Move instances with the must-precede relation and its Hasse diagram.
+
+    ``before[a, b]`` says node ``a`` must precede node ``b``; ``relation``
+    lists those pairs only when asked for, as the DOT export reads covers only.
+    """
 
     variant: Variant
     n: int
     nodes: tuple[MoveInstance, ...]
-    relation: frozenset[tuple[MoveInstance, MoveInstance]]
+    before: np.ndarray = field(repr=False, compare=False)  # (k, k) bool
     covers: frozenset[tuple[MoveInstance, MoveInstance]]
+
+    @cached_property
+    def relation(self) -> frozenset[tuple[MoveInstance, MoveInstance]]:
+        return _pairs(self.nodes, self.before)
+
+
+def _pairs(nodes, mask: np.ndarray) -> frozenset:
+    """The node pairs ``mask`` marks; Python ints index and hash faster
+    than NumPy scalars."""
+    i, j = np.nonzero(mask)
+    return frozenset((nodes[a], nodes[b]) for a, b in zip(i.tolist(), j.tolist()))
 
 
 def build_poset(space: FireCountSpace) -> FiringPoset:
-    """Full precedence relation over all move instances, plus cover edges.
+    """Precedence matrix over all move instances, plus cover edges.
 
-    The relation is ``FireCountSpace.precedes`` for all pairs at once, one
+    The matrix is ``FireCountSpace.precedes`` for all pairs at once, one
     comparison against ``space.least_fires``.  A pair is a cover when no
-    move lies between its ends.
+    move lies between its ends.  Covers are listed here, the relation's
+    pairs on first use of ``FiringPoset.relation``.
     """
-    nodes = space.nodes()  # by site, then occurrence
+    nodes = tuple(space.nodes())  # by site, then occurrence
     occ = np.array([node.occ_from_start for node in nodes], np.int16)
     site_of = np.repeat(np.arange(len(space.sites)), space.totals)
     before = occ[:, None] <= space.least_fires[:, site_of].T
     np.fill_diagonal(before, False)
     b = before.astype(np.float64)
-    cover = before & (b @ b == 0)
-
-    def pairs(mask):  # Python ints index and hash faster than NumPy scalars
-        i, j = np.nonzero(mask)
-        return frozenset((nodes[a], nodes[b]) for a, b in zip(i.tolist(), j.tolist()))
-    relation, covers = pairs(before), pairs(cover)
-    return FiringPoset(space.variant, space.n, tuple(nodes), relation, covers)
+    covers = _pairs(nodes, before & (b @ b == 0))
+    return FiringPoset(space.variant, space.n, nodes, before, covers)
 
 
 # --- diamond coordinates ----------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -295,27 +297,71 @@ def test_build_poset_matches_containment_relation(variant, n):
     assert build_poset(space).relation == containment_relation(space)
 
 
-@pytest.mark.parametrize("variant,n", REFERENCE_SPACES, ids=str)
+# flow coefficients above 2: bundles of 16 at exponential t=4, 6 chips a
+# fire at loops_and_edges r=3
+CHIP_SPACES = REFERENCE_SPACES + [(exponential(4), 64), (loops_and_edges(3), 45)]
+
+
+@pytest.mark.parametrize("variant,n", CHIP_SPACES, ids=str)
 def test_chips_vector_matches_chips_at(variant, n):
     space = reachable_states(variant, n)
     for site in space.sites:
         want = [chips_at(dict(zip(space.sites, map(int, row))), site, variant, {0: n})
                 for row in space.states]
-        assert space.chips_vector(site).tolist() == want
-        assert space.chips_vector(site).dtype == np.int32
+        chips = space.chips_vector(site)
+        assert chips.tolist() == want
+        assert chips.dtype == np.int32 and not chips.flags.writeable
+        assert space.chips_vector(site) is chips  # cached
 
 
-@pytest.mark.parametrize("variant,n", REFERENCE_SPACES, ids=str)
+@pytest.mark.parametrize("variant,n", CHIP_SPACES, ids=str)
 def test_excess_chips_matches_chips_at(variant, n):
-    """Odd base n reaches moves fired with more than threshold chips."""
+    """Odd base n reaches moves fired with more than threshold chips.  The
+    rows are also taken in reverse, where a move's most chips are no longer
+    in its last state with more than threshold chips."""
+    found = reachable_states(variant, n)
+    for space in (found, replace(found, states=found.states[::-1].copy())):
+        counts = [dict(zip(space.sites, map(int, row))) for row in space.states]
+        for move in space.nodes():
+            over = [(chips, r) for r, fired in enumerate(counts)
+                    if fired[move.site] == move.occ_from_start - 1
+                    and (chips := chips_at(fired, move.site, variant, {0: n}))
+                    > variant.threshold(move.site)]
+            want = (max(chips for chips, _ in over), over[0][1]) if over else None
+            got = space.excess_chips(move)
+            assert got == want, move
+            assert got is None or list(map(type, got)) == [int, int]
+        for site in space.sites:
+            chips = space.chips_vector(site)
+            assert chips.dtype == np.int32 and not chips.flags.writeable
+
+
+def test_move_takes_either_index_or_both_in_agreement():
+    space = reachable_states(base(), 6)
+    assert space.total_fires(0) == 6
+    assert space.move(0, occ_from_start=2) == space.move(0, occ_from_last=5) \
+        == space.move(0, occ_from_start=2, occ_from_last=5) == (0, 2, 5)
+
+
+def test_move_without_an_index_is_refused():
+    space = reachable_states(base(), 6)
+    with pytest.raises(ValueError, match="needs occ_from_start or occ_from_last"):
+        space.move(0)
+
+
+@pytest.mark.parametrize("occ_from_start,occ_from_last", [(1, 1), (6, 6), (2, 4)])
+def test_move_with_disagreeing_indices_is_refused(occ_from_start, occ_from_last):
+    space = reachable_states(base(), 6)
+    with pytest.raises(ValueError, match="fires 6 times"):
+        space.move(0, occ_from_start=occ_from_start, occ_from_last=occ_from_last)
+
+
+@pytest.mark.parametrize("variant,n", [(base(), 10), (base(), 11), (exponential(2), 16)], ids=str)
+def test_dot_export_never_lists_the_relation(variant, n):
+    """``poset --dot`` reads covers only; the pairs are listed on demand."""
     space = reachable_states(variant, n)
-    counts = [dict(zip(space.sites, map(int, row))) for row in space.states]
-    for move in space.nodes():
-        over = [(chips, r) for r, fired in enumerate(counts)
-                if fired[move.site] == move.occ_from_start - 1
-                and (chips := chips_at(fired, move.site, variant, {0: n}))
-                > variant.threshold(move.site)]
-        want = (max(chips for chips, _ in over), over[0][1]) if over else None
-        got = space.excess_chips(move)
-        assert got == want, move
-        assert got is None or list(map(type, got)) == [int, int]
+    p = build_poset(space)
+    export_dot(p)
+    assert "relation" not in vars(p)
+    assert p.relation == containment_relation(space)
+    assert "relation" in vars(p)
