@@ -13,6 +13,16 @@ sequences they encode.  A level is one sorted ``(S, n)`` array and is
 expanded as a whole: the chips at a site are contiguous in a row, so a T-column combination
 (in lexicographic order) is a move exactly when its first and last columns
 share a site whose threshold is T.
+
+Every variant, and the origin preset, is symmetric under site -> -site,
+value -> -value, and on a row that mirror is ``0x0100 - row[::-1]`` in
+``uint16`` arithmetic.  A start equal to its mirror is searched one mirror
+class at a time: each level keeps the smaller of every child and its mirror
+(Ip and Dill, "Better verification through symmetry", 1996) and counts
+2q - s states for q classes of which s are their own mirror.  No parents
+are kept; a witness walks back from its terminal, one level at a time, to
+the smallest parent among the previous level's rows and their mirrors,
+which is the parent the search without the quotient would have recorded.
 """
 
 from __future__ import annotations
@@ -83,11 +93,14 @@ class _MoveTable:
     one site right, and per site byte whether T is that site's threshold.
     Rows are expanded in slices whose size keeps rows x combinations near
     ``SLICE_CELLS``.  Rows with more than ``COMBINATION_LIMIT`` combinations
-    are refused, because their tables would not fit in memory.
+    are refused, because their tables would not fit in memory.  ``bundles``
+    holds each site byte's (left, loop, right) for reversing moves, and
+    ``symmetric`` whether the moves commute with ``_mirror``.
     """
 
     def __init__(self, variant: Variant, nchips: int):
-        thresholds = np.array([variant.threshold(b - KEY_OFFSET) for b in range(256)])
+        table = np.array([variant.site_row(b - KEY_OFFSET) for b in range(256)])
+        left, loop, _, thresholds = table.T
         used = [int(t) for t in np.unique(thresholds) if t <= nchips]
         cells = sum(math.comb(nchips, t) for t in used)
         if cells > COMBINATION_LIMIT:
@@ -95,16 +108,20 @@ class _MoveTable:
                 f"labeled moves of {nchips} chips need {cells} column combinations "
                 f"per state, more than {COMBINATION_LIMIT}", states_visited=1, frontier=1)
         self.slice_rows = max(1, SLICE_CELLS // max(1, cells))
+        # site byte b mirrors to 256 - b: the moves commute with ``_mirror``
+        # when thresholds match and left and right bundles swap
+        self.symmetric = np.array_equal(table[1:], table[:0:-1, [2, 1, 0, 3]])
+        # (left, loop, right) per site byte, zero where nchips chips cannot fire
+        self.bundles = np.where((thresholds <= nchips)[:, None], table[:, :3], 0).tolist()
         self.blocks = []
         for t in used:
-            delta = np.zeros((256, t), np.uint16)
             fires = thresholds == t
-            for b in np.flatnonzero(fires):
-                left, loop, _, _ = variant.site_row(int(b) - KEY_OFFSET)
-                delta[b, :left] = -SITE_STEP % (1 << 16)
-                delta[b, left + loop:] = SITE_STEP
+            col = np.arange(t)
+            delta = np.where(col < left[:, None], -SITE_STEP % (1 << 16),
+                             np.where(col < (left + loop)[:, None], 0, SITE_STEP))
+            delta[~fires] = 0
             combos = np.array(list(combinations(range(nchips), t)), np.intp)
-            self.blocks.append((combos, delta, fires))
+            self.blocks.append((combos, delta.astype(np.uint16), fires))
 
     def expand(self, rows: np.ndarray):
         """Every move of every row, in (row, first column, combination) order.
@@ -136,12 +153,45 @@ class _MoveTable:
         order = np.argsort(parent * rows.shape[1] + firstcol, kind="stable")
         return parent[order], children[order], block[order], comb[order]
 
-    def move_to(self, row: np.ndarray, child: np.ndarray) -> tuple[int, tuple[int, ...]]:
-        """``(site, chosen values)`` of the first move from ``row`` to ``child``."""
-        _, children, block, comb = self.expand(row[None])
-        i = int(np.flatnonzero((children == child).all(axis=1))[0])
-        (move,) = _state(row[self.blocks[block[i]][0][comb[i]]])
-        return move
+    def path_moves(self, path: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
+        """``(site, chosen values)`` of the first move from each row of ``path`` to the next."""
+        parent, children, block, comb = self.expand(path[:-1])
+        hit = np.flatnonzero((children == path[1:][parent]).all(axis=1))
+        _, first = np.unique(parent[hit], return_index=True)
+        return [_state(path[parent[i]][self.blocks[block[i]][0][comb[i]]])[0]
+                for i in hit[first]]
+
+    def predecessors(self, row: np.ndarray) -> np.ndarray:
+        """Every row with a move to ``row``, in ascending order.
+
+        A move at site byte b sends its ``left`` smallest chosen chips to
+        b - 1 and its ``right`` largest to b + 1, and keeps ``loop`` chips
+        valued between them at b; putting such chips back at b gives a
+        parent.
+        """
+        chips = row.tolist()
+        columns: dict[int, list[int]] = {}
+        for i, chip in enumerate(chips):
+            columns.setdefault(chip >> 8, []).append(i)
+        out = set()
+        for b in range(max(1, (chips[0] >> 8) - 1), min(255, (chips[-1] >> 8) + 2)):
+            left, loop, right = self.bundles[b]
+            if left + right == 0:
+                continue
+            for back in combinations(columns.get(b - 1, ()), left):
+                low = chips[back[-1]] & 0xFF if left else 0
+                for down in combinations(columns.get(b + 1, ()), right):
+                    high = chips[down[0]] & 0xFF if right else 0xFF
+                    if low > high or (loop and sum(
+                            low <= chips[i] & 0xFF <= high for i in columns.get(b, ())) < loop):
+                        continue
+                    parent = list(chips)
+                    for i in back:
+                        parent[i] += SITE_STEP
+                    for i in down:
+                        parent[i] -= SITE_STEP
+                    out.add(tuple(sorted(parent)))
+        return np.array(sorted(out), np.uint16).reshape(-1, row.size)
 
 
 @dataclass
@@ -173,63 +223,111 @@ class ExplorationReport:
         }
 
 
+def _mirror(rows: np.ndarray) -> np.ndarray:
+    """Rows of the mirror states, site -> -site and value -> -value, still ascending.
+
+    A chip's bytes b become 256 - b, so the chip becomes 0x10100 - chip,
+    which the ``uint16`` wraparound computes as 0x0100 - chip.
+    """
+    return np.uint16(0x0100) - rows[..., ::-1]
+
+
+def _canonicalize(rows: np.ndarray) -> np.ndarray:
+    """Replace each row by the smaller of itself and its mirror, in place.
+
+    Returns which rows are their own mirror.
+    """
+    mirror = _mirror(rows)
+    differ = rows != mirror
+    at = np.arange(len(rows))
+    col = differ.argmax(axis=1)
+    swap = mirror[at, col] < rows[at, col]
+    rows[swap] = mirror[swap]
+    return ~differ[at, col]
+
+
 def _explore_levels(initial: LabeledConfiguration, variant: Variant, state_cap: int):
     """Graded BFS over sorted ``uint16`` rows, one level at a time.
 
-    Each level is its sorted array of rows.  A child's parent index is that
-    of its first occurrence when the previous level's moves are taken in
-    (row, first column, combination) order, and is kept per level.  Returns
-    (levels, parents, terminals, visited, moves), terminals as (level,
-    index, state) in visiting order.
+    When the start row is its own mirror and the moves are symmetric, a
+    level holds one row per mirror class, the smaller of the two, and
+    counts as 2q - s states for q rows of which s are their own mirror;
+    otherwise it holds every row.  Each level is its sorted array of rows.
+    Returns (levels, terminals, visited, moves, mirrored), terminals as
+    (level, row) pairs of the full space, mirrors included.
     """
     start = canonicalize(initial)
     _check_key_limit(start)
     frontier = _row(start)[None]
     moves = _MoveTable(variant, frontier.shape[1])
+    mirrored = (frontier.size > 0 and moves.symmetric
+                and np.array_equal(frontier, _mirror(frontier)))
     levels = [frontier]
-    parents = [np.zeros(0, np.int32)]
-    terminals: list[tuple[int, int, CanonicalState]] = []
-    visited = depth = 1
+    terminals: list[tuple[int, tuple[int, ...]]] = []
+    visited = width = depth = 1
     while True:
-        kids, kid_parents = [], []
+        kids, kid_same = [], []
         for lo in range(0, len(frontier), moves.slice_rows):
             part = frontier[lo:lo + moves.slice_rows]
             parent, children, _, _ = moves.expand(part)
             stuck = np.ones(len(part), np.bool_)
             stuck[parent] = False
-            terminals.extend((depth - 1, lo + r, _state(part[r])) for r in np.flatnonzero(stuck))
+            for row in part[stuck]:
+                terminals.append((depth - 1, tuple(row.tolist())))
+                if mirrored:
+                    terminals.append((depth - 1, tuple(_mirror(row).tolist())))
+            # unquotiented, every row is counted as its own mirror: 2q - q
+            same = (_canonicalize(children) if mirrored
+                    else np.ones(len(children), np.bool_))
             first = _first_unique(children)
             kids.append(children[first])
-            kid_parents.append(parent[first] + lo)
+            kid_same.append(same[first])
         children = np.concatenate(kids)
         if not len(children):
             break
-        parent = np.concatenate(kid_parents)
+        same = np.concatenate(kid_same)
         if len(kids) > 1:
             first = _first_unique(children)
-            children, parent = children[first], parent[first]
-        visited += len(children)
+            children, same = children[first], same[first]
+        frontier_width, width = width, 2 * len(children) - int(np.count_nonzero(same))
+        visited += width
         if visited > state_cap:
             raise CapExceededError(
                 f"labeled exploration exceeded {state_cap} states",
-                states_visited=visited, level=depth, frontier=len(frontier))
+                states_visited=visited, level=depth, frontier=frontier_width)
         frontier = children
         depth += 1
         levels.append(children)
-        parents.append(parent.astype(np.int32))
-    return levels, parents, terminals, visited, moves
+    return levels, terminals, visited, moves, mirrored
 
 
-def _witness_moves(levels: list[np.ndarray], parents: list[np.ndarray], moves: _MoveTable,
-                   level_idx: int, idx: int):
-    """Moves from the start to ``levels[level_idx][idx]``, re-expanding each parent."""
-    out = []
-    for li in range(level_idx, 0, -1):
-        child = levels[li][idx]
-        idx = parents[li][idx]
-        out.append(moves.move_to(levels[li - 1][idx], child))
-    out.reverse()
-    return out
+def _level_keys(level: np.ndarray) -> np.ndarray:
+    """A level's rows as big-endian byte strings, which sort like the rows."""
+    return level.astype(">u2").view(f"S{2 * level.shape[1]}").ravel()
+
+
+def _parent(keys: np.ndarray, moves: _MoveTable, mirrored: bool,
+            child: np.ndarray) -> np.ndarray:
+    """Smallest row of the previous level, mirrors included, with a move to ``child``.
+
+    ``keys`` are that level's ``_level_keys``.  Moves are taken in row order,
+    so this is the parent of ``child``'s first occurrence in the search
+    without the quotient.
+    """
+    rows = moves.predecessors(child)
+    stored = _level_keys(np.concatenate([rows, _mirror(rows)]) if mirrored else rows)
+    at = np.minimum(np.searchsorted(keys, stored), len(keys) - 1)
+    found = (keys[at] == stored).reshape(-1, len(rows)).any(axis=0)
+    return rows[found][0]
+
+
+def _witness(levels: list[np.ndarray], moves: _MoveTable, mirrored: bool,
+             level: int, row: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
+    """Moves from the start to ``row`` of ``level``, walking back one parent at a time."""
+    path = [row]
+    for li in range(level, 0, -1):
+        path.append(_parent(_level_keys(levels[li - 1]), moves, mirrored, path[-1]))
+    return moves.path_moves(np.array(path[::-1]))
 
 
 def explore(initial: LabeledConfiguration, variant: Variant,
@@ -237,24 +335,27 @@ def explore(initial: LabeledConfiguration, variant: Variant,
     """Visit the full reachable canonical-state graph and collect terminals.
 
     Raises CapExceededError (carrying states_visited, level and frontier)
-    when the cap is hit.  The whole level history is kept, and the report's
-    witness is a move sequence to the first non-weakly-sorted terminal
-    visited, if there is one.
+    when the cap is hit.  A start equal to its mirror (site -> -site,
+    value -> -value), such as every origin preset, is searched one mirror
+    class at a time; counts, terminals and witness are those of the full
+    space.  The whole level history is kept, and the report's witness is a
+    move sequence to the first non-weakly-sorted terminal the full search
+    visits, if there is one, found by walking back from it.
     """
-    levels, parents, term_locs, visited, moves = _explore_levels(initial, variant, state_cap)
-    terminals = []
+    levels, found, visited, moves, mirrored = _explore_levels(initial, variant, state_cap)
+    states = {row: _state(np.array(row, np.uint16)) for _, row in found}
+    weakly_sorted = {row: is_weakly_sorted_state(state) for row, state in states.items()}
+    unsorted = [(li, row) for li, row in found if not weakly_sorted[row]]
     witness = None
-    for li, ri, state in term_locs:
-        terminals.append(state)
-        if witness is None and not is_weakly_sorted_state(state):
-            witness = _witness_moves(levels, parents, moves, li, ri)
-    terminals = tuple(sorted(set(terminals)))
-    sorted_count = sum(is_weakly_sorted_state(t) for t in terminals)
+    if unsorted:
+        li, row = min(unsorted)
+        witness = _witness(levels, moves, mirrored, li, np.array(row, np.uint16))
+    terminals = tuple(sorted(states.values()))
     return ExplorationReport(
         states_visited=visited,
         terminals=terminals,
         confluent=len(terminals) == 1,
-        sorted_terminal_count=sorted_count,
+        sorted_terminal_count=sum(weakly_sorted.values()),
         witness=witness,
     )
 

@@ -147,14 +147,20 @@ def _first_unique(rows: np.ndarray) -> np.ndarray:
     Both searches deduplicate with it: the labeled search its rows, the
     fire-count search its key words.  ``lexsort`` is stable and sorts column
     by column, which beats ``np.unique(axis=0)``'s sort of whole rows and,
-    on labeled rows, packing several columns into wider words.
+    on labeled rows, packing several columns into wider words.  One-word
+    keys take a stable ``argsort`` of their one column instead.
     """
     if not len(rows):
         return np.zeros(0, np.intp)
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
     keep = np.ones(len(rows), np.bool_)
-    keep[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    if rows.shape[1] == 1:
+        order = np.argsort(rows[:, 0], kind="stable")
+        ordered = rows[order, 0]
+        keep[1:] = ordered[1:] != ordered[:-1]
+    else:
+        order = np.lexsort(rows.T[::-1])
+        ordered = rows[order]
+        keep[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
     return order[keep]
 
 

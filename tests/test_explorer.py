@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import labeled_reference
@@ -9,7 +10,7 @@ from chipfire.engine import (CapExceededError, LabeledConfiguration, RandomStrat
                              run_to_completion, standard_initial)
 from chipfire.explorer import adversarial_1mod4, canonicalize, explore, find_unsorted_terminal
 from chipfire.poset import DEFAULT_STATE_CAP
-from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere,
+from chipfire.variants import (Variant, base, exponential, loops_and_edges, loops_everywhere,
                                multi_edge, origin_loops)
 
 # every variant at an n its standard initial configuration supports
@@ -151,8 +152,9 @@ def test_explorer_agrees_with_engine_choices():
     """The level expansion against the per-state reference and the engine, all six variants.
 
     On random reachable states the children equal the reference's and those
-    of applying every legal id-subset, and the first move reaching each
-    child is the reference's.
+    of applying every legal id-subset, the first move reaching each child is
+    the reference's, and each child's predecessors are parents of it and
+    include the state.
     """
     for variant, n in SIX_VARIANTS:
         for initial in (standard_initial(variant, n),
@@ -169,40 +171,110 @@ def test_explorer_agrees_with_engine_choices():
                 row = explorer._row(state)
                 table = explorer._MoveTable(variant, row.size)
                 for child, move in first.items():
-                    assert table.move_to(row, explorer._row(child)) == move
+                    child = explorer._row(child)
+                    assert table.path_moves(np.array([row, child])) == [move]
+                    # the rows one reversed move away are exactly the parents
+                    before = table.predecessors(child)
+                    parent, children, _, _ = table.expand(before)
+                    assert set(parent[(children == child).all(axis=1)]) == set(range(len(before)))
+                    assert any((before == row).all(axis=1))
+
+
+class _Lopsided(Variant):
+    """Two edges to the right of every positive site: not mirror symmetric."""
+
+    def site_row(self, site):
+        return (1, 0, 2, 3) if site > 0 else (1, 0, 1, 2)
+
+
+def _assert_levels_match_reference(variant, initial, mirrored):
+    """Every level's rows, with their mirrors when the search keeps one row
+    per mirror class, are as big-endian bytes the reference's sorted byte
+    keys (``labeled_reference.key``), and the walk's parent of every state
+    is the reference's first-occurrence parent."""
+    levels, _, visited, moves, quotiented = explorer._explore_levels(
+        initial, variant, DEFAULT_STATE_CAP)
+    assert quotiented == mirrored
+    want_keys, want_parents = labeled_reference.levels(canonicalize(initial), variant)
+    if mirrored:
+        full = [np.unique(np.concatenate([level, explorer._mirror(level)]), axis=0)
+                for level in levels]
+    else:
+        full = levels
+    assert [[row.astype(">u2").tobytes() for row in level] for level in full] == want_keys
+    for li in range(1, len(levels)):
+        keys = explorer._level_keys(levels[li - 1])
+        index = {key: i for i, key in enumerate(want_keys[li - 1])}
+        got = [index[explorer._parent(keys, moves, mirrored, row).astype(">u2").tobytes()]
+               for row in full[li]]
+        assert got == want_parents[li]
+    assert visited == sum(map(len, want_keys))
 
 
 @pytest.mark.parametrize("variant,n", [(base(), 7), (loops_everywhere(), 9),
                                        (origin_loops(2), 6), (exponential(1), 8)])
 def test_levels_match_reference_bfs(variant, n):
-    """Every level's rows are, as big-endian bytes, the reference's sorted
-    byte keys (``labeled_reference.key``), with the same first-occurrence
-    parents; origin_loops and exponential mix thresholds."""
-    initial = standard_initial(variant, n)
-    levels, parents, _, visited, _ = explorer._explore_levels(
-        initial, variant, DEFAULT_STATE_CAP)
-    want_keys, want_parents = labeled_reference.levels(canonicalize(initial), variant)
-    assert [[row.astype(">u2").tobytes() for row in level] for level in levels] == want_keys
-    assert [p.tolist() for p in parents] == want_parents
-    assert visited == sum(map(len, want_keys))
+    """Origin presets are searched one mirror class at a time; origin_loops
+    and exponential mix thresholds."""
+    _assert_levels_match_reference(variant, standard_initial(variant, n), mirrored=True)
 
 
-def _levels_and_report(variant, n):
-    initial = standard_initial(variant, n)
-    levels, parents, terminals, visited, _ = explorer._explore_levels(
+@pytest.mark.parametrize("case", ["staircase-1", "staircase-2", "staircase-3", "hand-made",
+                                  "lopsided-5"])
+def test_unquotiented_levels_match_reference_bfs(case):
+    """Starts that are not their own mirror, and a variant that is not
+    mirror symmetric, are searched whole."""
+    variant, initial = base(), standard_initial(base(), 5)
+    if case.startswith("staircase"):
+        initial = standard_initial(base(), int(case[-1]), "staircase")
+    elif case == "hand-made":
+        initial = LabeledConfiguration.from_values({0: [1, 2, 3], 1: [5]})
+    else:
+        variant = _Lopsided()
+    _assert_levels_match_reference(variant, initial, mirrored=False)
+
+
+@pytest.mark.parametrize("variant,n,classes,self_mirror,states", [
+    (base(), 9, 42_567, 341, 84_793), (loops_everywhere(), 13, 32_361, 363, 64_359),
+    (base(), 10, 357_135, 2_246, 712_024)])
+def test_mirror_class_counts(variant, n, classes, self_mirror, states):
+    """The search keeps one row per mirror class and counts the full space."""
+    levels, _, visited, _, mirrored = explorer._explore_levels(
+        standard_initial(variant, n), variant, DEFAULT_STATE_CAP)
+    assert mirrored and sum(map(len, levels)) == classes
+    assert sum(int((level == explorer._mirror(level)).all(axis=1).sum())
+               for level in levels) == self_mirror
+    assert visited == 2 * classes - self_mirror == states
+
+
+def test_symmetric_unsorted_start_has_empty_witness():
+    initial = LabeledConfiguration.from_values({-1: [1], 1: [-1]})
+    assert explorer._explore_levels(initial, base(), DEFAULT_STATE_CAP)[4]
+    report = explore(initial, base())
+    assert (report.states_visited, report.terminal_count, report.witness) == (1, 1, [])
+    assert len(find_unsorted_terminal(initial, base(), report=report)) == 0
+
+
+def test_empty_configuration_is_its_own_terminal():
+    report = explore(LabeledConfiguration.from_values({}), base())
+    assert (report.states_visited, report.terminals, report.witness) == (1, ((),), None)
+
+
+def _levels_and_report(variant, n, preset="origin"):
+    initial = standard_initial(variant, n, preset)
+    levels, terminals, visited, _, _ = explorer._explore_levels(
         initial, variant, DEFAULT_STATE_CAP)
     report = explore(initial, variant).to_json()
-    return ([level.tolist() for level in levels], [p.tolist() for p in parents],
-            terminals, visited, report)
+    return [level.tolist() for level in levels], terminals, visited, report
 
 
 @pytest.mark.parametrize("cells", [1, 64])
 def test_sliced_expansion_matches_whole_levels(monkeypatch, cells):
-    """Slices of one or a few rows give the same levels, parents, terminals and report."""
-    cases = [(base(), 7), (exponential(1), 8), (loops_everywhere(), 9)]
-    whole = [_levels_and_report(v, n) for v, n in cases]
+    """Slices of one or a few rows give the same levels, terminals and report."""
+    cases = [(base(), 7), (exponential(1), 8), (loops_everywhere(), 9), (base(), 3, "staircase")]
+    whole = [_levels_and_report(*case) for case in cases]
     monkeypatch.setattr(explorer, "SLICE_CELLS", cells)
-    assert [_levels_and_report(v, n) for v, n in cases] == whole
+    assert [_levels_and_report(*case) for case in cases] == whole
 
 
 def test_adversarial_1mod4():

@@ -91,3 +91,12 @@ def test_site_table_matches_formulas(v):
         left, loop, right = ref.left_mult(v, site), ref.loop_mult(v, site), ref.right_mult(v, site)
         assert v.threshold(site) == left + loop + right
         assert v.site_row(site) == (left, loop, right, left + loop + right)
+
+
+@pytest.mark.parametrize("variant", [base(), multi_edge(3), origin_loops(2), loops_everywhere(),
+                                     loops_and_edges(2), exponential(2)])
+def test_site_rows_are_mirror_symmetric(variant):
+    # the labeled search keeps one state per mirror class (site -> -site)
+    for site in range(-40, 41):
+        left, loop, right, threshold = variant.site_row(site)
+        assert variant.site_row(-site) == (right, loop, left, threshold)
