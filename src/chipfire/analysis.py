@@ -6,17 +6,21 @@ and recounts every step: it is the independent oracle.  The five bound
 checkers are per-step observers of ``(before, MoveRecord, after)``;
 ``check_bounds`` feeds any set of them from one replay, looking each move up
 once in one ``poset.diamond`` table, and each ``check_<name>`` is
-``check_bounds`` with that one name.  A checker applies to ``(variant, n)``
-when its ``SCOPES`` entry holds and, for all but conservation, the closed
-form gives its ``m`` (``_scope_m``); ``applicable_checkers`` lists the
-checkers that apply, and one applied outside its scope raises
-CheckerNotApplicableError, never passing silently.
+``check_bounds`` with that one name.  The two position lemmas,
+``chip_bounds`` and ``loop_bounds``, are one observer (``_PositionBounds``)
+over one table of per-value limits (``_position_limits``) with one rescan
+rule.  A checker applies to ``(variant, n)`` when its ``SCOPES`` entry holds
+and, for all but conservation, the closed form gives its ``m``
+(``_scope_m``); ``applicable_checkers`` lists the checkers that apply, and
+one applied outside its scope raises CheckerNotApplicableError, never
+passing silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor
+from functools import partial
+from math import ceil, floor, inf
 from typing import Callable
 
 from . import closedform
@@ -147,84 +151,79 @@ class _Observer:
         return self.out
 
 
-class _ChipBounds(_Observer):
-    def __init__(self, trace: Trace, m: int):
+def _position_limits(lemma: str, m: int, k: int) -> tuple[float, float]:
+    """``(lo, hi)``: the sites a chip valued k may occupy under position
+    lemma ``lemma``, ``-inf`` or ``inf`` on a side it leaves open."""
+    if lemma == "chip_bounds":
+        return (k - m if k > 0 else -inf), (k + m if k < 0 else inf)
+    if k > 0:
+        return floor((k - m) / 2), floor((k + m) / 2)
+    if k < 0:
+        return ceil((k - m) / 2), ceil((k + m) / 2)
+    return ceil(-m / 2), floor(m / 2)
+
+
+def _extreme_clauses(lemma: str, m: int) -> list[tuple[int, int, int]]:
+    """``lemma``'s extreme-occupancy clauses in report order, (value, site,
+    sign), each holding at most one chip: a chip counts toward one when
+    sign*value >= sign*value_c and sign*site <= sign*site_c."""
+    if lemma != "loop_bounds":
+        return []
+    return [clause for k in range(1, m + 1) if (k + m) % 2
+            for clause in ((k, floor((k - m) / 2), 1), (-k, ceil((m - k) / 2), -1))]
+
+
+class _PositionBounds(_Observer):
+    """A position lemma: every chip within its value's ``_position_limits``
+    and every ``_extreme_clauses`` clause holding at most one chip.
+
+    The initial configuration is scanned as step -1.  A move at s changes
+    only sites s-1..s+1, and a clause's count only when chips cross between
+    its site and the next one outward, so the configuration after it is
+    rescanned only when the previous one broke the lemma, a chip at s-1..s+1
+    breaks its limits, or s is one of those two sites of a clause.
+    """
+
+    def __init__(self, trace: Trace, m: int, lemma: str):
         super().__init__(trace, m)
+        self.lemma = lemma
+        self.clauses = _extreme_clauses(lemma, m)
+        self.edges = {site + d for _, site, sign in self.clauses for d in (0, sign)}
+        self.limits = {chip.value: _position_limits(lemma, m, chip.value)
+                       for _, chip in trace.initial.chips()}
         self.outstanding = self._scan(trace.initial, -1)
 
     def _breaks(self, site: int, chips) -> bool:
-        m = self.m
+        limits = self.limits
         for chip in chips:
-            k = chip.value
-            if (k < 0 and site > k + m) or (k > 0 and site < k - m):
+            lo, hi = limits[chip.value]
+            if site < lo or site > hi:
                 return True
         return False
 
     def _scan(self, config: LabeledConfiguration, step: int) -> bool:
-        """Append every violation in ``config``; True if there was one."""
-        m, out = self.m, self.out
+        """Append every violation in ``config``, positions in chip order and
+        then the clauses; True if there was one."""
+        limits, lemma, out = self.limits, self.lemma, self.out
         found = len(out)
-        for site, chip in config.chips():
-            if chip.value < 0 and site > chip.value + m:
-                out.append(BoundViolation(step, chip.id, chip.value, site,
-                                          "chip_bounds", chip.value + m))
-            elif chip.value > 0 and site < chip.value - m:
-                out.append(BoundViolation(step, chip.id, chip.value, site,
-                                          "chip_bounds", chip.value - m))
+        occupancy = sorted(config.occupancy.items())
+        for site, chips in occupancy:
+            for chip in chips:
+                lo, hi = limits[chip.value]
+                if site < lo or site > hi:
+                    out.append(BoundViolation(step, chip.id, chip.value, site,
+                                              lemma, lo if site < lo else hi))
+        for value, clause_site, sign in self.clauses:
+            if sum(1 for site, chips in occupancy if sign * site <= sign * clause_site
+                   for chip in chips if sign * chip.value >= sign * value) > 1:
+                out.append(BoundViolation(step, None, value, clause_site, f"{lemma}_extremes", 1))
         return len(out) > found
 
     def step(self, before, rec, after, xy):
         occupancy, s, breaks = after.occupancy, rec.site, self._breaks
-        if (self.outstanding or breaks(s - 1, occupancy.get(s - 1, ()))
+        if (self.outstanding or s in self.edges or breaks(s - 1, occupancy.get(s - 1, ()))
                 or breaks(s, occupancy.get(s, ())) or breaks(s + 1, occupancy.get(s + 1, ()))):
             self.outstanding = self._scan(after, rec.step)
-
-
-class _LoopBounds(_Observer):
-    def __init__(self, trace: Trace, m: int):
-        super().__init__(trace, m)
-        # extreme-occupancy clauses in report order, (value, site, sign): a
-        # chip counts toward one when sign*value >= sign*value_c and
-        # sign*site <= sign*site_c
-        self.clauses = []
-        for k in range(1, m + 1):
-            if (k + m) % 2:
-                self.clauses += [(k, floor((k - m) / 2), 1), (-k, ceil((m - k) / 2), -1)]
-        # chip value -> (lo, hi, ((clause index, sign, sign*site_c), ...))
-        self.table = {}
-        for _, chip in trace.initial.chips():
-            k = chip.value
-            if k > 0:
-                lo, hi = floor((k - m) / 2), floor((k + m) / 2)
-            elif k < 0:
-                lo, hi = ceil((k - m) / 2), ceil((k + m) / 2)
-            else:
-                lo, hi = ceil(-m / 2), floor(m / 2)
-            self.table[k] = (lo, hi, tuple((i, sign, sign * site)
-                                           for i, (value, site, sign) in enumerate(self.clauses)
-                                           if sign * k >= sign * value))
-        self._scan(trace.initial, -1)
-
-    def _scan(self, config: LabeledConfiguration, step: int):
-        """One walk over ``config``: position violations in chip order, then
-        the extreme-occupancy clauses that hold more than one chip."""
-        table, out = self.table, self.out
-        counts = [0] * len(self.clauses)
-        for site, chips in sorted(config.occupancy.items()):
-            for chip in chips:
-                lo, hi, clauses = table[chip.value]
-                if site < lo or site > hi:
-                    out.append(BoundViolation(step, chip.id, chip.value, site,
-                                              "loop_bounds", lo if site < lo else hi))
-                for i, sign, edge in clauses:
-                    if sign * site <= edge:
-                        counts[i] += 1
-        for count, (value, site, _) in zip(counts, self.clauses):
-            if count > 1:
-                out.append(BoundViolation(step, None, value, site, "loop_bounds_extremes", 1))
-
-    def step(self, before, rec, after, xy):
-        self._scan(after, rec.step)
 
 
 class _DiamondMoveBounds(_Observer):
@@ -304,9 +303,9 @@ class _DiamondConfigBounds(_Observer):
 
 # bound checker name -> its observer, in SCOPES order
 _OBSERVERS = {
-    "chip_bounds": _ChipBounds,
+    "chip_bounds": partial(_PositionBounds, lemma="chip_bounds"),
     "diamond_move_bounds": _DiamondMoveBounds,
-    "loop_bounds": _LoopBounds,
+    "loop_bounds": partial(_PositionBounds, lemma="loop_bounds"),
     "diamond_count_bounds": _DiamondCountBounds,
     "diamond_config_bounds": _DiamondConfigBounds,
 }
@@ -351,12 +350,8 @@ def check_chip_bounds(trace: Trace) -> list[BoundViolation]:
 
     A chip valued k < 0 never sits right of k + m, and a chip valued k > 0
     never sits left of k - m; with edge multiplicity r the r chips sharing a
-    value share the bound.
-
-    A move changes only the fired site and its neighbours, so while the
-    previous state broke no bound only their chips are tested; a step after
-    a violating one, or one where those chips break a bound, is scanned in
-    full.
+    value share the bound.  Its limits are ``_position_limits``, scanned
+    by the rescan rule of ``_PositionBounds``.
     """
     return check_bounds(trace, ["chip_bounds"])["chip_bounds"]
 
@@ -372,11 +367,12 @@ def check_loop_bounds(trace: Trace) -> list[BoundViolation]:
     all smaller chips removed, form a process whose terminal has a single
     chip at its leftmost slot, so at most one chip valued >= k may sit at or
     left of floor((k-m)/2) at any time (mirrored for values <= -k).  When
-    k+m is even that slot holds two chips and two may sit there; verified
-    exhaustively over all reachable states at n = 7 and n = 11.
+    k+m is even that slot holds two chips and two may sit there; both hold
+    on every reachable state at n = 7 and n = 11 (tests/test_analysis.py).
 
-    Each value's limits and clauses are worked out once per trace, and each
-    configuration is walked once.
+    The limits are ``_position_limits`` and the clauses
+    ``_extreme_clauses``, scanned by the rescan rule of ``_PositionBounds``,
+    the one it shares with ``check_chip_bounds``.
     """
     return check_bounds(trace, ["loop_bounds"])["loop_bounds"]
 

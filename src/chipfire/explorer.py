@@ -124,7 +124,7 @@ class _MoveTable:
             self.blocks.append((combos, delta.astype(np.uint16), fires))
 
     def expand(self, rows: np.ndarray):
-        """Every move of every row, in (row, first column, combination) order.
+        """Every move of every row, in (block, row, combination) order.
 
         Returns ``(parent, children, block, comb)``: per move the row it
         starts from, the sorted child row, and the block and combination
@@ -147,14 +147,14 @@ class _MoveTable:
         if not parts:
             empty = np.zeros(0, np.intp)
             return empty, rows[:0], empty, empty
-        parent, children, block, comb = (np.concatenate(a) for a in zip(*parts))
-        firstcol = np.concatenate([combos[c, 0] for (combos, _, _), (_, _, _, c)
-                                   in zip(self.blocks, parts)])
-        order = np.argsort(parent * rows.shape[1] + firstcol, kind="stable")
-        return parent[order], children[order], block[order], comb[order]
+        return tuple(np.concatenate(a) for a in zip(*parts))
 
     def path_moves(self, path: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
-        """``(site, chosen values)`` of the first move from each row of ``path`` to the next."""
+        """``(site, chosen values)`` of the first move from each row of ``path`` to the next.
+
+        The moves from one row to the next fire at one site, so they share a
+        block, where they come in combination order.
+        """
         parent, children, block, comb = self.expand(path[:-1])
         hit = np.flatnonzero((children == path[1:][parent]).all(axis=1))
         _, first = np.unique(parent[hit], return_index=True)

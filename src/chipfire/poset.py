@@ -50,7 +50,6 @@ class FireCountSpace:
         self._idx = {s: i for i, s in enumerate(self.sites)}
         # row of a site's first move in nodes() and least_fires
         self._first_row = dict(zip(self.sites, (np.cumsum(self.totals) - self.totals).tolist()))
-        self._chips: dict[int, np.ndarray] = {}
         self._excess: dict[int, dict[int, tuple[int, int]]] = {}
 
     @property
@@ -106,15 +105,11 @@ class FireCountSpace:
         """Chip count at window site ``site`` in every state, as ``int32``:
         the initial count plus ``flow[j, i+1] * F_j`` over the site and its
         window neighbours ``j``, exact as ``_check_bounds`` keeps every
-        partial sum below 2**31.  Computed once per site and shared, so it
-        is read-only."""
-        chips = self._chips.get(site)
-        if chips is None:
-            i = self._idx[site]
-            chips = self._chips[site] = np.full(self.n_states, self.initial[i], np.int32)
-            for j in range(max(i - 1, 0), min(i + 2, len(self.sites))):
-                chips += np.multiply(self.states[:, j], self.flow[j, i + 1], dtype=np.int32)
-            chips.setflags(write=False)
+        partial sum below 2**31."""
+        i = self._idx[site]
+        chips = np.full(self.n_states, self.initial[i], np.int32)
+        for j in range(max(i - 1, 0), min(i + 2, len(self.sites))):
+            chips += np.multiply(self.states[:, j], self.flow[j, i + 1], dtype=np.int32)
         return chips
 
     def _excess_by_occurrence(self, site: int) -> dict[int, tuple[int, int]]:

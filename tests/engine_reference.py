@@ -1,11 +1,15 @@
-"""References for the engine's move and the chip-bounds checker.
+"""References for the engine's move and the two position-bound checkers.
 
 ``apply`` is the former sort-based ``LabeledConfiguration.apply``: it
 concatenates each changed site's chips and sorts them again.  It is the
-oracle for the insertion-based ``apply``.  ``check_chip_bounds`` is the
-former full-scan checker, which tests every chip after every step; it is
-the oracle for the checker that tests only the sites a move changed.
+oracle for the insertion-based ``apply``.  ``check_chip_bounds`` and
+``check_loop_bounds`` are the former full-scan checkers, which test every
+chip after every step, each with its own statement of its bounds; they are
+the oracles for the checker that rescans only after moves that can break a
+bound.
 """
+
+from math import ceil, floor
 
 from chipfire.analysis import BoundViolation, _scope_m
 from chipfire.engine import IllegalMoveError, LabeledConfiguration, _chip_key
@@ -55,6 +59,43 @@ def check_chip_bounds(trace):
             elif chip.value > 0 and site < chip.value - m:
                 out.append(BoundViolation(step, chip.id, chip.value, site,
                                           "chip_bounds", chip.value - m))
+
+    scan(trace.initial, -1)
+    for _, rec, after in trace.replay(verify=False):
+        scan(after, rec.step)
+    return out
+
+
+def check_loop_bounds(trace):
+    """Every chip's loop bound and every extreme-occupancy clause, tested
+    after every step."""
+    m = _scope_m("loop_bounds", trace.variant, trace.initial.total_chips())
+    # (value, site, sign), in report order: at most one chip with
+    # sign * its value >= sign * value sits where sign * its site <= sign * site
+    clauses = []
+    for k in range(1, m + 1):
+        if (k + m) % 2:
+            clauses += [(k, floor((k - m) / 2), 1), (-k, ceil((m - k) / 2), -1)]
+    out = []
+
+    def limits(k):
+        if k > 0:
+            return floor((k - m) / 2), floor((k + m) / 2)
+        if k < 0:
+            return ceil((k - m) / 2), ceil((k + m) / 2)
+        return ceil(-m / 2), floor(m / 2)
+
+    def scan(config, step):
+        chips = list(config.chips())
+        for site, chip in chips:
+            lo, hi = limits(chip.value)
+            if site < lo or site > hi:
+                out.append(BoundViolation(step, chip.id, chip.value, site,
+                                          "loop_bounds", lo if site < lo else hi))
+        for value, edge, sign in clauses:
+            if sum(sign * chip.value >= sign * value and sign * site <= sign * edge
+                   for site, chip in chips) > 1:
+                out.append(BoundViolation(step, None, value, edge, "loop_bounds_extremes", 1))
 
     scan(trace.initial, -1)
     for _, rec, after in trace.replay(verify=False):

@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipfire import analysis
+from chipfire import analysis, closedform, explorer
 from chipfire.analysis import (CheckerNotApplicableError, check_chip_bounds,
                                check_conservation, check_diamond_config_bounds,
                                check_diamond_count_bounds, check_diamond_move_bounds,
@@ -12,7 +13,7 @@ from chipfire.analysis import (CheckerNotApplicableError, check_chip_bounds,
                                violations_to_json)
 from chipfire.engine import (LabeledConfiguration, LeftmostStrategy, RandomStrategy,
                              run_to_completion, standard_initial)
-from chipfire import closedform
+from chipfire.poset import DEFAULT_STATE_CAP
 from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
                                origin_loops)
 import engine_reference
@@ -82,32 +83,56 @@ def test_chip_bounds_flag_out_of_range_values():
     assert violations and violations[0].step == -1
 
 
-def _violating_traces(count):
-    """Seeded random runs from base and multi_edge(2) initials, holding
-    values outside +-m, whose chip-bounds checks report violations."""
+def _chip_bounds_case(rng):
+    """Base or multi_edge(2), values within +-(m+3) on sites [-2, 2]."""
+    v = rng.choice([base(), multi_edge(2)])
+    n = 4 * rng.randint(1, 3) if v.kind == "multi_edge" else rng.randint(2, 12)
+    return v, n, 3, 2
+
+
+def _loop_bounds_case(rng):
+    """Loops n = 4m-1, values within +-(m+1) on sites [-1, 1]: nearer their
+    limits than a wider spread, so more runs clear their violations."""
+    return loops_everywhere(), 4 * rng.randint(1, 3) - 1, 1, 1
+
+
+# position lemma -> (draws (variant, n, value slack past +-m, site reach),
+# its full-scan reference, least runs of 150 whose violations clear)
+POSITION_LEMMAS = {
+    "chip_bounds": (_chip_bounds_case, engine_reference.check_chip_bounds, 30),
+    "loop_bounds": (_loop_bounds_case, engine_reference.check_loop_bounds, 60),
+}
+
+
+def _violating_traces(lemma, count):
+    """Seeded random runs in ``lemma``'s scope from initials holding values
+    outside their limits, whose full-scan checks report violations."""
+    case, reference, _ = POSITION_LEMMAS[lemma]
     rng = random.Random(0)
     while count:
-        v = rng.choice([base(), multi_edge(2)])
-        n = 4 * rng.randint(1, 3) if v.kind == "multi_edge" else rng.randint(2, 12)
+        v, n, slack, reach = case(rng)
         m = closedform.derive_m(v, n)
         occ = {}
         for _ in range(n):
-            occ.setdefault(rng.randint(-2, 2), []).append(rng.randint(-m - 3, m + 3))
+            occ.setdefault(rng.randint(-reach, reach), []).append(
+                rng.randint(-m - slack, m + slack))
         trace = run_to_completion(LabeledConfiguration.from_values(occ), v, RandomStrategy(),
                                   seed=rng.randrange(2 ** 32))
-        if engine_reference.check_chip_bounds(trace):
+        if reference(trace):
             count -= 1
             yield trace
 
 
-def test_chip_bounds_match_full_scan_reference():
+@pytest.mark.parametrize("lemma", list(POSITION_LEMMAS))
+def test_position_bounds_match_full_scan_reference(lemma):
+    _, reference, least_cleared = POSITION_LEMMAS[lemma]
     cleared = 0
-    for trace in _violating_traces(150):
-        want = violations_to_json(engine_reference.check_chip_bounds(trace))
-        assert violations_to_json(check_chip_bounds(trace)) == want
+    for trace in _violating_traces(lemma, 150):
+        want = violations_to_json(reference(trace))
+        assert violations_to_json(analysis.check_bounds(trace, [lemma])[lemma]) == want
         steps = {v["step"] for v in want}
         cleared += any(step not in steps for step in range(min(steps), len(trace)))
-    assert cleared >= 30  # violations that clear before the run ends
+    assert cleared >= least_cleared  # violations that clear before the run ends
 
 
 def test_diamond_move_bounds_exhaustive_n4():
@@ -167,6 +192,35 @@ def test_loop_bounds_applicability():
     from chipfire.explorer import adversarial_1mod4
     with pytest.raises(CheckerNotApplicableError):
         check_loop_bounds(adversarial_1mod4(1))
+
+
+@pytest.mark.parametrize("lemma,variant,n,states", [
+    ("chip_bounds", base(), 8, 11_281),
+    ("chip_bounds", base(), 9, 84_793),
+    ("loop_bounds", loops_everywhere(), 7, 46),
+    ("loop_bounds", loops_everywhere(), 11, 6_271),
+], ids=str)
+def test_position_limits_hold_on_every_reachable_state(lemma, variant, n, states):
+    """Every labeled state the search reaches from the origin preset, each
+    mirror class taken with its mirror, keeps every chip within its
+    ``_position_limits`` and every ``_extreme_clauses`` clause to one chip."""
+    m = analysis._scope_m(lemma, variant, n)
+    levels, _, visited, _, mirrored = explorer._explore_levels(
+        standard_initial(variant, n), variant, DEFAULT_STATE_CAP)
+    rows = np.concatenate(levels)
+    if mirrored:
+        rows = np.unique(np.concatenate([rows, explorer._mirror(rows)]), axis=0)
+    assert len(rows) == visited == states
+    sites = (rows >> 8).astype(int) - explorer.KEY_OFFSET
+    values = (rows & 0xFF).astype(int) - explorer.KEY_OFFSET
+    low = values.min()
+    lo, hi = np.array([analysis._position_limits(lemma, m, k)
+                       for k in range(low, values.max() + 1)]).T
+    assert ((lo[values - low] <= sites) & (sites <= hi[values - low])).all()
+    for value, site, sign in analysis._extreme_clauses(lemma, m):
+        held = (sign * values >= sign * value) & (sign * sites <= sign * site)
+        assert held.sum(axis=1).max() <= 1
+    assert bool(analysis._extreme_clauses(lemma, m)) == (lemma == "loop_bounds")
 
 
 def test_diamond_count_bounds():

@@ -310,8 +310,7 @@ def test_chips_vector_matches_chips_at(variant, n):
                 for row in space.states]
         chips = space.chips_vector(site)
         assert chips.tolist() == want
-        assert chips.dtype == np.int32 and not chips.flags.writeable
-        assert space.chips_vector(site) is chips  # cached
+        assert chips.dtype == np.int32
 
 
 @pytest.mark.parametrize("variant,n", CHIP_SPACES, ids=str)
@@ -332,8 +331,7 @@ def test_excess_chips_matches_chips_at(variant, n):
             assert got == want, move
             assert got is None or list(map(type, got)) == [int, int]
         for site in space.sites:
-            chips = space.chips_vector(site)
-            assert chips.dtype == np.int32 and not chips.flags.writeable
+            assert space.chips_vector(site).dtype == np.int32
 
 
 def test_move_takes_either_index_or_both_in_agreement():
