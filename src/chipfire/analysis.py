@@ -3,13 +3,11 @@
 Every checker takes a complete trace and returns the full list of
 violations (empty on success).  Conservation replays the trace on its own
 and recounts every step: it is the independent oracle.  The five bound
-checkers are per-step observers of ``(before, MoveRecord, after)``;
-``check_bounds`` feeds any set of them from one replay, looking each move up
-once in one ``poset.diamond`` table, and each ``check_<name>`` is
-``check_bounds`` with that one name.  The two position lemmas,
-``chip_bounds`` and ``loop_bounds``, are one observer (``_PositionBounds``)
-over one table of per-value limits (``_position_limits``) with one rescan
-rule.  A checker applies to ``(variant, n)`` when its ``SCOPES`` entry holds
+checkers replay nothing: they read one table of chip sites, a row per step
+and a column per chip, summed from the move records (``_chip_sites``).
+``check_bounds`` reads any set of them from one pass over that table, in
+blocks of rows, and each ``check_<name>`` is ``check_bounds`` with that one
+name.  A checker applies to ``(variant, n)`` when its ``SCOPES`` entry holds
 and, for all but conservation, the closed form gives its ``m``
 (``_scope_m``); ``applicable_checkers`` lists the checkers that apply, and
 one applied outside its scope raises CheckerNotApplicableError, never
@@ -18,13 +16,17 @@ passing silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import asdict, dataclass
 from functools import partial
 from math import ceil, floor, inf
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Iterator
+
+import numpy as np
 
 from . import closedform
-from .engine import ChipFiringError, LabeledConfiguration, MoveRecord, Trace
+from .engine import Chip, ChipFiringError, LabeledConfiguration, MoveRecord, Trace
 from .poset import diamond
 from .variants import Variant
 
@@ -83,14 +85,7 @@ class BoundViolation:
     bound: int
 
     def to_json(self) -> dict:
-        return {
-            "step": self.step,
-            "chip_id": self.chip_id,
-            "chip_value": self.chip_value,
-            "site": self.site,
-            "lemma": self.lemma,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
 
 def violations_to_json(violations: list[BoundViolation]) -> list[dict]:
@@ -127,28 +122,63 @@ def check_conservation(trace: Trace) -> list[BoundViolation]:
     return out
 
 
-# --- bound checkers: per-step observers fed by one replay --------------------
+# --- bound checkers: predicates over one table of chip sites -----------------
 
-class _Observer:
-    """One bound checker, built from the trace and its ``m`` (scanning the
-    initial configuration as step -1 where its bound covers it), shown each
-    move as ``step(before, rec, after, xy)``, and returning its violations
-    from ``finish()``.  ``xy`` is the move's diamond coordinates; an
-    observer with ``diamond_only`` set sees the diamond moves only, the
-    others every move with ``xy`` None."""
+BLOCK_CELLS = 1 << 16  # sites (rows x chips) of the chip-site table built and read at once
+_REACH = 2 ** 62  # int64 holds sites of smaller magnitude with room to spare
+_POSITION_LEMMAS = ("chip_bounds", "loop_bounds")
 
-    diamond_only = False
 
-    def __init__(self, trace: Trace, m: int | None):
-        self.m = m
-        self.out: list[BoundViolation] = []
+def _columns(trace: Trace) -> list[tuple[int, Chip]]:
+    """Each chip and its initial site, in (value, id) order: the columns of
+    the trace's chip-site table."""
+    return sorted(trace.initial.chips(), key=lambda sc: (sc[1].value, sc[1].id))
 
-    def step(self, before: LabeledConfiguration, rec: MoveRecord,
-             after: LabeledConfiguration, xy: tuple[int, int] | None):
-        raise NotImplementedError
 
-    def finish(self) -> list[BoundViolation]:
-        return self.out
+def _site_dtype(trace: Trace):
+    """int64 if no site the trace can reach is ``_REACH`` or more away from 0, else Python ints."""
+    reach = max(map(abs, trace.initial.occupancy), default=0) + len(trace)  # one site per move
+    return np.int64 if reach < _REACH else object
+
+
+def _chip_sites(trace: Trace) -> Iterator[tuple[int, np.ndarray]]:
+    """The trace's chip-site table as blocks ``(t, sites)`` of about
+    ``BLOCK_CELLS`` sites, ``sites`` holding rows t, t+1, ...
+
+    Row t holds each chip's site before move t, in ``_columns`` order, so
+    row 0 is the initial configuration and the last row the final one.  It
+    comes from the records alone: a move's chosen chips, in (value, id)
+    order, send the first ``left`` of ``site_row`` one site left and the
+    last ``right`` one site right, and each row is the one before it plus
+    those steps.
+    """
+    records, site_row = trace.records, trace.variant.site_row
+    columns = _columns(trace)
+    column = {chip.id: c for c, (_, chip) in enumerate(columns)}
+    width = len(columns)
+    height = max(1, BLOCK_CELLS // max(1, width))
+    row = np.array([site for site, _ in columns], _site_dtype(trace))
+    for t0 in range(0, len(records) + 1, height):
+        t1 = min(t0 + height, len(records) + 1)
+        lefts, rights = [], []  # the block's flat cells whose chip steps left / right
+        for t in range(max(t0, 1), t1):
+            rec = records[t - 1]
+            left, loop, _, _ = site_row(rec.site)
+            cells = sorted([(t - t0) * width + column[i] for i in rec.chosen_ids])
+            lefts += cells[:left]
+            rights += cells[left + loop:]
+        steps = np.zeros((t1 - t0) * width, np.int8)
+        steps[lefts], steps[rights] = -1, 1
+        sites = row + np.cumsum(steps.reshape(t1 - t0, width), axis=0, dtype=row.dtype)
+        row = sites[-1].copy()
+        yield t0, sites
+
+
+def _cells(rows: np.ndarray, cols: np.ndarray | None, t0: int, sites: np.ndarray) -> np.ndarray:
+    """The cells ``(rows[i], cols[i])``, ``rows`` ascending, that lie in the
+    block ``sites`` starting at row t0; whole rows when ``cols`` is None."""
+    a, b = np.searchsorted(rows, (t0, t0 + len(sites)))
+    return sites[rows[a:b] - t0] if cols is None else sites[rows[a:b] - t0, cols[a:b]]
 
 
 def _position_limits(lemma: str, m: int, k: int) -> tuple[float, float]:
@@ -173,176 +203,144 @@ def _extreme_clauses(lemma: str, m: int) -> list[tuple[int, int, int]]:
             for clause in ((k, floor((k - m) / 2), 1), (-k, ceil((m - k) / 2), -1))]
 
 
-class _PositionBounds(_Observer):
-    """A position lemma: every chip within its value's ``_position_limits``
-    and every ``_extreme_clauses`` clause holding at most one chip.
-
-    The initial configuration is scanned as step -1.  A move at s changes
-    only sites s-1..s+1, and a clause's count only when chips cross between
-    its site and the next one outward, so the configuration after it is
-    rescanned only when the previous one broke the lemma, a chip at s-1..s+1
-    breaks its limits, or s is one of those two sites of a clause.
-    """
-
-    def __init__(self, trace: Trace, m: int, lemma: str):
-        super().__init__(trace, m)
-        self.lemma = lemma
-        self.clauses = _extreme_clauses(lemma, m)
-        self.edges = {site + d for _, site, sign in self.clauses for d in (0, sign)}
-        self.limits = {chip.value: _position_limits(lemma, m, chip.value)
-                       for _, chip in trace.initial.chips()}
-        self.outstanding = self._scan(trace.initial, -1)
-
-    def _breaks(self, site: int, chips) -> bool:
-        limits = self.limits
-        for chip in chips:
-            lo, hi = limits[chip.value]
-            if site < lo or site > hi:
-                return True
-        return False
-
-    def _scan(self, config: LabeledConfiguration, step: int) -> bool:
-        """Append every violation in ``config``, positions in chip order and
-        then the clauses; True if there was one."""
-        limits, lemma, out = self.limits, self.lemma, self.out
-        found = len(out)
-        occupancy = sorted(config.occupancy.items())
-        for site, chips in occupancy:
-            for chip in chips:
-                lo, hi = limits[chip.value]
-                if site < lo or site > hi:
-                    out.append(BoundViolation(step, chip.id, chip.value, site,
-                                              lemma, lo if site < lo else hi))
-        for value, clause_site, sign in self.clauses:
-            if sum(1 for site, chips in occupancy if sign * site <= sign * clause_site
-                   for chip in chips if sign * chip.value >= sign * value) > 1:
-                out.append(BoundViolation(step, None, value, clause_site, f"{lemma}_extremes", 1))
-        return len(out) > found
-
-    def step(self, before, rec, after, xy):
-        occupancy, s, breaks = after.occupancy, rec.site, self._breaks
-        if (self.outstanding or s in self.edges or breaks(s - 1, occupancy.get(s - 1, ()))
-                or breaks(s, occupancy.get(s, ())) or breaks(s + 1, occupancy.get(s + 1, ()))):
-            self.outstanding = self._scan(after, rec.step)
+def _position_violations(lemma: str, m: int, chips: list[Chip], lo: np.ndarray, hi: np.ndarray,
+                         t0: int, sites: np.ndarray) -> list[BoundViolation]:
+    """Position lemma ``lemma`` on a block (row t is step t-1): each chip
+    outside its limits ``lo``/``hi``, by (step, site, value, id), and after
+    a step's chips, each ``_extreme_clauses`` clause holding two or more."""
+    found = []
+    for t, c in np.argwhere((sites < lo) | (sites > hi)).tolist():
+        chip, site = chips[c], int(sites[t, c])
+        low, high = _position_limits(lemma, m, chip.value)
+        found.append(((t, 0, site, c), BoundViolation(
+            t0 + t - 1, chip.id, chip.value, site, lemma, low if site < low else high)))
+    values = [chip.value for chip in chips]  # ascending: a clause's chips are a column range
+    for i, (value, site, sign) in enumerate(_extreme_clauses(lemma, m)):
+        held = (sites[:, bisect_left(values, value):] <= site if sign > 0
+                else sites[:, :bisect_right(values, value)] >= site)
+        found += [((t, 1, i), BoundViolation(t0 + t - 1, None, value, site, f"{lemma}_extremes", 1))
+                  for t in np.flatnonzero(held.sum(axis=1) > 1).tolist()]
+    return [violation for _, violation in sorted(found, key=itemgetter(0))]
 
 
-class _DiamondMoveBounds(_Observer):
-    diamond_only = True
+def _diamond_moves(trace: Trace) -> list[tuple[int, MoveRecord, tuple[int, int]]]:
+    """``(t, record, (x, y))`` of each move in the ``poset.diamond`` table, in step order."""
+    final = diamond(trace.variant, trace.initial.total_chips())
+    return [(t, rec, xy) for t, rec in enumerate(trace.records)
+            if (xy := final.get((rec.site, rec.fire_index_at_site))) is not None]
 
-    def __init__(self, trace: Trace, m: int):
-        super().__init__(trace, m)
-        self.by_value = {chip.value: chip for _, chip in trace.initial.chips()}
 
-    def step(self, before, rec, after, xy):
-        x, y = xy
-        # side -1: at or left of the firing site; side 1: at or right of it
+def _move_bound_chips(trace: Trace, moves) -> list[tuple[int, MoveRecord, Chip, int]]:
+    """``(t, record, chip, side)`` per diamond move (x, y): the chip valued
+    -(y+1), which must sit at or left of the firing site (side -1), then the
+    one valued x+1, at or right of it (side 1).  Of chips sharing a value,
+    the last in ``chips()`` order is read."""
+    by_value = {chip.value: chip for _, chip in trace.initial.chips()}
+    out = []
+    for t, rec, (x, y) in moves:
         for value, side in ((-(y + 1), -1), (x + 1, 1)):
-            chip = self.by_value.get(value)
-            if chip is None:
+            if value not in by_value:
                 raise CheckerNotApplicableError(
                     f"diamond_move_bounds needs a chip valued {value}; the trace has none")
-            site = next(s for s, chips in before.occupancy.items() if chip in chips)
-            if side * (site - rec.site) < 0:
-                self.out.append(BoundViolation(rec.step, chip.id, value, site,
-                                               "diamond_move_bounds", rec.site))
+            out.append((t, rec, by_value[value], side))
+    return out
 
 
-class _DiamondCountBounds(_Observer):
-    diamond_only = True
-
-    def step(self, before, rec, after, xy):
-        m, k = self.m, rec.site
-        j = m - max(xy)
+def _count_violations(m: int, moves, chips: list[Chip], after: np.ndarray) -> list[BoundViolation]:
+    """The counting bound on each row after a diamond move."""
+    values = [chip.value for chip in chips]  # ascending: chips valued below k are a column range
+    out = []
+    for (_, rec, xy), row in zip(moves, after):
+        k, j = rec.site, m - max(xy)
         # side -1 counts below and left of k <= 0, side 1 above and right of k >= 0
-        for side in (-1, 1):
-            if side * k >= 0:
-                have = sum(1 for site, chips in after.occupancy.items() if side * site > side * k
-                           for chip in chips if side * chip.value > side * k)
-                need = j - side * k + m - 1
-                if have < need:
-                    self.out.append(BoundViolation(rec.step, None, None, k,
-                                                   "diamond_count_bounds", need))
+        for side, beyond in ((-1, row[:bisect_left(values, k)] < k),
+                             (1, row[bisect_right(values, k):] > k)):
+            need = j - side * k + m - 1
+            if side * k >= 0 and beyond.sum() < need:
+                out.append(BoundViolation(rec.step, None, None, k, "diamond_count_bounds", need))
+    return out
 
 
-class _DiamondConfigBounds(_Observer):
-    """Builds the diamond configuration (``diamond_configuration``) and
-    checks its counting bound when finished."""
-
-    diamond_only = True
-
-    def __init__(self, trace: Trace, m: int | None):
-        super().__init__(trace, m)
-        self.n = trace.initial.total_chips()
-        self.assignment: dict[int, tuple[int, int, int]] = {}
-
-    def step(self, before, rec, after, xy):
-        assignment = self.assignment
-        for chip in before.occupancy[rec.site]:
-            if chip.id not in assignment:
-                assignment[chip.id] = (chip.value, rec.site, rec.fire_index_at_site)
-
-    def configuration(self) -> dict[int, tuple[int, int, int]]:
-        if len(self.assignment) != self.n:
-            raise CheckerNotApplicableError(
-                f"only {len(self.assignment)} of {self.n} chips attended a diamond move")
-        return self.assignment
-
-    def finish(self) -> list[BoundViolation]:
-        m, out = self.m, self.out
-        entries = list(self.configuration().values())
-        for k in range(-m - 1, 1):
-            for l in range(0, k + m):
-                limit = k + m - l - 1
-                for side in (1, -1):  # 1: below k, right of l; -1: mirrored
-                    if sum(1 for value, site, _ in entries
-                           if side * value < k and side * site > l) > limit:
-                        out.append(BoundViolation(-1, None, side * k, side * l,
-                                                  "diamond_config_bounds", limit))
-        return out
+def _attendance(moves, chips: list[Chip], before: np.ndarray) -> dict[int, tuple[int, int, int]]:
+    """``diamond_configuration`` read from the rows before the diamond moves."""
+    hit = before == np.array([rec.site for _, rec, _ in moves], before.dtype)[:, None]
+    attended = hit.any(axis=0)
+    if not attended.all():
+        raise CheckerNotApplicableError(
+            f"only {int(attended.sum())} of {len(chips)} chips attended a diamond move")
+    first = hit.argmax(axis=0).tolist() if len(hit) else []
+    recs = [moves[i][1] for i in first]
+    return {chips[c].id: (chips[c].value, recs[c].site, recs[c].fire_index_at_site)
+            for c in np.argsort(first, kind="stable").tolist()}
 
 
-# bound checker name -> its observer, in SCOPES order
-_OBSERVERS = {
-    "chip_bounds": partial(_PositionBounds, lemma="chip_bounds"),
-    "diamond_move_bounds": _DiamondMoveBounds,
-    "loop_bounds": partial(_PositionBounds, lemma="loop_bounds"),
-    "diamond_count_bounds": _DiamondCountBounds,
-    "diamond_config_bounds": _DiamondConfigBounds,
-}
-
-
-def _observe(trace: Trace, observers: list[_Observer]):
-    """Show every move of one replay of ``trace`` to ``observers``, each
-    move looked up once in the diamond table when one of them needs it."""
-    every = [obs.step for obs in observers if not obs.diamond_only]
-    on_diamond = [obs.step for obs in observers if obs.diamond_only]
-    final = diamond(trace.variant, trace.initial.total_chips()) if on_diamond else {}
-    for before, rec, after in trace.replay(verify=False):
-        for step in every:
-            step(before, rec, after, None)
-        if on_diamond:
-            xy = final.get((rec.site, rec.fire_index_at_site))
-            if xy is not None:
-                for step in on_diamond:
-                    step(before, rec, after, xy)
+def _config_violations(m: int, entries: list[tuple[int, int, int]]) -> list[BoundViolation]:
+    """The counting bound on the diamond configuration's entries."""
+    out = []
+    for k in range(-m - 1, 1):
+        for l in range(0, k + m):
+            limit = k + m - l - 1
+            for side in (1, -1):  # 1: below k, right of l; -1: mirrored
+                if sum(1 for value, site, _ in entries
+                       if side * value < k and side * site > l) > limit:
+                    out.append(BoundViolation(-1, None, side * k, side * l,
+                                              "diamond_config_bounds", limit))
+    return out
 
 
 def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
     """``{name: violations}`` of the bound checkers ``names`` (any of
-    ``SCOPES`` but conservation), all fed from one replay of ``trace``.
+    ``SCOPES`` but conservation), all read from one pass over the trace's
+    chip-site table (``_chip_sites``).
 
-    CheckerNotApplicableError if any of them refuses: outside its scope
-    before the replay, or where the trace lacks what its bound needs.
+    CheckerNotApplicableError if any of them refuses: outside its scope, or
+    where the trace lacks what its bound needs.
     """
     n = trace.initial.total_chips()
-    observers = {}
+    ms = {}
     for name in names:
-        if name not in _OBSERVERS:
+        if name not in SCOPES or name == "conservation":
             raise ValueError(f"{name!r} is not a bound checker")
-        observers[name] = _OBSERVERS[name](trace, _scope_m(name, trace.variant, n))
-    if observers:
-        _observe(trace, list(observers.values()))
-    return {name: obs.finish() for name, obs in observers.items()}
+        ms[name] = _scope_m(name, trace.variant, n)
+    if not ms:
+        return {}
+    chips = [chip for _, chip in _columns(trace)]
+    moves = _diamond_moves(trace) if ms.keys() - set(_POSITION_LEMMAS) else []
+    readers = {}  # name -> reader(t0, sites) of one block
+    for name, m in ms.items():
+        if name in _POSITION_LEMMAS:  # int64 limits clipped to +-_REACH, past every site
+            dtype = _site_dtype(trace)
+            limits = np.array([[bound if dtype is object else min(max(bound, -_REACH), _REACH)
+                                for bound in _position_limits(name, m, chip.value)]
+                               for chip in chips], dtype).reshape(-1, 2).T
+            readers[name] = partial(_position_violations, name, m, chips, *limits)
+        elif name == "diamond_move_bounds":
+            wanted = _move_bound_chips(trace, moves)
+            column = {chip.id: c for c, chip in enumerate(chips)}
+            readers[name] = partial(_cells, np.array([t for t, _, _, _ in wanted], np.intp),
+                                    np.array([column[chip.id] for _, _, chip, _ in wanted], np.intp))
+        else:  # row t is before move t, row t+1 after it
+            after = name == "diamond_count_bounds"
+            readers[name] = partial(_cells, np.array([t + after for t, _, _ in moves], np.intp), None)
+    read = {name: [] for name in readers}
+    for t0, sites in _chip_sites(trace):
+        for name, reader in readers.items():
+            read[name].append(reader(t0, sites))
+    out = {}
+    for name, m in ms.items():
+        if name in _POSITION_LEMMAS:
+            out[name] = [violation for found in read[name] for violation in found]
+            continue
+        sites = np.concatenate(read[name])
+        if name == "diamond_move_bounds":
+            out[name] = [BoundViolation(rec.step, chip.id, chip.value, site, name, rec.site)
+                         for (_, rec, chip, side), site in zip(wanted, sites.tolist())
+                         if side * (site - rec.site) < 0]
+        elif name == "diamond_count_bounds":
+            out[name] = _count_violations(m, moves, chips, sites)
+        else:
+            out[name] = _config_violations(m, list(_attendance(moves, chips, sites).values()))
+    return out
 
 
 def check_chip_bounds(trace: Trace) -> list[BoundViolation]:
@@ -350,8 +348,8 @@ def check_chip_bounds(trace: Trace) -> list[BoundViolation]:
 
     A chip valued k < 0 never sits right of k + m, and a chip valued k > 0
     never sits left of k - m; with edge multiplicity r the r chips sharing a
-    value share the bound.  Its limits are ``_position_limits``, scanned
-    by the rescan rule of ``_PositionBounds``.
+    value share the bound.  Its limits are ``_position_limits``, read
+    on every row of the chip-site table.
     """
     return check_bounds(trace, ["chip_bounds"])["chip_bounds"]
 
@@ -371,8 +369,8 @@ def check_loop_bounds(trace: Trace) -> list[BoundViolation]:
     on every reachable state at n = 7 and n = 11 (tests/test_analysis.py).
 
     The limits are ``_position_limits`` and the clauses
-    ``_extreme_clauses``, scanned by the rescan rule of ``_PositionBounds``,
-    the one it shares with ``check_chip_bounds``.
+    ``_extreme_clauses``, read on every row of the chip-site table, as
+    ``check_chip_bounds`` reads its limits.
     """
     return check_bounds(trace, ["loop_bounds"])["loop_bounds"]
 
@@ -404,9 +402,10 @@ def diamond_configuration(trace: Trace) -> dict[int, tuple[int, int, int]]:
     Present means sitting at the firing site when the move executes, chosen
     or not.  CheckerNotApplicableError if some chip never attends one.
     """
-    observer = _DiamondConfigBounds(trace, None)
-    _observe(trace, [observer])
-    return observer.configuration()
+    moves = _diamond_moves(trace)
+    rows = np.array([t for t, _, _ in moves], np.intp)
+    before = np.concatenate([_cells(rows, None, t0, sites) for t0, sites in _chip_sites(trace)])
+    return _attendance(moves, [chip for _, chip in _columns(trace)], before)
 
 
 def check_diamond_config_bounds(trace: Trace) -> list[BoundViolation]:

@@ -3,10 +3,11 @@
 ``apply`` is the former sort-based ``LabeledConfiguration.apply``: it
 concatenates each changed site's chips and sorts them again.  It is the
 oracle for the insertion-based ``apply``.  ``check_chip_bounds`` and
-``check_loop_bounds`` are the former full-scan checkers, which test every
-chip after every step, each with its own statement of its bounds; they are
-the oracles for the checker that rescans only after moves that can break a
-bound.
+``check_loop_bounds`` are the former full-scan checkers, which replay the
+trace and test every chip of every configuration, each with its own
+statement of its bounds; they are the oracles for the position lemmas read
+from the chip-site table, which is summed from the move records without a
+replay.
 """
 
 from math import ceil, floor
@@ -47,7 +48,8 @@ def apply(config, variant, site, chosen_ids):
 
 
 def check_chip_bounds(trace):
-    """Every chip's position bound, tested on every chip after every step."""
+    """Every chip's position bound, tested on every chip of every replayed
+    configuration."""
     m = _scope_m("chip_bounds", trace.variant, trace.initial.total_chips())
     out = []
 
@@ -67,8 +69,8 @@ def check_chip_bounds(trace):
 
 
 def check_loop_bounds(trace):
-    """Every chip's loop bound and every extreme-occupancy clause, tested
-    after every step."""
+    """Every chip's loop bound and every extreme-occupancy clause, tested on
+    every replayed configuration."""
     m = _scope_m("loop_bounds", trace.variant, trace.initial.total_chips())
     # (value, site, sign), in report order: at most one chip with
     # sign * its value >= sign * value sits where sign * its site <= sign * site

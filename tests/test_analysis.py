@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipfire import analysis, closedform, explorer
+from chipfire import analysis, closedform, explorer, poset
 from chipfire.analysis import (CheckerNotApplicableError, check_chip_bounds,
                                check_conservation, check_diamond_config_bounds,
                                check_diamond_count_bounds, check_diamond_move_bounds,
                                check_loop_bounds, diamond_configuration, is_weakly_sorted,
                                violations_to_json)
-from chipfire.engine import (LabeledConfiguration, LeftmostStrategy, RandomStrategy,
+from chipfire.engine import (LabeledConfiguration, LeftmostStrategy, RandomStrategy, Trace,
                              run_to_completion, standard_initial)
 from chipfire.poset import DEFAULT_STATE_CAP
 from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
                                origin_loops)
 import engine_reference
+from test_checker_violations import _initial
 from trace_enum import all_complete_traces
 
 
@@ -125,6 +126,8 @@ def _violating_traces(lemma, count):
 
 @pytest.mark.parametrize("lemma", list(POSITION_LEMMAS))
 def test_position_bounds_match_full_scan_reference(lemma):
+    """The position lemmas read on every row of the chip-site table report
+    what the full scans of every replayed configuration report."""
     _, reference, least_cleared = POSITION_LEMMAS[lemma]
     cleared = 0
     for trace in _violating_traces(lemma, 150):
@@ -133,6 +136,92 @@ def test_position_bounds_match_full_scan_reference(lemma):
         steps = {v["step"] for v in want}
         cleared += any(step not in steps for step in range(min(steps), len(trace)))
     assert cleared >= least_cleared  # violations that clear before the run ends
+
+
+@pytest.mark.parametrize("lemma", list(POSITION_LEMMAS))
+def test_position_bounds_match_full_scan_reference_in_small_blocks(monkeypatch, lemma):
+    """The same with table blocks of 37 sites, a few rows each, so that
+    violations and clauses are read across block boundaries."""
+    monkeypatch.setattr(analysis, "BLOCK_CELLS", 37)
+    test_position_bounds_match_full_scan_reference(lemma)
+
+
+SITE_TABLE_VARIANTS = [(base(), 8), (multi_edge(2), 8), (origin_loops(1), 7),
+                       (loops_everywhere(), 11), (loops_and_edges(2), 6), (exponential(1), 8)]
+
+
+def _site_table_traces():
+    """Runs of all six kinds from the origin preset and from the displaced,
+    scattered and relabeled initials of ``test_checker_violations``, a
+    staircase run, and a run whose sites lie past int64."""
+    for variant, n in SITE_TABLE_VARIANTS:
+        yield _run(variant, n, 1)
+        for seed in range(3):
+            initial = _initial(variant, n, f"{variant}-{n}", seed)
+            yield run_to_completion(initial, variant, RandomStrategy(), seed=seed)
+    yield run_to_completion(standard_initial(base(), 4, "staircase"), base(), RandomStrategy(),
+                            seed=2)
+    yield run_to_completion(LabeledConfiguration.from_values({2 ** 63: [-2, -1, 1, 2]}), base(),
+                            RandomStrategy(), seed=4)
+
+
+def _first_attendance(trace):
+    """``diamond_configuration`` by replay: each chip's first diamond move
+    that finds it at the firing site."""
+    final = poset.diamond(trace.variant, trace.initial.total_chips())
+    out = {}
+    for before, rec, _ in trace.replay(verify=False):
+        if (rec.site, rec.fire_index_at_site) in final:
+            for chip in before.occupancy[rec.site]:
+                out.setdefault(chip.id, (chip.value, rec.site, rec.fire_index_at_site))
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 5, 37], ids=["default", "one-row", "few-rows"])
+def test_chip_sites_rows_match_replay(monkeypatch, block):
+    """Row t of the chip-site table is the configuration before move t, read
+    by chip id, in blocks of ``BLOCK_CELLS`` sites, of one row each or of a
+    few rows; and the first diamond attendance carries across blocks."""
+    if block:
+        monkeypatch.setattr(analysis, "BLOCK_CELLS", block)
+    attended = 0
+    for trace in _site_table_traces():
+        ids = [chip.id for _, chip in analysis._columns(trace)]
+        blocks = list(analysis._chip_sites(trace))
+        starts = [t0 for t0, _ in blocks]
+        rows = np.concatenate([sites for _, sites in blocks])
+        assert starts == [0] + list(np.cumsum([len(sites) for _, sites in blocks])[:-1])
+        assert (rows.dtype == object) == (max(trace.initial.occupancy) >= 2 ** 62)
+        configs = [trace.initial] + [after for _, _, after in trace.replay(verify=False)]
+        assert len(rows) == len(configs) == len(trace) + 1
+        for row, config in zip(rows.tolist(), configs):
+            assert dict(zip(ids, row)) == {chip.id: site for site, chip in config.chips()}
+        if block:
+            assert len(blocks) == -(-len(rows) // max(1, block // len(ids)))
+        if analysis.SCOPES["diamond_config_bounds"](trace.variant, len(ids)):
+            want = _first_attendance(trace)
+            if len(want) == len(ids):
+                assert list(diamond_configuration(trace).items()) == list(want.items())
+                attended += 1
+            else:
+                with pytest.raises(CheckerNotApplicableError,
+                                   match=f"only {len(want)} of {len(ids)} chips attended"):
+                    diamond_configuration(trace)
+    assert attended
+
+
+def test_bound_checkers_do_not_replay(monkeypatch):
+    """``check_bounds`` and ``diamond_configuration`` read the records only."""
+    traces = [_run(base(), 8, 0), _run(loops_everywhere(), 11, 0), _run(multi_edge(2), 8, 0)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bound checker replayed the trace")
+    monkeypatch.setattr(Trace, "replay", refuse)
+    monkeypatch.setattr(LabeledConfiguration, "apply", refuse)
+    for trace in traces:
+        names = analysis.applicable_checkers(trace.variant, trace.initial.total_chips())[1:]
+        assert analysis.check_bounds(trace, names) == {name: [] for name in names}
+    assert diamond_configuration(traces[1])
 
 
 def test_diamond_move_bounds_exhaustive_n4():
