@@ -137,7 +137,7 @@ def cmd_verify(args) -> int:
         if labeled_oracle is not None:
             detail["terminal_labeled_ok"] = final.values_by_site() == labeled_oracle
         # conservation replays on its own as the independent oracle; the
-        # bound checkers share one more replay
+        # bound checkers read one chip-site table built from the records
         detail["violations"]["conservation"] = len(analysis.check_conservation(trace))
         for name, found in analysis.check_bounds(trace, checkers[1:]).items():
             detail["violations"][name] = len(found)

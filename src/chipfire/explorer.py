@@ -21,8 +21,9 @@ class at a time: each level keeps the smaller of every child and its mirror
 (Ip and Dill, "Better verification through symmetry", 1996) and counts
 2q - s states for q classes of which s are their own mirror.  No parents
 are kept; a witness walks back from its terminal, one level at a time, to
-the smallest parent among the previous level's rows and their mirrors,
-which is the parent the search without the quotient would have recorded.
+the smallest parent the previous level holds up to mirror, which is the
+parent the search without the quotient would have recorded.  Only the move
+table states the move rule: ``expand`` confirms every parent of the walk.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ class _MoveTable:
     Rows are expanded in slices whose size keeps rows x combinations near
     ``SLICE_CELLS``.  Rows with more than ``COMBINATION_LIMIT`` combinations
     are refused, because their tables would not fit in memory.  ``bundles``
-    holds each site byte's (left, loop, right) for reversing moves, and
-    ``symmetric`` whether the moves commute with ``_mirror``.
+    holds each site byte's (left, right), the chips a move there sends
+    away, and ``symmetric`` whether the moves commute with ``_mirror``.
     """
 
     def __init__(self, variant: Variant, nchips: int):
@@ -111,8 +112,8 @@ class _MoveTable:
         # site byte b mirrors to 256 - b: the moves commute with ``_mirror``
         # when thresholds match and left and right bundles swap
         self.symmetric = np.array_equal(table[1:], table[:0:-1, [2, 1, 0, 3]])
-        # (left, loop, right) per site byte, zero where nchips chips cannot fire
-        self.bundles = np.where((thresholds <= nchips)[:, None], table[:, :3], 0).tolist()
+        # (left, right) per site byte, zero where nchips chips cannot fire
+        self.bundles = np.where((thresholds <= nchips)[:, None], table[:, [0, 2]], 0).tolist()
         self.blocks = []
         for t in used:
             fires = thresholds == t
@@ -149,49 +150,32 @@ class _MoveTable:
             return empty, rows[:0], empty, empty
         return tuple(np.concatenate(a) for a in zip(*parts))
 
-    def path_moves(self, path: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
-        """``(site, chosen values)`` of the first move from each row of ``path`` to the next.
+    def parents(self, row: np.ndarray):
+        """Every row with a move to ``row``, ascending, and each one's first move there.
 
-        The moves from one row to the next fire at one site, so they share a
-        block, where they come in combination order.
-        """
-        parent, children, block, comb = self.expand(path[:-1])
-        hit = np.flatnonzero((children == path[1:][parent]).all(axis=1))
-        _, first = np.unique(parent[hit], return_index=True)
-        return [_state(path[parent[i]][self.blocks[block[i]][0][comb[i]]])[0]
-                for i in hit[first]]
-
-    def predecessors(self, row: np.ndarray) -> np.ndarray:
-        """Every row with a move to ``row``, in ascending order.
-
-        A move at site byte b sends its ``left`` smallest chosen chips to
-        b - 1 and its ``right`` largest to b + 1, and keeps ``loop`` chips
-        valued between them at b; putting such chips back at b gives a
-        parent.
+        A move at site byte b sends ``left`` chosen chips to b - 1 and
+        ``right`` to b + 1.  Every way of putting that many back at b is
+        proposed, and ``expand`` keeps the proposals that reach ``row``;
+        a kept row's first move, in (block, combination) order, is given
+        as ``(site, chosen values)``.
         """
         chips = row.tolist()
         columns: dict[int, list[int]] = {}
         for i, chip in enumerate(chips):
             columns.setdefault(chip >> 8, []).append(i)
-        out = set()
-        for b in range(max(1, (chips[0] >> 8) - 1), min(255, (chips[-1] >> 8) + 2)):
-            left, loop, right = self.bundles[b]
-            if left + right == 0:
-                continue
+        proposed = set()
+        for b in {site + step for site in columns for step in (-1, 1)}:
+            left, right = self.bundles[b]
             for back in combinations(columns.get(b - 1, ()), left):
-                low = chips[back[-1]] & 0xFF if left else 0
                 for down in combinations(columns.get(b + 1, ()), right):
-                    high = chips[down[0]] & 0xFF if right else 0xFF
-                    if low > high or (loop and sum(
-                            low <= chips[i] & 0xFF <= high for i in columns.get(b, ())) < loop):
-                        continue
-                    parent = list(chips)
-                    for i in back:
-                        parent[i] += SITE_STEP
-                    for i in down:
-                        parent[i] -= SITE_STEP
-                    out.add(tuple(sorted(parent)))
-        return np.array(sorted(out), np.uint16).reshape(-1, row.size)
+                    proposed.add(tuple(sorted(c + SITE_STEP * ((i in back) - (i in down))
+                                              for i, c in enumerate(chips))))
+        rows = np.array(sorted(proposed), np.uint16).reshape(-1, row.size)
+        parent, children, block, comb = self.expand(rows)
+        hit = np.flatnonzero((children == row).all(axis=1))
+        kept, first = np.unique(parent[hit], return_index=True)
+        return rows[kept], [_state(rows[parent[i]][self.blocks[block[i]][0][comb[i]]])[0]
+                            for i in hit[first]]
 
 
 @dataclass
@@ -306,28 +290,32 @@ def _level_keys(level: np.ndarray) -> np.ndarray:
     return level.astype(">u2").view(f"S{2 * level.shape[1]}").ravel()
 
 
-def _parent(keys: np.ndarray, moves: _MoveTable, mirrored: bool,
-            child: np.ndarray) -> np.ndarray:
-    """Smallest row of the previous level, mirrors included, with a move to ``child``.
+def _step_back(keys: np.ndarray, moves: _MoveTable, mirrored: bool, child: np.ndarray):
+    """Smallest parent of ``child`` that the previous level holds, and its first move there.
 
-    ``keys`` are that level's ``_level_keys``.  Moves are taken in row order,
-    so this is the parent of ``child``'s first occurrence in the search
-    without the quotient.
+    ``keys`` are that level's ``_level_keys``; under the quotient a parent
+    is looked up by its ``_canonicalize``d form.  Moves are taken in row
+    order, so this is the parent of ``child``'s first occurrence in the
+    search without the quotient.
     """
-    rows = moves.predecessors(child)
-    stored = _level_keys(np.concatenate([rows, _mirror(rows)]) if mirrored else rows)
+    rows, first = moves.parents(child)
+    stored = rows.copy()
+    if mirrored:
+        _canonicalize(stored)
+    stored = _level_keys(stored)
     at = np.minimum(np.searchsorted(keys, stored), len(keys) - 1)
-    found = (keys[at] == stored).reshape(-1, len(rows)).any(axis=0)
-    return rows[found][0]
+    i = int(np.argmax(keys[at] == stored))
+    return rows[i], first[i]
 
 
 def _witness(levels: list[np.ndarray], moves: _MoveTable, mirrored: bool,
              level: int, row: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
     """Moves from the start to ``row`` of ``level``, walking back one parent at a time."""
-    path = [row]
+    back = []
     for li in range(level, 0, -1):
-        path.append(_parent(_level_keys(levels[li - 1]), moves, mirrored, path[-1]))
-    return moves.path_moves(np.array(path[::-1]))
+        row, move = _step_back(_level_keys(levels[li - 1]), moves, mirrored, row)
+        back.append(move)
+    return back[::-1]
 
 
 def explore(initial: LabeledConfiguration, variant: Variant,

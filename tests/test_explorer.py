@@ -152,9 +152,9 @@ def test_explorer_agrees_with_engine_choices():
     """The level expansion against the per-state reference and the engine, all six variants.
 
     On random reachable states the children equal the reference's and those
-    of applying every legal id-subset, the first move reaching each child is
-    the reference's, and each child's predecessors are parents of it and
-    include the state.
+    of applying every legal id-subset, and each child's ``parents`` include
+    the state and are, every one of them, parents of the child by the
+    reference's first move.
     """
     for variant, n in SIX_VARIANTS:
         for initial in (standard_initial(variant, n),
@@ -168,16 +168,14 @@ def test_explorer_agrees_with_engine_choices():
                     for chosen in combinations(ids, variant.threshold(site)):
                         applied.add(canonicalize(config.apply(variant, site, chosen)))
                 assert successor_outcomes(state, variant) == set(first) == applied
-                row = explorer._row(state)
-                table = explorer._MoveTable(variant, row.size)
+                table = explorer._MoveTable(variant, explorer._row(state).size)
                 for child, move in first.items():
-                    child = explorer._row(child)
-                    assert table.path_moves(np.array([row, child])) == [move]
-                    # the rows one reversed move away are exactly the parents
-                    before = table.predecessors(child)
-                    parent, children, _, _ = table.expand(before)
-                    assert set(parent[(children == child).all(axis=1)]) == set(range(len(before)))
-                    assert any((before == row).all(axis=1))
+                    before, moves = table.parents(explorer._row(child))
+                    got = {explorer._state(p): m for p, m in zip(before, moves, strict=True)}
+                    assert len(got) == len(before) and got[state] == move
+                    # every row returned is a parent, with the reference's first move
+                    for parent, parent_move in got.items():
+                        assert labeled_reference.first_moves(parent, variant)[child] == parent_move
 
 
 class _Lopsided(Variant):
@@ -190,8 +188,11 @@ class _Lopsided(Variant):
 def _assert_levels_match_reference(variant, initial, mirrored):
     """Every level's rows, with their mirrors when the search keeps one row
     per mirror class, are as big-endian bytes the reference's sorted byte
-    keys (``labeled_reference.key``), and the walk's parent of every state
-    is the reference's first-occurrence parent."""
+    keys (``labeled_reference.key``).  For every row of every level,
+    ``parents`` lists, among the previous level's rows, exactly those whose
+    reference successors reach it, ascending and each with the reference's
+    first move, and the walk's step back (``_step_back``) goes to the
+    reference's first-occurrence parent by that parent's first move."""
     levels, _, visited, moves, quotiented = explorer._explore_levels(
         initial, variant, DEFAULT_STATE_CAP)
     assert quotiented == mirrored
@@ -205,9 +206,22 @@ def _assert_levels_match_reference(variant, initial, mirrored):
     for li in range(1, len(levels)):
         keys = explorer._level_keys(levels[li - 1])
         index = {key: i for i, key in enumerate(want_keys[li - 1])}
-        got = [index[explorer._parent(keys, moves, mirrored, row).astype(">u2").tobytes()]
-               for row in full[li]]
-        assert got == want_parents[li]
+        reaching = {}  # child key -> {parent key: the parent's first move to the child}
+        for parent in full[li - 1]:
+            pkey = parent.astype(">u2").tobytes()
+            for child, move in labeled_reference.first_moves(
+                    explorer._state(parent), variant).items():
+                reaching.setdefault(labeled_reference.key(child), {})[pkey] = move
+        for r, (ckey, row) in enumerate(zip(want_keys[li], full[li])):
+            before, first = moves.parents(row)
+            held = [(key, move) for key, move in zip(
+                (p.astype(">u2").tobytes() for p in before), first) if key in index]
+            assert [key for key, _ in held] == sorted(reaching[ckey])
+            assert dict(held) == reaching[ckey]
+            parent, move = explorer._step_back(keys, moves, mirrored, row)
+            pkey = parent.astype(">u2").tobytes()
+            assert index[pkey] == want_parents[li][r]
+            assert move == reaching[ckey][pkey]
     assert visited == sum(map(len, want_keys))
 
 
