@@ -230,20 +230,22 @@ def _diamond_moves(trace: Trace) -> list[tuple[int, MoveRecord, tuple[int, int]]
             if (xy := final.get((rec.site, rec.fire_index_at_site))) is not None]
 
 
-def _move_bound_chips(trace: Trace, moves) -> list[tuple[int, MoveRecord, Chip, int]]:
-    """``(t, record, chip, side)`` per diamond move (x, y): the chip valued
-    -(y+1), which must sit at or left of the firing site (side -1), then the
-    one valued x+1, at or right of it (side 1).  Of chips sharing a value,
-    the last in ``chips()`` order is read."""
-    by_value = {chip.value: chip for _, chip in trace.initial.chips()}
-    out = []
-    for t, rec, (x, y) in moves:
-        for value, side in ((-(y + 1), -1), (x + 1, 1)):
+def _move_bound_chips(trace: Trace, moves, chips: list[Chip]) -> tuple[np.ndarray, ...]:
+    """Row, column and side (int arrays) of the cells read per diamond move
+    (x, y): the chip valued -(y+1), which must sit at or left of the firing
+    site (side -1), then the one valued x+1, at or right of it (side 1).  Of
+    chips sharing a value, the last in ``chips()`` order is read."""
+    column = {chip.id: c for c, chip in enumerate(chips)}
+    by_value = {chip.value: column[chip.id] for _, chip in trace.initial.chips()}
+    cols = []
+    for _, _, (x, y) in moves:
+        for value in (-(y + 1), x + 1):
             if value not in by_value:
                 raise CheckerNotApplicableError(
                     f"diamond_move_bounds needs a chip valued {value}; the trace has none")
-            out.append((t, rec, by_value[value], side))
-    return out
+            cols.append(by_value[value])
+    rows = np.repeat(np.array([t for t, _, _ in moves], np.intp), 2)
+    return rows, np.array(cols, np.intp), np.tile(np.array([-1, 1], np.intp), len(moves))
 
 
 def _count_violations(m: int, moves, chips: list[Chip], after: np.ndarray) -> list[BoundViolation]:
@@ -315,10 +317,8 @@ def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
                                for chip in chips], dtype).reshape(-1, 2).T
             readers[name] = partial(_position_violations, name, m, chips, *limits)
         elif name == "diamond_move_bounds":
-            wanted = _move_bound_chips(trace, moves)
-            column = {chip.id: c for c, chip in enumerate(chips)}
-            readers[name] = partial(_cells, np.array([t for t, _, _, _ in wanted], np.intp),
-                                    np.array([column[chip.id] for _, _, chip, _ in wanted], np.intp))
+            rows, cols, sides = _move_bound_chips(trace, moves, chips)
+            readers[name] = partial(_cells, rows, cols)
         else:  # row t is before move t, row t+1 after it
             after = name == "diamond_count_bounds"
             readers[name] = partial(_cells, np.array([t + after for t, _, _ in moves], np.intp), None)
@@ -333,9 +333,11 @@ def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
             continue
         sites = np.concatenate(read[name])
         if name == "diamond_move_bounds":
-            out[name] = [BoundViolation(rec.step, chip.id, chip.value, site, name, rec.site)
-                         for (_, rec, chip, side), site in zip(wanted, sites.tolist())
-                         if side * (site - rec.site) < 0]
+            fired = np.repeat(np.array([rec.site for _, rec, _ in moves], np.int64), 2)
+            broken = np.flatnonzero(sides * (sites - fired) < 0)
+            out[name] = [BoundViolation(trace.records[t].step, chips[c].id, chips[c].value, site,
+                                        name, trace.records[t].site) for t, c, site in
+                         zip(rows[broken].tolist(), cols[broken].tolist(), sites[broken].tolist())]
         elif name == "diamond_count_bounds":
             out[name] = _count_violations(m, moves, chips, sites)
         else:

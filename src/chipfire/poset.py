@@ -48,9 +48,8 @@ class FireCountSpace:
 
     def __post_init__(self):
         self._idx = {s: i for i, s in enumerate(self.sites)}
-        # row of a site's first move in nodes() and least_fires
+        # row of a site's first move in nodes() and fire_tables
         self._first_row = dict(zip(self.sites, (np.cumsum(self.totals) - self.totals).tolist()))
-        self._excess: dict[int, dict[int, tuple[int, int]]] = {}
 
     @property
     def n_states(self) -> int:
@@ -82,58 +81,50 @@ class FireCountSpace:
                 for site in self.sites for j in range(1, self.total_fires(site) + 1)]
 
     @cached_property
+    def fire_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(least_fires, exact)``, a row per node, from one pass per site:
+        ``exact[r]`` is ``excess_chips(nodes()[r])``, ``(0, n_states)`` for
+        None.  A site's chip counts, exact in int32 (``_check_bounds``), pick
+        its few rows above threshold and are dropped before its sort and gathers."""
+        w = len(self.sites)
+        least = np.empty((int(self.totals.sum()), w), np.int16)
+        exact = np.tile(np.array([0, self.n_states], np.int64), (len(least), 1))
+        columns = np.ascontiguousarray(self.states.T)  # reduceat runs along long rows
+        for i, (site, first) in enumerate(self._first_row.items()):
+            chips = np.full(self.n_states, self.initial[i], np.int32)
+            for j in range(max(i - 1, 0), min(i + 2, w)):
+                chips += np.multiply(columns[j], self.flow[j, i + 1], dtype=np.int32)
+            hot = np.flatnonzero(chips > self.variant.threshold(site))  # ascending rows
+            rows = first + columns[i, hot].astype(np.intp)  # row of the move next there
+            np.maximum.at(exact[:, 0], rows, chips[hot])
+            np.minimum.at(exact[:, 1], rows, hot)
+            del chips, hot, rows
+            order = np.argsort(columns[i], kind="stable")
+            starts = np.cumsum(np.bincount(columns[i]))[:-1]  # where values 1..total start, sorted
+            least[first:first + len(starts)] = np.minimum.reduceat(
+                columns.take(order, axis=1), starts, axis=1).T
+        return least, exact
+
+    @property
     def least_fires(self) -> np.ndarray:
         """(k, W) int16, row r for ``nodes()[r] = (t, o)``: each window site's
         least fire count over the states where site t has fired exactly o
         times.  Fire counts only grow, so every state with move (t, o) done
         lies above one of those: ``(s, j)`` precedes it iff ``j <= row[s]``."""
-        least = np.empty((int(self.totals.sum()), len(self.sites)), np.int16)
-        columns = np.ascontiguousarray(self.states.T)  # reduceat runs along long rows
-        for column, first in zip(columns, self._first_row.values()):
-            order = np.argsort(column, kind="stable")
-            starts = np.cumsum(np.bincount(column))[:-1]  # where values 1..total start, sorted
-            least[first:first + len(starts)] = np.minimum.reduceat(
-                columns.take(order, axis=1), starts, axis=1).T
-        return least
+        return self.fire_tables[0]
 
     def precedes(self, a: MoveInstance, b: MoveInstance) -> bool:
         """True iff no reachable state has ``b`` done while ``a`` is not."""
         row = self._first_row[b.site] + b.occ_from_start - 1
         return a.occ_from_start <= int(self.least_fires[row, self._idx[a.site]])
 
-    def chips_vector(self, site: int) -> np.ndarray:
-        """Chip count at window site ``site`` in every state, as ``int32``:
-        the initial count plus ``flow[j, i+1] * F_j`` over the site and its
-        window neighbours ``j``, exact as ``_check_bounds`` keeps every
-        partial sum below 2**31."""
-        i = self._idx[site]
-        chips = np.full(self.n_states, self.initial[i], np.int32)
-        for j in range(max(i - 1, 0), min(i + 2, len(self.sites))):
-            chips += np.multiply(self.states[:, j], self.flow[j, i + 1], dtype=np.int32)
-        return chips
-
-    def _excess_by_occurrence(self, site: int) -> dict[int, tuple[int, int]]:
-        """``occ_from_start -> (most chips, first state)`` over the states
-        with more than threshold chips at ``site``, grouped by which move is
-        next there.  One pass over the site's hot states serves all of its
-        moves; only this small table is kept."""
-        table = self._excess.get(site)
-        if table is None:
-            chips = self.chips_vector(site)
-            hot = np.flatnonzero(chips > self.variant.threshold(site))  # ascending rows
-            fired, first, group = np.unique(self.states[hot, self._idx[site]],
-                                            return_index=True, return_inverse=True)
-            most = np.zeros(len(fired), np.int32)
-            np.maximum.at(most, group, chips[hot])
-            table = self._excess[site] = dict(zip(
-                (fired + 1).tolist(), zip(most.tolist(), hot[first].tolist())))
-        return table
-
     def excess_chips(self, move: MoveInstance) -> tuple[int, int] | None:
         """``(most chips, first state)`` over the states where ``move`` is the
         next move at its site and more than threshold chips are there, or
         None if there is no such state."""
-        return self._excess_by_occurrence(move.site).get(move.occ_from_start)
+        row = self._first_row[move.site] + move.occ_from_start - 1
+        chips, state = self.fire_tables[1][row].tolist()
+        return (chips, state) if chips else None
 
 
 def _first_unique(rows: np.ndarray) -> np.ndarray:
@@ -203,22 +194,27 @@ def _expand(frontier: np.ndarray, keys: np.ndarray, rows: np.ndarray, cols: np.n
     return succ, child[first]
 
 
+class RepresentationLimitError(ChipFiringError):
+    """The space's fire or chip counts would not fit its arrays exactly."""
+
+
 def _check_bounds(totals: np.ndarray, flow: np.ndarray, n: int):
-    """Refuse a space the search cannot represent exactly: a fire count
-    above the int16 rows' maximum, chip counts whose float64 product
-    ``flow.T @ F.T`` could pass 2**53, where doubles stop holding every
-    integer, or a partial sum of ``chips_vector``'s int32 counts past 2**31."""
+    """Refuse, with RepresentationLimitError, a space the search cannot
+    represent exactly: a fire count above the int16 rows' maximum, chip
+    counts whose float64 product ``flow.T @ F.T`` could pass 2**53, where
+    doubles stop holding every integer, or a partial sum past 2**31 of the
+    int32 chip counts of ``FireCountSpace.fire_tables``' pass per site."""
     fires = np.iinfo(np.int16).max
     if totals.max() > fires:
-        raise ChipFiringError(
+        raise RepresentationLimitError(
             f"a site fires {int(totals.max())} times, above the int16 bound {fires}")
     worst = fires * int(np.abs(flow).sum(axis=0).max())
     if worst >= 2 ** 53:
-        raise ChipFiringError(
+        raise RepresentationLimitError(
             f"chip counts up to {worst} pass the float64 exactness bound 2**53")
     partial = n + int((totals @ np.abs(flow)).max())
     if partial >= 2 ** 31:
-        raise ChipFiringError(
+        raise RepresentationLimitError(
             f"chip partial sums up to {partial} pass the int32 bound 2**31")
 
 
@@ -228,9 +224,9 @@ def reachable_states(variant: Variant, n: int,
 
     Each move raises the total fire count by one, so levels are graded and
     deduplication never needs to look across levels.  Raises CapExceededError
-    (without partial results) when the cap is hit, and ChipFiringError if the
-    dynamics contradict the closed-form window or totals, or if a total or
-    a chip count would not fit the representation (see ``_check_bounds``).
+    (without partial results) when the cap is hit, ChipFiringError if the
+    dynamics contradict the closed-form window or totals, and its subclass
+    RepresentationLimitError if a total or a chip count would not fit.
     """
     table = closedform.fire_count_table(variant, n)
     sites = tuple(sorted(table))

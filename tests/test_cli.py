@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,12 +179,27 @@ def test_explore_searches_once(tmp_path, monkeypatch):
 
 def test_poset_without_check_or_dot_builds_no_least_fires(monkeypatch):
     def refuse(space):
-        raise AssertionError("least fire counts built")
+        raise AssertionError("fire tables built")
 
-    monkeypatch.setattr(poset.FireCountSpace, "least_fires", property(refuse))
+    monkeypatch.setattr(poset.FireCountSpace, "fire_tables", property(refuse))
     assert main(["poset", "--n", "10"]) == 0
-    with pytest.raises(AssertionError, match="least fire counts built"):
+    with pytest.raises(AssertionError, match="fire tables built"):
         main(["poset", "--n", "10", "--check", "grid"])
+
+
+@pytest.mark.parametrize("argv", [["--n", "600"], ["--variant", "exponential", "--t", "40"]],
+                         ids=["int16-fires", "float64-chips"])
+def test_poset_past_representation_limits_is_usage_error(argv):
+    """A space whose fire or chip counts would not fit its arrays is
+    refused before the search: exit 2 and one ``error:`` line, run through
+    the module's own entry point so that a traceback would show."""
+    src = Path(poset.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "chipfire.cli", "poset", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_counterexample_odd_even_n_is_usage_error():

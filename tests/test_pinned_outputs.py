@@ -106,10 +106,14 @@ DOT_CASES = {
 GRID_CASES = {
     "grid-base-11": (check_grid_structure, base(), 11, "b7900c0830a970216d981f798fd5a9ad76595bc7"),
     "grid-base-14": (check_grid_structure, base(), 14, "63c44cf8b3e850b4d32f133a3ed2dd29c80aac58"),
+    # 66 violations, exact_chips witness states among them
+    "grid-base-13": (check_grid_structure, base(), 13, "a9b71a0c0eabff88439fb4eb32fb191668d18d0c"),
     "expgrid-t0-4": (check_exponential_grid, exponential(0), 4,
                      "327be87fc6d65a9be41d807599bb5dc0b1943131"),
     "expgrid-t1-8": (check_exponential_grid, exponential(1), 8,
                      "36237fbe07d695e34f093ae128851d0a2ca5469a"),
+    "expgrid-t2-16": (check_exponential_grid, exponential(2), 16,
+                      "9f20f583364f9d60a0e6b9a549c78484c330ac46"),
 }
 
 
