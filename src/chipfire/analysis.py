@@ -1,17 +1,16 @@
 """Trace-level checkers: position bounds, counting bounds, sortedness.
 
-Every checker takes a complete trace and returns the full list of
-violations (empty on success).  Conservation replays the trace on its own
-and recounts every step: it is the independent oracle.  The five bound
-checkers replay nothing: they read one table of chip sites, a row per step
-and a column per chip, summed from the move records (``_chip_sites``).
-``check_bounds`` reads any set of them from one pass over that table, in
-blocks of rows, and each ``check_<name>`` is ``check_bounds`` with that one
-name.  A checker applies to ``(variant, n)`` when its ``SCOPES`` entry holds
-and, for all but conservation, the closed form gives its ``m``
-(``_scope_m``); ``applicable_checkers`` lists the checkers that apply, and
-one applied outside its scope raises CheckerNotApplicableError, never
-passing silently.
+Each checker reads a complete trace and reports the full list of
+violations (empty on success).  ``check_conservation`` replays the trace
+on its own and recounts every step: it is the independent oracle.  The
+five bound checkers, the names in ``SCOPES``, replay nothing: they read
+one table of chip sites, a row per step and a column per chip, summed from
+the move records (``_chip_sites``).  ``check_bounds(trace, names)`` is
+their one entry: it reads any set of them from one pass over that table,
+in blocks of rows.  A bound checker applies to ``(variant, n)`` when its
+``SCOPES`` entry holds and the closed form gives its ``m`` (``_scope_m``);
+``applicable_checkers`` lists the ones that apply, and one applied outside
+its scope raises CheckerNotApplicableError, never passing silently.
 """
 
 from __future__ import annotations
@@ -39,9 +38,8 @@ def _loops_4m_minus_1(variant: Variant, n: int) -> bool:
     return variant.kind == "loops_everywhere" and n % 4 == 3
 
 
-# checker name -> does it apply to (variant, n), in report order
+# bound checker name -> does it apply to (variant, n), in report order
 SCOPES: dict[str, Callable[[Variant, int], bool]] = {
-    "conservation": lambda variant, n: True,
     "chip_bounds": lambda variant, n: variant.kind in ("base", "multi_edge"),
     "diamond_move_bounds": lambda variant, n: variant.kind == "base" and n % 2 == 0,
     "loop_bounds": _loops_4m_minus_1,
@@ -50,21 +48,21 @@ SCOPES: dict[str, Callable[[Variant, int], bool]] = {
 }
 
 
-def _scope_m(name: str, variant: Variant, n: int) -> int | None:
-    """``m`` for checker ``name`` on ``(variant, n)`` (None for conservation,
-    which needs none); CheckerNotApplicableError unless its ``SCOPES`` entry
-    holds and ``closedform.derive_m`` accepts n."""
+def _scope_m(name: str, variant: Variant, n: int) -> int:
+    """``m`` for bound checker ``name`` on ``(variant, n)``;
+    CheckerNotApplicableError unless its ``SCOPES`` entry holds and
+    ``closedform.derive_m`` accepts n."""
     try:
         if SCOPES[name](variant, n):
-            return None if name == "conservation" else closedform.derive_m(variant, n)
+            return closedform.derive_m(variant, n)
     except closedform.UnsupportedVariantError:
         pass
     raise CheckerNotApplicableError(f"{name} does not apply to {variant} with n={n}")
 
 
 def applicable_checkers(variant: Variant, n: int) -> list[str]:
-    """The names of the checkers that apply (``_scope_m``), in ``SCOPES``
-    order: ``conservation`` first, then those ``check_bounds`` takes."""
+    """The names of the bound checkers that apply (``_scope_m``), in
+    ``SCOPES`` order."""
     out = []
     for name in SCOPES:
         try:
@@ -86,10 +84,6 @@ class BoundViolation:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-
-def violations_to_json(violations: list[BoundViolation]) -> list[dict]:
-    return [v.to_json() for v in violations]
 
 
 def is_weakly_sorted(config: LabeledConfiguration) -> bool:
@@ -183,7 +177,15 @@ def _cells(rows: np.ndarray, cols: np.ndarray | None, t0: int, sites: np.ndarray
 
 def _position_limits(lemma: str, m: int, k: int) -> tuple[float, float]:
     """``(lo, hi)``: the sites a chip valued k may occupy under position
-    lemma ``lemma``, ``-inf`` or ``inf`` on a side it leaves open."""
+    lemma ``lemma``, ``-inf`` or ``inf`` on a side it leaves open.
+
+    ``chip_bounds`` (the line without loops): a chip valued k < 0 never sits
+    right of k + m, and a chip valued k > 0 never left of k - m; with edge
+    multiplicity r the r chips sharing a value share the bound.
+    ``loop_bounds`` (one self-loop per site, n = 4m-1): a chip valued k > 0
+    stays within [floor((k-m)/2), floor((k+m)/2)], one valued k < 0 within
+    [ceil((k-m)/2), ceil((k+m)/2)], and chip 0 within [ceil(-m/2), floor(m/2)].
+    """
     if lemma == "chip_bounds":
         return (k - m if k > 0 else -inf), (k + m if k < 0 else inf)
     if k > 0:
@@ -196,7 +198,15 @@ def _position_limits(lemma: str, m: int, k: int) -> tuple[float, float]:
 def _extreme_clauses(lemma: str, m: int) -> list[tuple[int, int, int]]:
     """``lemma``'s extreme-occupancy clauses in report order, (value, site,
     sign), each holding at most one chip: a chip counts toward one when
-    sign*value >= sign*value_c and sign*site <= sign*site_c."""
+    sign*value >= sign*value_c and sign*site <= sign*site_c.
+
+    Only ``loop_bounds`` has them.  When k+m is odd the chips valued >= k,
+    with all smaller chips removed, form a process whose terminal has a
+    single chip at its leftmost slot, so at most one chip valued >= k may sit
+    at or left of floor((k-m)/2) at any time (mirrored for values <= -k).
+    When k+m is even that slot holds two chips and two may sit there; both
+    hold on every reachable state at n = 7 and n = 11 (tests/test_analysis.py).
+    """
     if lemma != "loop_bounds":
         return []
     return [clause for k in range(1, m + 1) if (k + m) % 2
@@ -231,10 +241,12 @@ def _diamond_moves(trace: Trace) -> list[tuple[int, MoveRecord, tuple[int, int]]
 
 
 def _move_bound_chips(trace: Trace, moves, chips: list[Chip]) -> tuple[np.ndarray, ...]:
-    """Row, column and side (int arrays) of the cells read per diamond move
-    (x, y): the chip valued -(y+1), which must sit at or left of the firing
-    site (side -1), then the one valued x+1, at or right of it (side 1).  Of
-    chips sharing a value, the last in ``chips()`` order is read."""
+    """Row, column and side (int arrays) of the cells ``diamond_move_bounds``
+    (base variant, even n) reads: right before the diamond move (x, y) fires
+    at site s = x - y, the chip valued -(y+1) sits at or left of s (side -1),
+    then the one valued x+1 at or right of s (side 1).  Of chips sharing a
+    value, the last in ``chips()`` order is read; CheckerNotApplicableError
+    if the trace has no chip of a value the bound needs."""
     column = {chip.id: c for c, chip in enumerate(chips)}
     by_value = {chip.value: column[chip.id] for _, chip in trace.initial.chips()}
     cols = []
@@ -249,7 +261,12 @@ def _move_bound_chips(trace: Trace, moves, chips: list[Chip]) -> tuple[np.ndarra
 
 
 def _count_violations(m: int, moves, chips: list[Chip], after: np.ndarray) -> list[BoundViolation]:
-    """The counting bound on each row after a diamond move."""
+    """The counting bound on each row after a diamond move.
+
+    This is ``diamond_count_bounds`` (one self-loop per site, n = 4m-1):
+    after the j-th diamond move at site k <= 0 there are at least j+k+m-1
+    chips valued below k at positions left of k; mirrored for k >= 0.
+    """
     values = [chip.value for chip in chips]  # ascending: chips valued below k are a column range
     out = []
     for (_, rec, xy), row in zip(moves, after):
@@ -277,7 +294,12 @@ def _attendance(moves, chips: list[Chip], before: np.ndarray) -> dict[int, tuple
 
 
 def _config_violations(m: int, entries: list[tuple[int, int, int]]) -> list[BoundViolation]:
-    """The counting bound on the diamond configuration's entries."""
+    """The counting bound on the diamond configuration's entries.
+
+    This is ``diamond_config_bounds`` (one self-loop per site, n = 4m-1):
+    for k in [-m-1, 0] and l in [0, k+m-1], at most k+m-l-1 chips valued
+    below k are assigned to sites right of l; mirrored on the positive side.
+    """
     out = []
     for k in range(-m - 1, 1):
         for l in range(0, k + m):
@@ -292,8 +314,8 @@ def _config_violations(m: int, entries: list[tuple[int, int, int]]) -> list[Boun
 
 def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
     """``{name: violations}`` of the bound checkers ``names`` (any of
-    ``SCOPES`` but conservation), all read from one pass over the trace's
-    chip-site table (``_chip_sites``).
+    ``SCOPES``), all read from one pass over the trace's chip-site table
+    (``_chip_sites``).
 
     CheckerNotApplicableError if any of them refuses: outside its scope, or
     where the trace lacks what its bound needs.
@@ -301,7 +323,7 @@ def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
     n = trace.initial.total_chips()
     ms = {}
     for name in names:
-        if name not in SCOPES or name == "conservation":
+        if name not in SCOPES:
             raise ValueError(f"{name!r} is not a bound checker")
         ms[name] = _scope_m(name, trace.variant, n)
     if not ms:
@@ -345,58 +367,6 @@ def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
     return out
 
 
-def check_chip_bounds(trace: Trace) -> list[BoundViolation]:
-    """Per-step position bounds on the line without loops.
-
-    A chip valued k < 0 never sits right of k + m, and a chip valued k > 0
-    never sits left of k - m; with edge multiplicity r the r chips sharing a
-    value share the bound.  Its limits are ``_position_limits``, read
-    on every row of the chip-site table.
-    """
-    return check_bounds(trace, ["chip_bounds"])["chip_bounds"]
-
-
-def check_loop_bounds(trace: Trace) -> list[BoundViolation]:
-    """Per-step position bounds for the one-self-loop-per-site variant, n = 4m-1.
-
-    A chip valued k > 0 stays within [floor((k-m)/2), floor((k+m)/2)], a chip
-    valued k < 0 within [ceil((k-m)/2), ceil((k+m)/2)], and chip 0 within
-    [ceil(-m/2), floor(m/2)].
-
-    Extreme-occupancy clause: when k+m is odd the chips valued >= k, with
-    all smaller chips removed, form a process whose terminal has a single
-    chip at its leftmost slot, so at most one chip valued >= k may sit at or
-    left of floor((k-m)/2) at any time (mirrored for values <= -k).  When
-    k+m is even that slot holds two chips and two may sit there; both hold
-    on every reachable state at n = 7 and n = 11 (tests/test_analysis.py).
-
-    The limits are ``_position_limits`` and the clauses
-    ``_extreme_clauses``, read on every row of the chip-site table, as
-    ``check_chip_bounds`` reads its limits.
-    """
-    return check_bounds(trace, ["loop_bounds"])["loop_bounds"]
-
-
-def check_diamond_move_bounds(trace: Trace) -> list[BoundViolation]:
-    """Chip positions immediately before each diamond move, base variant, even n.
-
-    Right before the diamond move with grid coordinates (x, y) fires at site
-    s = x - y, the chip valued -(y+1) must sit at or left of s and the chip
-    valued x+1 at or right of s.  A trace with no chip of a value it needs
-    raises CheckerNotApplicableError.
-    """
-    return check_bounds(trace, ["diamond_move_bounds"])["diamond_move_bounds"]
-
-
-def check_diamond_count_bounds(trace: Trace) -> list[BoundViolation]:
-    """Counting bound after each diamond move, one-self-loop variant, n = 4m-1.
-
-    After the j-th diamond move at site k <= 0 there are at least j+k+m-1
-    chips valued below k at positions left of k; mirrored for k >= 0.
-    """
-    return check_bounds(trace, ["diamond_count_bounds"])["diamond_count_bounds"]
-
-
 def diamond_configuration(trace: Trace) -> dict[int, tuple[int, int, int]]:
     """First diamond move each chip attended: chip id -> (value, site,
     occ_from_start) of that move.
@@ -409,11 +379,3 @@ def diamond_configuration(trace: Trace) -> dict[int, tuple[int, int, int]]:
     before = np.concatenate([_cells(rows, None, t0, sites) for t0, sites in _chip_sites(trace)])
     return _attendance(moves, [chip for _, chip in _columns(trace)], before)
 
-
-def check_diamond_config_bounds(trace: Trace) -> list[BoundViolation]:
-    """Counting bound on the diamond configuration, one-self-loop variant.
-
-    For k in [-m-1, 0] and l in [0, k+m-1]: at most k+m-l-1 chips valued
-    below k are assigned to sites right of l; mirrored on the positive side.
-    """
-    return check_bounds(trace, ["diamond_config_bounds"])["diamond_config_bounds"]

@@ -268,15 +268,13 @@ def reachable_states(variant: Variant, n: int,
         chips = flow_t @ fires
         chips += init_col
         enabled = chips >= thresh_col
-        # three faults, tested at once and told apart only when one occurs
-        if (chips.min() < 0 or enabled[[0, -1]].any()
-                or (enabled[1:-1] & (fires >= totals_col)).any()):
-            if chips.min() < 0:
-                raise ChipFiringError("negative chip count reached: corrupt state space")
-            if enabled[[0, -1]].any():
-                raise ChipFiringError("a site outside the closed-form window became enabled")
-            raise ChipFiringError("a site exceeded its closed-form total fire count")
+        if chips.min() < 0:
+            raise ChipFiringError("negative chip count reached: corrupt state space")
+        if enabled[[0, -1]].any():
+            raise ChipFiringError("a site outside the closed-form window became enabled")
         enabled = enabled[1:-1]
+        if (enabled & (fires >= totals_col)).any():
+            raise ChipFiringError("a site exceeded its closed-form total fire count")
         # site by site: the frontier is sorted and one fire at one site keeps
         # that order, so the dedup sort merges W sorted runs.  Flat indices,
         # split by hand, cost a third of a 2-d ``np.nonzero``

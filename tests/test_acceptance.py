@@ -136,13 +136,13 @@ def test_criterion_05_poset_bottom_shape_n10():
 def test_criterion_06_position_bounds():
     with criterion(6, "chip bounds and diamond-move bounds"):
         for trace in all_complete_traces(standard_initial(BASE, 4), BASE):
-            assert analysis.check_chip_bounds(trace) == []
-            assert analysis.check_diamond_move_bounds(trace) == []
+            for name in ("chip_bounds", "diamond_move_bounds"):
+                assert analysis.check_bounds(trace, [name]) == {name: []}
         for n in (8, 10):
             for seed in range(200):
                 trace = run_checked(BASE, n, RandomStrategy(), seed=seed)
-                assert analysis.check_chip_bounds(trace) == []
-                assert analysis.check_diamond_move_bounds(trace) == []
+                for name in ("chip_bounds", "diamond_move_bounds"):
+                    assert analysis.check_bounds(trace, [name]) == {name: []}
 
 
 def test_criterion_07_self_loop_variant():
@@ -156,9 +156,8 @@ def test_criterion_07_self_loop_variant():
                 trace = run_checked(LOOPS, n, RandomStrategy(), seed=seed)
                 assert trace.final_config().values_by_site() == expected
                 assert trace.fire_counts() == counts
-                assert analysis.check_loop_bounds(trace) == []
-                assert analysis.check_diamond_count_bounds(trace) == []
-                assert analysis.check_diamond_config_bounds(trace) == []
+                for name in ("loop_bounds", "diamond_count_bounds", "diamond_config_bounds"):
+                    assert analysis.check_bounds(trace, [name]) == {name: []}
         report = explore(standard_initial(LOOPS, 7), LOOPS)
         assert report.terminal_count == report.sorted_terminal_count
 

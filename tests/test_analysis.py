@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipfire import analysis, closedform, explorer, poset
-from chipfire.analysis import (CheckerNotApplicableError, check_chip_bounds,
-                               check_conservation, check_diamond_config_bounds,
-                               check_diamond_count_bounds, check_diamond_move_bounds,
-                               check_loop_bounds, diamond_configuration, is_weakly_sorted,
-                               violations_to_json)
+from chipfire.analysis import (CheckerNotApplicableError, check_bounds, check_conservation,
+                               diamond_configuration, is_weakly_sorted)
 from chipfire.engine import (LabeledConfiguration, LeftmostStrategy, RandomStrategy, Trace,
                              run_to_completion, standard_initial)
 from chipfire.poset import DEFAULT_STATE_CAP
@@ -38,7 +35,7 @@ def _run(variant, n, seed):
 
 def test_chip_bounds_base():
     for seed in range(30):
-        assert check_chip_bounds(_run(base(), 8, seed)) == []
+        assert check_bounds(_run(base(), 8, seed), ["chip_bounds"]) == {"chip_bounds": []}
     # the lowest chip never leaves the nonpositive half-line
     trace = _run(base(), 10, 3)
     for _, _, after in trace.replay(verify=False):
@@ -49,12 +46,12 @@ def test_chip_bounds_base():
 
 def test_chip_bounds_single_move():
     trace = run_to_completion(standard_initial(base(), 2), base(), LeftmostStrategy())
-    assert check_chip_bounds(trace) == []
+    assert check_bounds(trace, ["chip_bounds"]) == {"chip_bounds": []}
 
 
 def test_chip_bounds_multi_edge():
     for seed in range(20):
-        assert check_chip_bounds(_run(multi_edge(2), 8, seed)) == []
+        assert check_bounds(_run(multi_edge(2), 8, seed), ["chip_bounds"]) == {"chip_bounds": []}
 
 
 def test_chip_bounds_hold_for_odd_n_where_sorting_fails():
@@ -63,7 +60,7 @@ def test_chip_bounds_hold_for_odd_n_where_sorting_fails():
     unsorted_seen = False
     for seed in range(40):
         trace = _run(base(), 5, seed)
-        assert check_chip_bounds(trace) == []
+        assert check_bounds(trace, ["chip_bounds"]) == {"chip_bounds": []}
         unsorted_seen = unsorted_seen or not is_weakly_sorted(trace.final_config())
     assert unsorted_seen
 
@@ -71,7 +68,7 @@ def test_chip_bounds_hold_for_odd_n_where_sorting_fails():
 def test_chip_bounds_applicability():
     trace = _run(loops_everywhere(), 7, 0)
     with pytest.raises(CheckerNotApplicableError):
-        check_chip_bounds(trace)
+        check_bounds(trace, ["chip_bounds"])
 
 
 def test_chip_bounds_flag_out_of_range_values():
@@ -80,7 +77,7 @@ def test_chip_bounds_flag_out_of_range_values():
     v = base()
     config = LabeledConfiguration.from_values({0: [-5, 5]})  # n=2 -> m=1
     trace = run_to_completion(config, v, LeftmostStrategy())
-    violations = check_chip_bounds(trace)
+    violations = check_bounds(trace, ["chip_bounds"])["chip_bounds"]
     assert violations and violations[0].step == -1
 
 
@@ -131,8 +128,8 @@ def test_position_bounds_match_full_scan_reference(lemma):
     _, reference, least_cleared = POSITION_LEMMAS[lemma]
     cleared = 0
     for trace in _violating_traces(lemma, 150):
-        want = violations_to_json(reference(trace))
-        assert violations_to_json(analysis.check_bounds(trace, [lemma])[lemma]) == want
+        want = [v.to_json() for v in reference(trace)]
+        assert [v.to_json() for v in check_bounds(trace, [lemma])[lemma]] == want
         steps = {v["step"] for v in want}
         cleared += any(step not in steps for step in range(min(steps), len(trace)))
     assert cleared >= least_cleared  # violations that clear before the run ends
@@ -219,8 +216,8 @@ def test_bound_checkers_do_not_replay(monkeypatch):
     monkeypatch.setattr(Trace, "replay", refuse)
     monkeypatch.setattr(LabeledConfiguration, "apply", refuse)
     for trace in traces:
-        names = analysis.applicable_checkers(trace.variant, trace.initial.total_chips())[1:]
-        assert analysis.check_bounds(trace, names) == {name: [] for name in names}
+        names = analysis.applicable_checkers(trace.variant, trace.initial.total_chips())
+        assert check_bounds(trace, names) == {name: [] for name in names}
     assert diamond_configuration(traces[1])
 
 
@@ -228,20 +225,21 @@ def test_diamond_move_bounds_exhaustive_n4():
     count = 0
     for trace in all_complete_traces(standard_initial(base(), 4), base()):
         count += 1
-        assert check_diamond_move_bounds(trace) == []
-        assert check_chip_bounds(trace) == []
+        assert check_bounds(trace, ["diamond_move_bounds"]) == {"diamond_move_bounds": []}
+        assert check_bounds(trace, ["chip_bounds"]) == {"chip_bounds": []}
     assert count == 12  # 6 first choices, then a forced move, then 2 orders
 
 
 def test_diamond_move_bounds_n2():
     trace = run_to_completion(standard_initial(base(), 2), base(), LeftmostStrategy())
-    assert check_diamond_move_bounds(trace) == []
+    assert check_bounds(trace, ["diamond_move_bounds"]) == {"diamond_move_bounds": []}
 
 
 def test_diamond_move_bounds_seeds():
     for n in (8, 10):
         for seed in range(25):
-            assert check_diamond_move_bounds(_run(base(), n, seed)) == []
+            trace = _run(base(), n, seed)
+            assert check_bounds(trace, ["diamond_move_bounds"]) == {"diamond_move_bounds": []}
 
 
 def test_diamond_move_bounds_refuses_trace_without_a_value_it_needs():
@@ -250,21 +248,35 @@ def test_diamond_move_bounds_refuses_trace_without_a_value_it_needs():
     trace = run_to_completion(LabeledConfiguration.from_values({0: [-5, -1, 1, 5]}),
                               base(), RandomStrategy())
     with pytest.raises(CheckerNotApplicableError, match="needs a chip valued -2"):
-        check_diamond_move_bounds(trace)
+        check_bounds(trace, ["diamond_move_bounds"])
+
+
+@pytest.mark.parametrize("occ,seed,want", [
+    ({-1: [2, 1], 0: [-2, -2]}, 81, [{"step": 0, "chip_id": 3, "chip_value": -2, "site": 0,
+                                      "lemma": "diamond_move_bounds", "bound": -1}]),
+    # reading the first chip valued 2 (id 0) instead would report one violation
+    ({0: [2, 2], 1: [2, -1]}, 43, []),
+], ids=["two-minus-2", "three-2"])
+def test_diamond_move_bounds_reads_last_chip_of_a_shared_value(occ, seed, want):
+    """Of several chips sharing a value, the last in ``chips()`` order is read."""
+    trace = run_to_completion(LabeledConfiguration.from_values(occ), base(), RandomStrategy(),
+                              seed=seed)
+    found = check_bounds(trace, ["diamond_move_bounds"])["diamond_move_bounds"]
+    assert [v.to_json() for v in found] == want
 
 
 def test_diamond_move_bounds_applicability():
     with pytest.raises(CheckerNotApplicableError):
-        check_diamond_move_bounds(_run(base(), 5, 0))
+        check_bounds(_run(base(), 5, 0), ["diamond_move_bounds"])
     with pytest.raises(CheckerNotApplicableError):
-        check_diamond_move_bounds(_run(loops_everywhere(), 7, 0))
+        check_bounds(_run(loops_everywhere(), 7, 0), ["diamond_move_bounds"])
 
 
 def test_loop_bounds_n3_single_move():
     trace = run_to_completion(standard_initial(loops_everywhere(), 3),
                               loops_everywhere(), LeftmostStrategy())
     assert len(trace) == 1
-    assert check_loop_bounds(trace) == []
+    assert check_bounds(trace, ["loop_bounds"]) == {"loop_bounds": []}
     # the middle chip stays put: bounds for value 0 at m=1 are [0, 0]
     assert trace.final_config().values_at(0) == (0,)
 
@@ -272,15 +284,16 @@ def test_loop_bounds_n3_single_move():
 def test_loop_bounds_seeds():
     for n in (7, 11):
         for seed in range(30):
-            assert check_loop_bounds(_run(loops_everywhere(), n, seed)) == []
+            trace = _run(loops_everywhere(), n, seed)
+            assert check_bounds(trace, ["loop_bounds"]) == {"loop_bounds": []}
 
 
 def test_loop_bounds_applicability():
     with pytest.raises(CheckerNotApplicableError):
-        check_loop_bounds(_run(base(), 4, 0))
+        check_bounds(_run(base(), 4, 0), ["loop_bounds"])
     from chipfire.explorer import adversarial_1mod4
     with pytest.raises(CheckerNotApplicableError):
-        check_loop_bounds(adversarial_1mod4(1))
+        check_bounds(adversarial_1mod4(1), ["loop_bounds"])
 
 
 @pytest.mark.parametrize("lemma,variant,n,states", [
@@ -315,7 +328,8 @@ def test_position_limits_hold_on_every_reachable_state(lemma, variant, n, states
 def test_diamond_count_bounds():
     for n in (3, 7, 11):
         for seed in range(30):
-            assert check_diamond_count_bounds(_run(loops_everywhere(), n, seed)) == []
+            trace = _run(loops_everywhere(), n, seed)
+            assert check_bounds(trace, ["diamond_count_bounds"]) == {"diamond_count_bounds": []}
 
 
 def test_diamond_count_bounds_example_n7():
@@ -353,14 +367,16 @@ def test_diamond_configuration_shapes():
 def test_diamond_config_bounds():
     for n in (7, 11):
         for seed in range(30):
-            assert check_diamond_config_bounds(_run(loops_everywhere(), n, seed)) == []
+            trace = _run(loops_everywhere(), n, seed)
+            assert check_bounds(trace, ["diamond_config_bounds"]) == {"diamond_config_bounds": []}
     # n=3 has no nontrivial (k, l) pairs beyond the vacuous ones
-    assert check_diamond_config_bounds(_run(loops_everywhere(), 3, 0)) == []
+    trace = _run(loops_everywhere(), 3, 0)
+    assert check_bounds(trace, ["diamond_config_bounds"]) == {"diamond_config_bounds": []}
 
 
 def test_diamond_config_bounds_applicability():
     with pytest.raises(CheckerNotApplicableError):
-        check_diamond_config_bounds(_run(base(), 4, 0))
+        check_bounds(_run(base(), 4, 0), ["diamond_config_bounds"])
 
 
 def test_conservation_all_variants():
@@ -382,29 +398,25 @@ def test_conservation_drift_term_exponential():
 
 
 def test_violation_json_shape():
-    from chipfire.analysis import BoundViolation, violations_to_json
+    from chipfire.analysis import BoundViolation
     v = BoundViolation(3, 1, -2, 0, "chip_bounds", -1)
-    assert violations_to_json([v]) == [{
+    assert v.to_json() == {
         "step": 3, "chip_id": 1, "chip_value": -2, "site": 0,
-        "lemma": "chip_bounds", "bound": -1}]
+        "lemma": "chip_bounds", "bound": -1}
 
 
 SCOPE_VARIANTS = [base(), multi_edge(2), origin_loops(1), origin_loops(2), loops_everywhere(),
                   loops_and_edges(2), exponential(0), exponential(1)]
-ALL_CHECKERS = [
-    ("conservation", check_conservation),
-    ("chip_bounds", check_chip_bounds),
-    ("diamond_move_bounds", check_diamond_move_bounds),
-    ("loop_bounds", check_loop_bounds),
-    ("diamond_count_bounds", check_diamond_count_bounds),
-    ("diamond_config_bounds", check_diamond_config_bounds),
-]
+BOUND_CHECKERS = ["chip_bounds", "diamond_move_bounds", "loop_bounds", "diamond_count_bounds",
+                  "diamond_config_bounds"]
 
 
 @pytest.mark.parametrize("variant", SCOPE_VARIANTS, ids=str)
 def test_applicable_checkers_are_those_that_do_not_refuse(variant):
     """Every (variant, n) the closed forms cover, n = 1..12: the listed
-    checkers are exactly those that run without CheckerNotApplicableError."""
+    bound checkers are exactly those that run without
+    CheckerNotApplicableError.  Conservation has no scope: it applies to
+    every trace."""
     covered = 0
     for n in range(1, 13):
         try:
@@ -414,9 +426,9 @@ def test_applicable_checkers_are_those_that_do_not_refuse(variant):
         covered += 1
         trace = _run(variant, n, 0)
         runs = []
-        for name, checker in ALL_CHECKERS:
+        for name in BOUND_CHECKERS:
             try:
-                checker(trace)
+                check_bounds(trace, [name])
             except CheckerNotApplicableError:
                 continue
             runs.append(name)
@@ -447,31 +459,31 @@ def test_shared_pass_matches_each_checker_on_origin_runs(case, seed, strategy):
                               RandomStrategy() if strategy == "random" else LeftmostStrategy(),
                               seed=seed)
     single = {}
-    for name, checker in ALL_CHECKERS[1:]:
+    for name in BOUND_CHECKERS:
         try:
-            single[name] = checker(trace)
+            single[name] = check_bounds(trace, [name])[name]
         except CheckerNotApplicableError:
             single[name] = None
     names = [name for name, found in single.items() if found is not None]
-    assert names == analysis.applicable_checkers(variant, n)[1:]
-    assert analysis.check_bounds(trace, names) == {name: single[name] for name in names}
+    assert names == analysis.applicable_checkers(variant, n)
+    assert check_bounds(trace, names) == {name: single[name] for name in names}
     if len(names) < len(single):
         with pytest.raises(CheckerNotApplicableError):
-            analysis.check_bounds(trace, list(single))
+            check_bounds(trace, list(single))
 
 
 def test_check_bounds_takes_bound_checkers_only():
     trace = _run(base(), 4, 0)
-    assert analysis.check_bounds(trace, []) == {}
+    assert check_bounds(trace, []) == {}
     with pytest.raises(ValueError, match="'conservation' is not a bound checker"):
-        analysis.check_bounds(trace, ["conservation"])
+        check_bounds(trace, ["conservation"])
 
 
 def test_checker_without_closed_form_m_does_not_apply():
     # chip_bounds' scope holds for multi_edge(2), but its m needs n divisible by 4
     variant = multi_edge(2)
-    assert analysis.applicable_checkers(variant, 6) == ["conservation"]
+    assert analysis.applicable_checkers(variant, 6) == []
     initial = LabeledConfiguration.from_values({0: [-2, -1, -1, 1, 1, 2]})
     trace = run_to_completion(initial, variant, RandomStrategy(), seed=0)
     with pytest.raises(CheckerNotApplicableError):
-        check_chip_bounds(trace)
+        check_bounds(trace, ["chip_bounds"])

@@ -18,7 +18,6 @@ import random
 import pytest
 
 from chipfire import analysis, closedform, poset
-from chipfire.analysis import violations_to_json
 from chipfire.engine import ChipFiringError, LabeledConfiguration, RandomStrategy, run_to_completion
 from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
                                origin_loops)
@@ -36,13 +35,19 @@ CASES = {
 }
 SEEDS = range(72)
 
+
+def _bound(name):
+    """Bound checker ``name`` alone: ``check_bounds`` with that one name."""
+    return lambda trace: analysis.check_bounds(trace, [name])[name]
+
+
 CHECKERS = {
     "conservation": analysis.check_conservation,
-    "chip_bounds": analysis.check_chip_bounds,
-    "diamond_move_bounds": analysis.check_diamond_move_bounds,
-    "loop_bounds": analysis.check_loop_bounds,
-    "diamond_count_bounds": analysis.check_diamond_count_bounds,
-    "diamond_config_bounds": analysis.check_diamond_config_bounds,
+    "chip_bounds": _bound("chip_bounds"),
+    "diamond_move_bounds": _bound("diamond_move_bounds"),
+    "loop_bounds": _bound("loop_bounds"),
+    "diamond_count_bounds": _bound("diamond_count_bounds"),
+    "diamond_config_bounds": _bound("diamond_config_bounds"),
 }
 
 # checker -> (traces with violations, SHA-1 of every violation list, SHA-1
@@ -102,7 +107,7 @@ def _outcomes(traces):
     for (case, seed), trace in traces.items():
         for name, checker in CHECKERS.items():
             try:
-                result = violations_to_json(checker(trace))
+                result = [v.to_json() for v in checker(trace)]
             except ChipFiringError as exc:
                 result = f"{type(exc).__name__}: {exc}"
             out[name].append((case, seed, result))
@@ -138,9 +143,10 @@ def test_every_violation_branch_is_reached(outcomes):
 
 
 def test_out_of_scope_checkers_refuse(outcomes):
-    """A checker applied outside its scope refuses with CheckerNotApplicableError."""
-    for name, results in outcomes.items():
-        for case, _, result in results:
+    """A bound checker applied outside its scope refuses with
+    CheckerNotApplicableError; conservation has no scope."""
+    for name in analysis.SCOPES:
+        for case, _, result in outcomes[name]:
             variant, n = CASES[case]
             if not analysis.SCOPES[name](variant, n):
                 assert isinstance(result, str) and result.startswith(
@@ -164,7 +170,7 @@ def test_shared_pass_matches_each_checker(traces, outcomes):
             refused += 1
         else:
             shared = analysis.check_bounds(trace, names)
-            assert {name: violations_to_json(found) for name, found in shared.items()} == {
+            assert {name: [v.to_json() for v in found] for name, found in shared.items()} == {
                 name: single[case, seed, name] for name in names}, (case, seed)
             compared += 1
     assert compared and refused
@@ -223,10 +229,10 @@ def test_conservation_flags_the_tampered_step(monkeypatch, variant, n):
     if high != 0:
         want.append({"step": k, "chip_id": None, "chip_value": None, "site": rec.site,
                      "lemma": "weighted_sum", "bound": weighted0 + drift})
-    assert violations_to_json(analysis.check_conservation(trace)) == want
+    assert [v.to_json() for v in analysis.check_conservation(trace)] == want
 
     _tampered_apply(monkeypatch, k, _shift_last_chip)
-    assert violations_to_json(analysis.check_conservation(trace)) == [
+    assert [v.to_json() for v in analysis.check_conservation(trace)] == [
         {"step": k, "chip_id": None, "chip_value": None, "site": rec.site,
          "lemma": "weighted_sum", "bound": weighted0 + drift}]
 
