@@ -311,8 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         _check_outputs(args)
         return args.func(args)
-    except (UsageError, closedform.UnsupportedVariantError, explorer.StateKeyLimitError,
-            poset.RepresentationLimitError) as exc:
+    except (UsageError, closedform.UnsupportedVariantError, poset.RepresentationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:

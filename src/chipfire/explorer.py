@@ -4,7 +4,9 @@ States are canonicalized by erasing chip ids: two configurations equal up
 to id permutation among equal values have identical futures, because the
 firing rule depends only on values.  The reachable canonical-state graph
 is expanded breadth first; since every move raises the total fire count by
-one, levels are graded and deduplication stays within a level.
+one, levels are graded and deduplication stays within a level.  One
+generator, ``_levels``, makes the levels; ``explore`` reads them, keeping
+each for the witness walk and taking its stuck rows as terminals.
 
 Inside the search a state is one row of ``uint16`` chips, each
 ``(site + 128) << 8 | (value + 128)``, in ascending order (``_row`` and
@@ -30,13 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
 from .engine import (CapExceededError, LabeledConfiguration, ScriptedValuesStrategy,
                      HoldStrategy, Trace, run_to_completion, standard_initial)
-from .poset import DEFAULT_STATE_CAP, _first_unique
+from .poset import DEFAULT_STATE_CAP, RepresentationLimitError, _first_unique
 from .variants import Variant
 
 KEY_OFFSET = 128  # a uint16 chip stores site + 128 and value + 128, one byte each
@@ -47,10 +49,6 @@ COMBINATION_LIMIT = 1 << 21  # most column combinations a search may test per st
 
 # canonical state: ((site, (values...)), ...) sorted by site
 CanonicalState = tuple[tuple[int, tuple[int, ...]], ...]
-
-
-class StateKeyLimitError(ValueError):
-    """The initial configuration could reach sites or holds values a uint16 chip cannot hold."""
 
 
 def canonicalize(config: LabeledConfiguration) -> CanonicalState:
@@ -80,7 +78,7 @@ def _check_key_limit(state: CanonicalState):
         radius = max(abs(site) for site, _ in state) + nchips + 2
         maxval = max(abs(v) for _, vals in state for v in vals)
         if radius > KEY_LIMIT or maxval > KEY_LIMIT:
-            raise StateKeyLimitError(
+            raise RepresentationLimitError(
                 f"labeled states are uint16 chips: need |site|, |value| <= {KEY_LIMIT}, "
                 f"got reach {radius} and max |value| {maxval}")
 
@@ -230,45 +228,29 @@ def _canonicalize(rows: np.ndarray) -> np.ndarray:
     return ~differ[at, col]
 
 
-def _explore_levels(initial: LabeledConfiguration, variant: Variant, state_cap: int):
-    """Graded BFS over sorted ``uint16`` rows, one level at a time.
-
-    When the start row is its own mirror and the moves are symmetric, a
-    level holds one row per mirror class, the smaller of the two, and
-    counts as 2q - s states for q rows of which s are their own mirror;
-    otherwise it holds every row.  Each level is its sorted array of rows.
-    Returns (levels, terminals, visited, moves, mirrored), terminals as
-    (level, row) pairs of the full space, mirrors included.
-    """
-    start = canonicalize(initial)
-    _check_key_limit(start)
-    frontier = _row(start)[None]
-    moves = _MoveTable(variant, frontier.shape[1])
-    mirrored = (frontier.size > 0 and moves.symmetric
-                and np.array_equal(frontier, _mirror(frontier)))
-    levels = [frontier]
-    terminals: list[tuple[int, tuple[int, ...]]] = []
-    visited = width = depth = 1
-    while True:
+def _levels(start: np.ndarray, moves: _MoveTable, mirrored: bool, state_cap: int):
+    """Graded BFS from the row ``start``, yielding ``(rows, stuck, visited)`` per level:
+    its sorted rows, which of them have no move, and the states counted
+    through it, 2q - s for q rows of which s are their own mirror when
+    ``mirrored``.  A level past ``state_cap`` raises CapExceededError unyielded."""
+    rows = start[None]
+    visited = width = 1
+    for depth in count(1):
+        stuck = np.ones(len(rows), np.bool_)
         kids, kid_same = [], []
-        for lo in range(0, len(frontier), moves.slice_rows):
-            part = frontier[lo:lo + moves.slice_rows]
-            parent, children, _, _ = moves.expand(part)
-            stuck = np.ones(len(part), np.bool_)
-            stuck[parent] = False
-            for row in part[stuck]:
-                terminals.append((depth - 1, tuple(row.tolist())))
-                if mirrored:
-                    terminals.append((depth - 1, tuple(_mirror(row).tolist())))
+        for lo in range(0, len(rows), moves.slice_rows):
+            parent, children, _, _ = moves.expand(rows[lo:lo + moves.slice_rows])
+            stuck[lo:lo + moves.slice_rows][parent] = False
             # unquotiented, every row is counted as its own mirror: 2q - q
             same = (_canonicalize(children) if mirrored
                     else np.ones(len(children), np.bool_))
             first = _first_unique(children)
             kids.append(children[first])
             kid_same.append(same[first])
+        yield rows, stuck, visited
         children = np.concatenate(kids)
         if not len(children):
-            break
+            return
         same = np.concatenate(kid_same)
         if len(kids) > 1:
             first = _first_unique(children)
@@ -279,10 +261,7 @@ def _explore_levels(initial: LabeledConfiguration, variant: Variant, state_cap: 
             raise CapExceededError(
                 f"labeled exploration exceeded {state_cap} states",
                 states_visited=visited, level=depth, frontier=frontier_width)
-        frontier = children
-        depth += 1
-        levels.append(children)
-    return levels, terminals, visited, moves, mirrored
+        rows = children
 
 
 def _level_keys(level: np.ndarray) -> np.ndarray:
@@ -322,15 +301,29 @@ def explore(initial: LabeledConfiguration, variant: Variant,
             state_cap: int = DEFAULT_STATE_CAP) -> ExplorationReport:
     """Visit the full reachable canonical-state graph and collect terminals.
 
-    Raises CapExceededError (carrying states_visited, level and frontier)
-    when the cap is hit.  A start equal to its mirror (site -> -site,
-    value -> -value), such as every origin preset, is searched one mirror
-    class at a time; counts, terminals and witness are those of the full
-    space.  The whole level history is kept, and the report's witness is a
-    move sequence to the first non-weakly-sorted terminal the full search
-    visits, if there is one, found by walking back from it.
+    Keeps every level ``_levels`` yields for the witness walk and reads its
+    stuck rows, with their mirrors under the quotient, as terminals.  Raises
+    RepresentationLimitError for a start a ``uint16`` chip cannot hold, and
+    CapExceededError (carrying states_visited, level and frontier) when the
+    cap is hit.  A start equal to its mirror (site -> -site, value -> -value),
+    such as every origin preset, is searched one mirror class at a time;
+    counts, terminals and witness are those of the full space.  The witness
+    is a move sequence to the first non-weakly-sorted terminal the full
+    search visits, if there is one, found by walking back from it.
     """
-    levels, found, visited, moves, mirrored = _explore_levels(initial, variant, state_cap)
+    canonical = canonicalize(initial)
+    _check_key_limit(canonical)
+    start = _row(canonical)
+    moves = _MoveTable(variant, start.size)
+    mirrored = start.size > 0 and moves.symmetric and np.array_equal(start, _mirror(start))
+    levels, found = [], []  # found: (level, row) of every terminal, mirrors included
+    for rows, stuck, visited in _levels(start, moves, mirrored, state_cap):
+        if stuck.any():  # most levels hold no terminal
+            ends = rows[stuck]
+            if mirrored:
+                ends = np.concatenate([ends, _mirror(ends)])
+            found += [(len(levels), end) for end in map(tuple, ends.tolist())]
+        levels.append(rows)
     states = {row: _state(np.array(row, np.uint16)) for _, row in found}
     weakly_sorted = {row: is_weakly_sorted_state(state) for row, state in states.items()}
     unsorted = [(li, row) for li, row in found if not weakly_sorted[row]]
@@ -339,13 +332,9 @@ def explore(initial: LabeledConfiguration, variant: Variant,
         li, row = min(unsorted)
         witness = _witness(levels, moves, mirrored, li, np.array(row, np.uint16))
     terminals = tuple(sorted(states.values()))
-    return ExplorationReport(
-        states_visited=visited,
-        terminals=terminals,
-        confluent=len(terminals) == 1,
-        sorted_terminal_count=sum(weakly_sorted.values()),
-        witness=witness,
-    )
+    return ExplorationReport(states_visited=visited, terminals=terminals,
+                             confluent=len(terminals) == 1,
+                             sorted_terminal_count=sum(weakly_sorted.values()), witness=witness)
 
 
 def find_unsorted_terminal(initial: LabeledConfiguration, variant: Variant,

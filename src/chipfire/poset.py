@@ -84,7 +84,7 @@ class FireCountSpace:
     def fire_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """``(least_fires, exact)``, a row per node, from one pass per site:
         ``exact[r]`` is ``excess_chips(nodes()[r])``, ``(0, n_states)`` for
-        None.  A site's chip counts, exact in int32 (``_check_bounds``), pick
+        None.  A site's chip counts, exact in int32 (``_check_representable``), pick
         its few rows above threshold and are dropped before its sort and gathers."""
         w = len(self.sites)
         least = np.empty((int(self.totals.sum()), w), np.int16)
@@ -198,7 +198,7 @@ class RepresentationLimitError(ChipFiringError):
     """The space's fire or chip counts would not fit its arrays exactly."""
 
 
-def _check_bounds(totals: np.ndarray, flow: np.ndarray, n: int):
+def _check_representable(totals: np.ndarray, flow: np.ndarray, n: int):
     """Refuse, with RepresentationLimitError, a space the search cannot
     represent exactly: a fire count above the int16 rows' maximum, chip
     counts whose float64 product ``flow.T @ F.T`` could pass 2**53, where
@@ -218,34 +218,16 @@ def _check_bounds(totals: np.ndarray, flow: np.ndarray, n: int):
             f"chip partial sums up to {partial} pass the int32 bound 2**31")
 
 
-def reachable_states(variant: Variant, n: int,
-                     state_cap: int = DEFAULT_STATE_CAP) -> FireCountSpace:
-    """Breadth-first closure of all fire-count vectors reachable from zero.
-
-    Each move raises the total fire count by one, so levels are graded and
-    deduplication never needs to look across levels.  Raises CapExceededError
-    (without partial results) when the cap is hit, ChipFiringError if the
-    dynamics contradict the closed-form window or totals, and its subclass
-    RepresentationLimitError if a total or a chip count would not fit.
-    """
-    table = closedform.fire_count_table(variant, n)
-    sites = tuple(sorted(table))
+def _levels(variant: Variant, sites: tuple[int, ...], totals: np.ndarray,
+            initial: np.ndarray, flow: np.ndarray, state_cap: int):
+    """Graded BFS from the zero row, yielding ``(rows, visited)`` per level:
+    its int16 fire counts and the states counted through it.  A level is
+    yielded as soon as it is made and its dynamics checked before the next
+    is made; one past ``state_cap`` raises CapExceededError unyielded."""
     w = len(sites)
-    totals = np.array([table[s] for s in sites], np.int64)
-    initial = np.array([n if s == 0 else 0 for s in sites], np.int64)
-    if w == 0:
-        return FireCountSpace(variant, n, sites, totals, initial,
-                              np.zeros((1, 0), np.int16), np.zeros((0, 2), np.int64))
-    # row i of flow is what one fire at window site i moves, over the window
-    # plus one virtual site on each side
-    flow = np.zeros((w, w + 2), np.int64)
-    for i, site in enumerate(sites):
-        left, _, right, _ = variant.site_row(site)
-        flow[i, i:i + 3] = left, -(left + right), right
-    _check_bounds(totals, flow, n)
     # each level's chips, one row per extended site and one column per state:
     # init + flow.T @ F.T, in float64 so BLAS computes it, and compared in
-    # float64 too, exact below 2**53 (see _check_bounds)
+    # float64 too, exact below 2**53 (see _check_representable)
     ext = range(sites[0] - 1, sites[0] + w + 1)
     flow_t = flow.T.astype(np.float64)
     init_col = np.concatenate(([0], initial, [0])).astype(np.float64)[:, None]
@@ -257,13 +239,9 @@ def reachable_states(variant: Variant, n: int,
     step[np.arange(w), word] = place
     frontier = np.zeros((1, w), np.int16)
     keys = np.zeros((1, step.shape[1]), np.int64)
-    # each level is appended to ``states`` as it is made, so the states are
-    # never held twice.  ``resize`` reallocates in place (glibc remaps a
-    # large block's pages rather than copying them) and zero-fills new rows,
-    # so the array grows by a quarter at a time and is trimmed at the end.
-    states = frontier.copy()
     visited, depth = 1, 0
     while True:
+        yield frontier, visited
         fires = frontier.T.astype(np.float64, order="C")
         chips = flow_t @ fires
         chips += init_col
@@ -296,11 +274,45 @@ def reachable_states(variant: Variant, n: int,
             raise CapExceededError(
                 f"fire-count space exceeded {state_cap} states", states_visited=visited,
                 level=depth, frontier=parents)
-        if visited > states.shape[0]:
-            states.resize((max(visited, states.shape[0] * 5 // 4), w), refcheck=False)
-        states[visited - frontier.shape[0]:visited] = frontier
     if not np.array_equal(frontier[0], totals):
         raise ChipFiringError("terminal fire-count state differs from closed-form totals")
+
+
+def reachable_states(variant: Variant, n: int,
+                     state_cap: int = DEFAULT_STATE_CAP) -> FireCountSpace:
+    """Breadth-first closure of all fire-count vectors reachable from zero.
+
+    Each move raises the total fire count by one, so levels are graded and
+    deduplication never looks across levels; each level ``_levels`` yields
+    is appended to ``states``.  Raises CapExceededError (without partial
+    results) when the cap is hit, ChipFiringError if the dynamics contradict
+    the closed-form window or totals, and its subclass
+    RepresentationLimitError if a total or a chip count would not fit.
+    """
+    table = closedform.fire_count_table(variant, n)
+    sites = tuple(sorted(table))
+    w = len(sites)
+    totals = np.array([table[s] for s in sites], np.int64)
+    initial = np.array([n if s == 0 else 0 for s in sites], np.int64)
+    if w == 0:
+        return FireCountSpace(variant, n, sites, totals, initial,
+                              np.zeros((1, 0), np.int16), np.zeros((0, 2), np.int64))
+    # row i of flow is what one fire at window site i moves, over the window
+    # plus one virtual site on each side
+    flow = np.zeros((w, w + 2), np.int64)
+    for i, site in enumerate(sites):
+        left, _, right, _ = variant.site_row(site)
+        flow[i, i:i + 3] = left, -(left + right), right
+    _check_representable(totals, flow, n)
+    # each level is appended to ``states`` as it is made, so the states are
+    # never held twice.  ``resize`` reallocates in place (glibc remaps a
+    # large block's pages rather than copying them) and zero-fills new rows,
+    # so the array grows by a quarter at a time and is trimmed at the end.
+    states = np.zeros((1, w), np.int16)
+    for rows, visited in _levels(variant, sites, totals, initial, flow, state_cap):
+        if visited > states.shape[0]:
+            states.resize((max(visited, states.shape[0] * 5 // 4), w), refcheck=False)
+        states[visited - rows.shape[0]:visited] = rows
     states.resize((visited, w), refcheck=False)
     return FireCountSpace(variant, n, sites, totals, initial, states, flow)
 

@@ -4,7 +4,8 @@
 here as the oracle for ``explorer._MoveTable.expand``; ``levels`` is the
 former graded BFS over byte keys built on it.  ``successor_outcomes`` is
 the other side of that comparison: one state's children as the explorer's
-move table produces them.
+move table produces them, and ``search`` the levels ``explorer.explore``
+reads from its one search.
 """
 
 from itertools import combinations
@@ -83,3 +84,25 @@ def levels(start, variant):
         keys.append(level)
         parents.append([children[k][0] for k in level])
         frontier = [children[k][1] for k in level]
+
+
+def search(initial, variant):
+    """``(report, levels, moves, mirrored)`` of one ``explorer.explore`` call:
+    ``levels`` lists the ``(rows, stuck, visited)`` its ``_levels`` yielded,
+    and ``moves`` and ``mirrored`` are what ``explore`` handed to it."""
+    calls = []
+    search_levels = explorer._levels
+
+    def recorded(start, moves, mirrored, state_cap):
+        calls.append((moves, mirrored, []))
+        for level in search_levels(start, moves, mirrored, state_cap):
+            calls[-1][2].append(level)
+            yield level
+
+    explorer._levels = recorded
+    try:
+        report = explorer.explore(initial, variant)
+    finally:
+        explorer._levels = search_levels
+    (moves, mirrored, levels), = calls
+    return report, levels, moves, mirrored

@@ -10,10 +10,10 @@ from chipfire.analysis import (CheckerNotApplicableError, check_bounds, check_co
                                diamond_configuration, is_weakly_sorted)
 from chipfire.engine import (LabeledConfiguration, LeftmostStrategy, RandomStrategy, Trace,
                              run_to_completion, standard_initial)
-from chipfire.poset import DEFAULT_STATE_CAP
 from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
                                origin_loops)
 import engine_reference
+import labeled_reference
 from test_checker_violations import _initial
 from trace_enum import all_complete_traces
 
@@ -307,9 +307,8 @@ def test_position_limits_hold_on_every_reachable_state(lemma, variant, n, states
     mirror class taken with its mirror, keeps every chip within its
     ``_position_limits`` and every ``_extreme_clauses`` clause to one chip."""
     m = analysis._scope_m(lemma, variant, n)
-    levels, _, visited, _, mirrored = explorer._explore_levels(
-        standard_initial(variant, n), variant, DEFAULT_STATE_CAP)
-    rows = np.concatenate(levels)
+    _, levels, _, mirrored = labeled_reference.search(standard_initial(variant, n), variant)
+    rows, visited = np.concatenate([rows for rows, _, _ in levels]), levels[-1][2]
     if mirrored:
         rows = np.unique(np.concatenate([rows, explorer._mirror(rows)]), axis=0)
     assert len(rows) == visited == states

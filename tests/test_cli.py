@@ -165,13 +165,13 @@ def test_counterexample_rejects_variant_and_preset(flag, value, capsys):
 
 def test_explore_searches_once(tmp_path, monkeypatch):
     calls = []
-    levels = explorer._explore_levels
+    levels = explorer._levels
 
     def counted(*args, **kwargs):
         calls.append(args)
         return levels(*args, **kwargs)
 
-    monkeypatch.setattr(explorer, "_explore_levels", counted)
+    monkeypatch.setattr(explorer, "_levels", counted)
     assert main(["explore", "--n", "7", "--report", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 1
     assert json.loads((tmp_path / "r.json").read_text())["witness"] is not None

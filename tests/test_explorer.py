@@ -9,7 +9,6 @@ from chipfire import analysis, closedform, explorer
 from chipfire.engine import (CapExceededError, LabeledConfiguration, RandomStrategy,
                              run_to_completion, standard_initial)
 from chipfire.explorer import adversarial_1mod4, canonicalize, explore, find_unsorted_terminal
-from chipfire.poset import DEFAULT_STATE_CAP
 from chipfire.variants import (Variant, base, exponential, loops_and_edges, loops_everywhere,
                                multi_edge, origin_loops)
 
@@ -101,7 +100,7 @@ def test_find_unsorted_terminal_replays_a_given_report(monkeypatch):
     initial = standard_initial(base(), 5)
     searched = find_unsorted_terminal(initial, base())
     report = explore(initial, base())
-    monkeypatch.setattr(explorer, "_explore_levels", None)  # no second search
+    monkeypatch.setattr(explorer, "_levels", None)  # no second search
     given = find_unsorted_terminal(initial, base(), report=report)
     assert [r.to_json() for r in given.records] == [r.to_json() for r in searched.records]
 
@@ -193,9 +192,9 @@ def _assert_levels_match_reference(variant, initial, mirrored):
     reference successors reach it, ascending and each with the reference's
     first move, and the walk's step back (``_step_back``) goes to the
     reference's first-occurrence parent by that parent's first move."""
-    levels, _, visited, moves, quotiented = explorer._explore_levels(
-        initial, variant, DEFAULT_STATE_CAP)
+    _, searched, moves, quotiented = labeled_reference.search(initial, variant)
     assert quotiented == mirrored
+    levels, visited = [rows for rows, _, _ in searched], searched[-1][2]
     want_keys, want_parents = labeled_reference.levels(canonicalize(initial), variant)
     if mirrored:
         full = [np.unique(np.concatenate([level, explorer._mirror(level)]), axis=0)
@@ -253,18 +252,35 @@ def test_unquotiented_levels_match_reference_bfs(case):
     (base(), 10, 357_135, 2_246, 712_024)])
 def test_mirror_class_counts(variant, n, classes, self_mirror, states):
     """The search keeps one row per mirror class and counts the full space."""
-    levels, _, visited, _, mirrored = explorer._explore_levels(
-        standard_initial(variant, n), variant, DEFAULT_STATE_CAP)
+    _, searched, _, mirrored = labeled_reference.search(standard_initial(variant, n), variant)
+    levels, visited = [rows for rows, _, _ in searched], searched[-1][2]
     assert mirrored and sum(map(len, levels)) == classes
     assert sum(int((level == explorer._mirror(level)).all(axis=1).sum())
                for level in levels) == self_mirror
     assert visited == 2 * classes - self_mirror == states
 
 
+@pytest.mark.parametrize("variant,n", [(base(), 10), (loops_everywhere(), 11),
+                                       (exponential(1), 8)], ids=str)
+def test_levels_give_the_reports_count_and_terminals(variant, n):
+    """Each level's ``visited`` adds its full-space size, 2q - s under the
+    quotient, the last one is the report's ``states_visited``, and the stuck
+    rows, with their mirrors under the quotient, decode to its terminals."""
+    report, levels, _, mirrored = labeled_reference.search(standard_initial(variant, n), variant)
+    sizes = [2 * len(rows) - int((rows == explorer._mirror(rows)).all(axis=1).sum()) if mirrored
+             else len(rows) for rows, _, _ in levels]
+    assert [visited for _, _, visited in levels] == np.cumsum(sizes).tolist()
+    assert levels[-1][2] == report.states_visited
+    ends = np.concatenate([rows[stuck] for rows, stuck, _ in levels])
+    if mirrored:
+        ends = np.concatenate([ends, explorer._mirror(ends)])
+    assert sorted({explorer._state(row) for row in ends}) == list(report.terminals)
+
+
 def test_symmetric_unsorted_start_has_empty_witness():
     initial = LabeledConfiguration.from_values({-1: [1], 1: [-1]})
-    assert explorer._explore_levels(initial, base(), DEFAULT_STATE_CAP)[4]
-    report = explore(initial, base())
+    report, _, _, mirrored = labeled_reference.search(initial, base())
+    assert mirrored
     assert (report.states_visited, report.terminal_count, report.witness) == (1, 1, [])
     assert len(find_unsorted_terminal(initial, base(), report=report)) == 0
 
@@ -275,16 +291,14 @@ def test_empty_configuration_is_its_own_terminal():
 
 
 def _levels_and_report(variant, n, preset="origin"):
-    initial = standard_initial(variant, n, preset)
-    levels, terminals, visited, _, _ = explorer._explore_levels(
-        initial, variant, DEFAULT_STATE_CAP)
-    report = explore(initial, variant).to_json()
-    return [level.tolist() for level in levels], terminals, visited, report
+    report, levels, _, _ = labeled_reference.search(standard_initial(variant, n, preset), variant)
+    levels = [(rows.tolist(), stuck.tolist(), visited) for rows, stuck, visited in levels]
+    return levels, report.to_json()
 
 
 @pytest.mark.parametrize("cells", [1, 64])
 def test_sliced_expansion_matches_whole_levels(monkeypatch, cells):
-    """Slices of one or a few rows give the same levels, terminals and report."""
+    """Slices of one or a few rows give the same levels, stuck rows, counts and report."""
     cases = [(base(), 7), (exponential(1), 8), (loops_everywhere(), 9), (base(), 3, "staircase")]
     whole = [_levels_and_report(*case) for case in cases]
     monkeypatch.setattr(explorer, "SLICE_CELLS", cells)

@@ -50,6 +50,20 @@ def test_reachable_terminal_matches_totals():
         assert {s: int(c) for s, c in zip(space.sites, terminal)} == table
 
 
+@pytest.mark.parametrize("variant,n", [(base(), 10), (loops_everywhere(), 11),
+                                       (exponential(1), 8)], ids=str)
+def test_levels_stack_to_the_space(variant, n):
+    """The levels ``_levels`` yields, stacked, are the space's states, and
+    each level's ``visited`` sums the level sizes through it."""
+    space = reachable_states(variant, n)
+    levels = list(poset._levels(variant, space.sites, space.totals, space.initial, space.flow,
+                                poset.DEFAULT_STATE_CAP))
+    assert np.array_equal(np.concatenate([rows for rows, _ in levels]), space.states)
+    sizes = [len(rows) for rows, _ in levels]
+    assert [visited for _, visited in levels] == np.cumsum(sizes).tolist()
+    assert levels[-1][1] == space.n_states
+
+
 def test_reachable_states_cap():
     with pytest.raises(CapExceededError) as err:
         reachable_states(base(), 10, state_cap=10)

@@ -221,6 +221,6 @@ def test_byte_keys_sort_like_signed_rows():
 
 def test_key_limit_rejects_before_searching():
     start = time.perf_counter()
-    with pytest.raises(explorer.StateKeyLimitError, match="<= 120"):
+    with pytest.raises(poset.RepresentationLimitError, match="<= 120"):
         explore(standard_initial(base(), 130), base())
     assert time.perf_counter() - start < 5
