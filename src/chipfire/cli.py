@@ -188,7 +188,7 @@ def cmd_explore(args) -> int:
     report = explorer.explore(initial, variant, state_cap=args.state_cap)
     payload = report.to_json()
     if report.witness is not None:
-        trace = explorer.find_unsorted_terminal(initial, variant, report=report)
+        trace = explorer.find_unsorted_terminal(initial, variant, report)
         payload["witness"] = [trace.header_json()] + [rec.to_json() for rec in trace.records]
     _write_report(args, payload)
     print(f"explore {variant} n={n}: states={report.states_visited} "
@@ -203,8 +203,8 @@ def cmd_counterexample(args) -> int:
             raise UsageError("odd case needs odd --n >= 3: no counterexample exists otherwise")
         variant = Variant("base")
         initial = standard_initial(variant, args.n)
-        trace = explorer.find_unsorted_terminal(
-            initial, variant, state_cap=args.state_cap or poset.DEFAULT_STATE_CAP)
+        report = explorer.explore(initial, variant, args.state_cap or poset.DEFAULT_STATE_CAP)
+        trace = explorer.find_unsorted_terminal(initial, variant, report)
         if trace is None:
             print(f"no unsorted terminal exists for base n={args.n}")
             return EXIT_FAIL

@@ -6,7 +6,9 @@ firing rule depends only on values.  The reachable canonical-state graph
 is expanded breadth first; since every move raises the total fire count by
 one, levels are graded and deduplication stays within a level.  One
 generator, ``_levels``, makes the levels; ``explore`` reads them, keeping
-each for the witness walk and taking its stuck rows as terminals.
+each for the witness walk and taking the last level's rows as terminals:
+every maximal firing sequence from a start has the same length (Björner,
+Lovász and Shor 1991), so a row with no move on an earlier level is a fault.
 
 Inside the search a state is one row of ``uint16`` chips, each
 ``(site + 128) << 8 | (value + 128)``, in ascending order (``_row`` and
@@ -36,8 +38,8 @@ from itertools import combinations, count
 
 import numpy as np
 
-from .engine import (CapExceededError, LabeledConfiguration, ScriptedValuesStrategy,
-                     HoldStrategy, Trace, run_to_completion, standard_initial)
+from .engine import (CapExceededError, ChipFiringError, HoldStrategy, LabeledConfiguration,
+                     ScriptedValuesStrategy, Trace, run_to_completion, standard_initial)
 from .poset import DEFAULT_STATE_CAP, RepresentationLimitError, _first_unique
 from .variants import Variant
 
@@ -229,13 +231,16 @@ def _canonicalize(rows: np.ndarray) -> np.ndarray:
 
 
 def _levels(start: np.ndarray, moves: _MoveTable, mirrored: bool, state_cap: int):
-    """Graded BFS from the row ``start``, yielding ``(rows, stuck, visited)`` per level:
-    its sorted rows, which of them have no move, and the states counted
-    through it, 2q - s for q rows of which s are their own mirror when
-    ``mirrored``.  A level past ``state_cap`` raises CapExceededError unyielded."""
+    """Graded BFS from the row ``start``, yielding ``(rows, visited)`` per level:
+    its sorted rows and the states counted through it, 2q - s for q rows of
+    which s are their own mirror when ``mirrored``.  Every maximal firing
+    sequence has the same length, so only the last level may hold a row
+    with no move; one earlier raises ChipFiringError.  A level past
+    ``state_cap`` raises CapExceededError unyielded."""
     rows = start[None]
     visited = width = 1
     for depth in count(1):
+        yield rows, visited
         stuck = np.ones(len(rows), np.bool_)
         kids, kid_same = [], []
         for lo in range(0, len(rows), moves.slice_rows):
@@ -247,10 +252,12 @@ def _levels(start: np.ndarray, moves: _MoveTable, mirrored: bool, state_cap: int
             first = _first_unique(children)
             kids.append(children[first])
             kid_same.append(same[first])
-        yield rows, stuck, visited
         children = np.concatenate(kids)
         if not len(children):
             return
+        if stuck.any():
+            raise ChipFiringError(
+                "a non-final labeled state had no successors (premature deadlock)")
         same = np.concatenate(kid_same)
         if len(kids) > 1:
             first = _first_unique(children)
@@ -288,11 +295,11 @@ def _step_back(keys: np.ndarray, moves: _MoveTable, mirrored: bool, child: np.nd
 
 
 def _witness(levels: list[np.ndarray], moves: _MoveTable, mirrored: bool,
-             level: int, row: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
-    """Moves from the start to ``row`` of ``level``, walking back one parent at a time."""
+             row: np.ndarray) -> list[tuple[int, tuple[int, ...]]]:
+    """Moves from the start to ``row`` of the last level, walking back one parent at a time."""
     back = []
-    for li in range(level, 0, -1):
-        row, move = _step_back(_level_keys(levels[li - 1]), moves, mirrored, row)
+    for level in levels[-2::-1]:
+        row, move = _step_back(_level_keys(level), moves, mirrored, row)
         back.append(move)
     return back[::-1]
 
@@ -301,53 +308,45 @@ def explore(initial: LabeledConfiguration, variant: Variant,
             state_cap: int = DEFAULT_STATE_CAP) -> ExplorationReport:
     """Visit the full reachable canonical-state graph and collect terminals.
 
-    Keeps every level ``_levels`` yields for the witness walk and reads its
-    stuck rows, with their mirrors under the quotient, as terminals.  Raises
-    RepresentationLimitError for a start a ``uint16`` chip cannot hold, and
+    Keeps every level ``_levels`` yields for the witness walk and reads the
+    last level's rows, with their mirrors under the quotient, as terminals.
+    Raises RepresentationLimitError for a start a ``uint16`` chip cannot hold, and
     CapExceededError (carrying states_visited, level and frontier) when the
     cap is hit.  A start equal to its mirror (site -> -site, value -> -value),
     such as every origin preset, is searched one mirror class at a time;
     counts, terminals and witness are those of the full space.  The witness
-    is a move sequence to the first non-weakly-sorted terminal the full
-    search visits, if there is one, found by walking back from it.
+    is a move sequence to the smallest non-weakly-sorted terminal row, if
+    there is one, found by walking back from it.
     """
     canonical = canonicalize(initial)
     _check_key_limit(canonical)
     start = _row(canonical)
     moves = _MoveTable(variant, start.size)
     mirrored = start.size > 0 and moves.symmetric and np.array_equal(start, _mirror(start))
-    levels, found = [], []  # found: (level, row) of every terminal, mirrors included
-    for rows, stuck, visited in _levels(start, moves, mirrored, state_cap):
-        if stuck.any():  # most levels hold no terminal
-            ends = rows[stuck]
-            if mirrored:
-                ends = np.concatenate([ends, _mirror(ends)])
-            found += [(len(levels), end) for end in map(tuple, ends.tolist())]
+    levels = []
+    for rows, visited in _levels(start, moves, mirrored, state_cap):
         levels.append(rows)
-    states = {row: _state(np.array(row, np.uint16)) for _, row in found}
-    weakly_sorted = {row: is_weakly_sorted_state(state) for row, state in states.items()}
-    unsorted = [(li, row) for li, row in found if not weakly_sorted[row]]
+    ends = levels[-1]
+    if mirrored:
+        ends = np.concatenate([ends, _mirror(ends)])
+        ends = ends[_first_unique(ends)]
+    states = [_state(row) for row in ends]
+    weakly_sorted = [is_weakly_sorted_state(state) for state in states]
     witness = None
-    if unsorted:
-        li, row = min(unsorted)
-        witness = _witness(levels, moves, mirrored, li, np.array(row, np.uint16))
-    terminals = tuple(sorted(states.values()))
-    return ExplorationReport(states_visited=visited, terminals=terminals,
-                             confluent=len(terminals) == 1,
-                             sorted_terminal_count=sum(weakly_sorted.values()), witness=witness)
+    if not all(weakly_sorted):
+        witness = _witness(levels, moves, mirrored, ends[weakly_sorted.index(False)])
+    return ExplorationReport(states_visited=visited, terminals=tuple(sorted(states)),
+                             confluent=len(states) == 1,
+                             sorted_terminal_count=sum(weakly_sorted), witness=witness)
 
 
 def find_unsorted_terminal(initial: LabeledConfiguration, variant: Variant,
-                           state_cap: int = DEFAULT_STATE_CAP,
-                           report: ExplorationReport | None = None) -> Trace | None:
-    """Trace reaching a non-weakly-sorted terminal, or None if none exists.
+                           report: ExplorationReport) -> Trace | None:
+    """Replay the witness of ``report``, from ``explore(initial, variant)``.
 
-    A cap overflow raises CapExceededError (inconclusive), which is distinct
-    from an exhaustive None.  ``report``, from ``explore(initial, variant)``,
-    saves the search: its witness is replayed.
+    Returns the trace reaching a non-weakly-sorted terminal, or None if the
+    search found none.
     """
-    if report is None:
-        report = explore(initial, variant, state_cap)
     if report.witness is None:
         return None
     strategy = ScriptedValuesStrategy(report.witness)

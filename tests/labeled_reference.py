@@ -88,7 +88,7 @@ def levels(start, variant):
 
 def search(initial, variant):
     """``(report, levels, moves, mirrored)`` of one ``explorer.explore`` call:
-    ``levels`` lists the ``(rows, stuck, visited)`` its ``_levels`` yielded,
+    ``levels`` lists the ``(rows, visited)`` its ``_levels`` yielded,
     and ``moves`` and ``mirrored`` are what ``explore`` handed to it."""
     calls = []
     search_levels = explorer._levels

@@ -164,7 +164,8 @@ def test_criterion_07_self_loop_variant():
 
 def test_criterion_08_one_mod_four_counterexample():
     with criterion(8, "n=5 self-loop counterexamples, exhaustive and adversarial"):
-        trace = find_unsorted_terminal(standard_initial(LOOPS, 5), LOOPS)
+        initial = standard_initial(LOOPS, 5)
+        trace = find_unsorted_terminal(initial, LOOPS, explore(initial, LOOPS))
         assert trace is not None
         assert not analysis.is_weakly_sorted(trace.final_config())
         adv = explorer.adversarial_1mod4(1)

@@ -308,7 +308,7 @@ def test_position_limits_hold_on_every_reachable_state(lemma, variant, n, states
     ``_position_limits`` and every ``_extreme_clauses`` clause to one chip."""
     m = analysis._scope_m(lemma, variant, n)
     _, levels, _, mirrored = labeled_reference.search(standard_initial(variant, n), variant)
-    rows, visited = np.concatenate([rows for rows, _, _ in levels]), levels[-1][2]
+    rows, visited = np.concatenate([rows for rows, _ in levels]), levels[-1][1]
     if mirrored:
         rows = np.unique(np.concatenate([rows, explorer._mirror(rows)]), axis=0)
     assert len(rows) == visited == states

@@ -85,28 +85,30 @@ def test_explore_refuses_rows_with_too_many_combinations():
 
 
 def test_find_unsorted_terminal_witness_replays():
-    trace = find_unsorted_terminal(standard_initial(base(), 3), base())
+    initial = standard_initial(base(), 3)
+    trace = find_unsorted_terminal(initial, base(), explore(initial, base()))
     assert trace is not None and len(trace) == 1
     assert not analysis.is_weakly_sorted(trace.final_config())
     list(trace.replay(verify=True))
 
-    trace = find_unsorted_terminal(standard_initial(loops_everywhere(), 5),
-                                   loops_everywhere())
+    initial = standard_initial(loops_everywhere(), 5)
+    trace = find_unsorted_terminal(initial, loops_everywhere(),
+                                   explore(initial, loops_everywhere()))
     assert trace is not None
     assert not analysis.is_weakly_sorted(trace.final_config())
 
 
 def test_find_unsorted_terminal_replays_a_given_report(monkeypatch):
     initial = standard_initial(base(), 5)
-    searched = find_unsorted_terminal(initial, base())
     report = explore(initial, base())
     monkeypatch.setattr(explorer, "_levels", None)  # no second search
-    given = find_unsorted_terminal(initial, base(), report=report)
-    assert [r.to_json() for r in given.records] == [r.to_json() for r in searched.records]
+    given = find_unsorted_terminal(initial, base(), report)
+    assert [(rec.site, rec.chosen_values) for rec in given.records] == report.witness
 
 
 def test_find_unsorted_terminal_none_for_even():
-    assert find_unsorted_terminal(standard_initial(base(), 4), base()) is None
+    initial = standard_initial(base(), 4)
+    assert find_unsorted_terminal(initial, base(), explore(initial, base())) is None
 
 
 def _id_level_terminals(initial, variant):
@@ -194,7 +196,7 @@ def _assert_levels_match_reference(variant, initial, mirrored):
     reference's first-occurrence parent by that parent's first move."""
     _, searched, moves, quotiented = labeled_reference.search(initial, variant)
     assert quotiented == mirrored
-    levels, visited = [rows for rows, _, _ in searched], searched[-1][2]
+    levels, visited = [rows for rows, _ in searched], searched[-1][1]
     want_keys, want_parents = labeled_reference.levels(canonicalize(initial), variant)
     if mirrored:
         full = [np.unique(np.concatenate([level, explorer._mirror(level)]), axis=0)
@@ -253,7 +255,7 @@ def test_unquotiented_levels_match_reference_bfs(case):
 def test_mirror_class_counts(variant, n, classes, self_mirror, states):
     """The search keeps one row per mirror class and counts the full space."""
     _, searched, _, mirrored = labeled_reference.search(standard_initial(variant, n), variant)
-    levels, visited = [rows for rows, _, _ in searched], searched[-1][2]
+    levels, visited = [rows for rows, _ in searched], searched[-1][1]
     assert mirrored and sum(map(len, levels)) == classes
     assert sum(int((level == explorer._mirror(level)).all(axis=1).sum())
                for level in levels) == self_mirror
@@ -264,14 +266,15 @@ def test_mirror_class_counts(variant, n, classes, self_mirror, states):
                                        (exponential(1), 8)], ids=str)
 def test_levels_give_the_reports_count_and_terminals(variant, n):
     """Each level's ``visited`` adds its full-space size, 2q - s under the
-    quotient, the last one is the report's ``states_visited``, and the stuck
-    rows, with their mirrors under the quotient, decode to its terminals."""
+    quotient, the last one is the report's ``states_visited``, and the last
+    level's rows, with their mirrors under the quotient, decode to its
+    terminals."""
     report, levels, _, mirrored = labeled_reference.search(standard_initial(variant, n), variant)
     sizes = [2 * len(rows) - int((rows == explorer._mirror(rows)).all(axis=1).sum()) if mirrored
-             else len(rows) for rows, _, _ in levels]
-    assert [visited for _, _, visited in levels] == np.cumsum(sizes).tolist()
-    assert levels[-1][2] == report.states_visited
-    ends = np.concatenate([rows[stuck] for rows, stuck, _ in levels])
+             else len(rows) for rows, _ in levels]
+    assert [visited for _, visited in levels] == np.cumsum(sizes).tolist()
+    assert levels[-1][1] == report.states_visited
+    ends = levels[-1][0]
     if mirrored:
         ends = np.concatenate([ends, explorer._mirror(ends)])
     assert sorted({explorer._state(row) for row in ends}) == list(report.terminals)
@@ -282,7 +285,7 @@ def test_symmetric_unsorted_start_has_empty_witness():
     report, _, _, mirrored = labeled_reference.search(initial, base())
     assert mirrored
     assert (report.states_visited, report.terminal_count, report.witness) == (1, 1, [])
-    assert len(find_unsorted_terminal(initial, base(), report=report)) == 0
+    assert len(find_unsorted_terminal(initial, base(), report)) == 0
 
 
 def test_empty_configuration_is_its_own_terminal():
@@ -292,13 +295,13 @@ def test_empty_configuration_is_its_own_terminal():
 
 def _levels_and_report(variant, n, preset="origin"):
     report, levels, _, _ = labeled_reference.search(standard_initial(variant, n, preset), variant)
-    levels = [(rows.tolist(), stuck.tolist(), visited) for rows, stuck, visited in levels]
+    levels = [(rows.tolist(), visited) for rows, visited in levels]
     return levels, report.to_json()
 
 
 @pytest.mark.parametrize("cells", [1, 64])
 def test_sliced_expansion_matches_whole_levels(monkeypatch, cells):
-    """Slices of one or a few rows give the same levels, stuck rows, counts and report."""
+    """Slices of one or a few rows give the same levels, counts and report."""
     cases = [(base(), 7), (exponential(1), 8), (loops_everywhere(), 9), (base(), 3, "staircase")]
     whole = [_levels_and_report(*case) for case in cases]
     monkeypatch.setattr(explorer, "SLICE_CELLS", cells)

@@ -150,7 +150,8 @@ def test_explore_report_pinned(case):
 
 @pytest.mark.parametrize("n", sorted(WITNESS_SHA1))
 def test_unsorted_witness_trace_pinned(n):
-    trace = find_unsorted_terminal(standard_initial(base(), n), base())
+    initial = standard_initial(base(), n)
+    trace = find_unsorted_terminal(initial, base(), explore(initial, base()))
     buf = io.StringIO()
     trace.write_jsonl(buf)
     assert hashlib.sha1(buf.getvalue().encode()).hexdigest() == WITNESS_SHA1[n]

@@ -192,6 +192,21 @@ def test_premature_deadlock_is_detected(monkeypatch):
         reachable_states(base(), 4)
 
 
+def test_labeled_premature_deadlock_is_detected(monkeypatch):
+    expand = explorer._MoveTable.expand
+
+    def broken(self, rows):
+        # a broken move table that takes every move from the last of several rows
+        moves = expand(self, rows)
+        if len(rows) > 1:
+            keep = moves[0] != len(rows) - 1
+            moves = tuple(a[keep] for a in moves)
+        return moves
+    monkeypatch.setattr(explorer._MoveTable, "expand", broken)
+    with pytest.raises(ChipFiringError, match="premature deadlock"):
+        explore(standard_initial(base(), 6), base())
+
+
 def test_duplicate_terminal_rows_are_detected(monkeypatch):
     # a broken expansion step that does not deduplicate
     monkeypatch.setattr(poset, "_first_unique", lambda rows: np.arange(len(rows)))
