@@ -65,8 +65,12 @@ _chip_key = itemgetter(1, 0)  # (value, id): the order chips keep at a site
 class LabeledConfiguration:
     """Sparse mapping from site to the chips currently there.
 
-    Instances are immutable: applying a move returns a new configuration.
     Each site's chips are sorted by ``(value, id)`` and no site is empty.
+    The move rule is stated once, by ``_move``, which fires in place;
+    ``apply`` copies the occupancy dict, then fires, so the configuration it
+    is called on never changes.  A run and ``Trace.read_jsonl`` fire in place
+    on one dict of their own and show it to strategies as a configuration
+    whose occupancy changes after every move.
     """
 
     __slots__ = ("occupancy",)
@@ -116,46 +120,10 @@ class LabeledConfiguration:
                       if len(chips) >= variant.site_row(site)[3])
 
     def apply(self, variant: Variant, site: int, chosen_ids: Iterable[int]) -> "LabeledConfiguration":
-        """Fire ``chosen_ids`` at ``site``; raises IllegalMoveError on bad input.
-
-        Only sites ``site - 1``, ``site`` and ``site + 1`` change, and each
-        moved chip is inserted into its site's sorted chips.
-        """
-        chosen = tuple(chosen_ids)
-        occupancy = self.occupancy
-        present = occupancy.get(site, ())
-        left, loop, _, th = variant.site_row(site)
-        if len(present) < th:
-            raise IllegalMoveError(f"site {site} not enabled: {len(present)} chips < threshold {th}")
-        chosen_set = set(chosen)
-        if len(chosen_set) != len(chosen) or len(chosen) != th:
-            raise IllegalMoveError(f"move at site {site} must choose {th} distinct chips, got {chosen}")
-        # present is in (value, id) order, so both parts come out in that order
-        fired = [c for c in present if c.id in chosen_set]
-        if len(fired) != th:
-            ids = {c.id for c in present}
-            raise IllegalMoveError(f"chips {[i for i in chosen if i not in ids]} absent from site {site}")
-        stay = [c for c in present if c.id not in chosen_set]
-        for c in fired[left:left + loop]:
-            insort(stay, c, key=_chip_key)
-        occ = occupancy.copy()
-        if stay:
-            occ[site] = tuple(stay)
-        else:
-            del occ[site]
-        for dest, moved in ((site - 1, fired[:left]), (site + 1, fired[left + loop:])):
-            if moved:
-                chips = occupancy.get(dest)
-                if chips:
-                    chips = list(chips)
-                    for c in moved:
-                        insort(chips, c, key=_chip_key)
-                    occ[dest] = tuple(chips)
-                else:  # a slice of ``fired``, already in order
-                    occ[dest] = tuple(moved)
-        child = LabeledConfiguration.__new__(LabeledConfiguration)
-        child.occupancy = occ
-        return child
+        """Fire ``chosen_ids`` at ``site`` of a copy; raises IllegalMoveError on bad input."""
+        occupancy = self.occupancy.copy()
+        _move(occupancy, variant, site, chosen_ids)
+        return _wrap(occupancy)
 
     def __eq__(self, other):
         return isinstance(other, LabeledConfiguration) and self.occupancy == other.occupancy
@@ -167,6 +135,56 @@ class LabeledConfiguration:
         inner = ", ".join(f"{site}: {sorted(c.value for c in chips)}"
                           for site, chips in sorted(self.occupancy.items()))
         return f"LabeledConfiguration({{{inner}}})"
+
+
+def _wrap(occupancy: dict[int, tuple[Chip, ...]]) -> LabeledConfiguration:
+    """A configuration over ``occupancy`` as it is: no copy, no re-sort."""
+    config = LabeledConfiguration.__new__(LabeledConfiguration)
+    config.occupancy = occupancy
+    return config
+
+
+def _move(occupancy: dict[int, tuple[Chip, ...]], variant: Variant, site: int,
+          chosen_ids: Iterable[int]) -> tuple[list[Chip], int]:
+    """The move rule: fire ``chosen_ids`` at ``site`` of ``occupancy``, in place.
+
+    Returns the fired chips in ``(value, id)`` order and the number of chips
+    the site held.  Bad input raises IllegalMoveError before anything is
+    written.  Only sites ``site - 1``, ``site`` and ``site + 1`` change: each
+    gets a new sorted tuple, with every moved chip inserted in order, and a
+    site left empty is deleted.  No tuple is mutated.
+    """
+    chosen = tuple(chosen_ids)
+    present = occupancy.get(site, ())
+    left, loop, _, th = variant.site_row(site)
+    if len(present) < th:
+        raise IllegalMoveError(f"site {site} not enabled: {len(present)} chips < threshold {th}")
+    chosen_set = set(chosen)
+    if len(chosen_set) != len(chosen) or len(chosen) != th:
+        raise IllegalMoveError(f"move at site {site} must choose {th} distinct chips, got {chosen}")
+    # present is in (value, id) order, so both parts come out in that order
+    fired = [c for c in present if c.id in chosen_set]
+    if len(fired) != th:
+        ids = {c.id for c in present}
+        raise IllegalMoveError(f"chips {[i for i in chosen if i not in ids]} absent from site {site}")
+    stay = [c for c in present if c.id not in chosen_set]
+    for c in fired[left:left + loop]:
+        insort(stay, c, key=_chip_key)
+    if stay:
+        occupancy[site] = tuple(stay)
+    else:
+        del occupancy[site]
+    for dest, moved in ((site - 1, fired[:left]), (site + 1, fired[left + loop:])):
+        if moved:
+            chips = occupancy.get(dest)
+            if chips:
+                chips = list(chips)
+                for c in moved:
+                    insort(chips, c, key=_chip_key)
+                occupancy[dest] = tuple(chips)
+            else:  # a slice of ``fired``, already in order
+                occupancy[dest] = tuple(moved)
+    return fired, len(present)
 
 
 def standard_initial(variant: Variant, n: int, preset: str = "origin") -> LabeledConfiguration:
@@ -222,10 +240,11 @@ class Trace:
         for rec in self.records:
             before = config
             if verify:
-                derived, config = _fire(config, self.variant, rec.step, rec.site,
-                                        rec.chosen_ids, fires)
-                if derived != rec:
+                occupancy = config.occupancy.copy()
+                if _fire(occupancy, self.variant, rec.step, rec.site,
+                         rec.chosen_ids, fires) != rec:
                     raise ChipFiringError(f"replay mismatch at step {rec.step}: {rec}")
+                config = _wrap(occupancy)
             else:
                 config = config.apply(self.variant, rec.site, rec.chosen_ids)
             yield before, rec, config
@@ -286,7 +305,9 @@ class Trace:
             raise ChipFiringError(f"line 1: bad trace header: {exc}") from exc
         if not all(_int_list(values) for values in values_by_site.values()):
             raise ChipFiringError("line 1: initial chip values must be lists of JSON integers")
-        initial = config = LabeledConfiguration.from_values(values_by_site)
+        initial = LabeledConfiguration.from_values(values_by_site)
+        occupancy = initial.occupancy.copy()  # fired in place
+        config = _wrap(occupancy)
         records = []
         fires: dict[int, int] = {}
 
@@ -307,26 +328,23 @@ class Trace:
             if step != len(records):
                 raise ChipFiringError(f"{where()}: expected step {len(records)}")
             try:
-                rec, config = _fire(config, variant, step, site,
-                                    _ids_for_values(config, site, values), fires)
+                records.append(_fire(occupancy, variant, step, site,
+                                     _ids_for_values(config, site, values), fires))
             except IllegalMoveError as exc:
                 raise IllegalMoveError(f"{where()}: {exc}") from exc
-            records.append(rec)
         return cls(variant=variant, initial=initial, records=records,
                    strategy=header.get("strategy", "scripted"), seed=header.get("seed", 0),
                    n=header.get("n"), preset=header.get("preset"), _final=config)
 
 
-def _fire(config: LabeledConfiguration, variant: Variant, step: int, site: int,
-          chosen_ids: tuple[int, ...], fires: dict[int, int]) -> tuple[MoveRecord, LabeledConfiguration]:
-    """Apply one move, count it in ``fires``, and return its record and the child."""
-    child = config.apply(variant, site, chosen_ids)
-    present = config.occupancy[site]
+def _fire(occupancy: dict[int, tuple[Chip, ...]], variant: Variant, step: int, site: int,
+          chosen_ids: tuple[int, ...], fires: dict[int, int]) -> MoveRecord:
+    """Fire one move in place on ``occupancy``, count it in ``fires``, and
+    return its record, whose values are those of the chips that fired."""
+    fired, present_before = _move(occupancy, variant, site, chosen_ids)
     fire_index = fires[site] = fires.get(site, 0) + 1
-    chosen = set(chosen_ids)
-    return MoveRecord(step, site, tuple(sorted(chosen_ids)),
-                      tuple([c.value for c in present if c.id in chosen]),
-                      len(present), fire_index), child
+    return MoveRecord(step, site, tuple(sorted(chosen_ids)), tuple([c.value for c in fired]),
+                      present_before, fire_index)
 
 
 def _int_list(values) -> bool:
@@ -428,9 +446,10 @@ class RandomDraws:
 # --- strategies ------------------------------------------------------------
 
 class Strategy:
-    """Picks the next move given the configuration, its enabled sites (sorted,
-    non-empty, owned by the run: read them, never keep or change them), the
-    variant and the run's random draws."""
+    """Picks the next move given the configuration and its enabled sites
+    (sorted, non-empty), the variant and the run's random draws.  The run owns
+    the configuration and the enabled sites and changes both in place after
+    ``choose`` returns: read them, never keep or change them."""
 
     name = "abstract"
 
@@ -547,7 +566,8 @@ def run_to_completion(initial: LabeledConfiguration, variant: Variant,
     if move_cap is None:
         move_cap = default_move_cap(variant, initial)
     rng = RandomDraws(seed)
-    config = initial
+    occupancy = initial.occupancy.copy()  # fired in place, then the final configuration's
+    config = _wrap(occupancy)
     records: list[MoveRecord] = []
     fires: dict[int, int] = {}
     enabled = initial.enabled_sites(variant)
@@ -555,8 +575,7 @@ def run_to_completion(initial: LabeledConfiguration, variant: Variant,
         if len(records) >= move_cap:
             raise NonTerminationError(f"exceeded move cap {move_cap} without terminating")
         site, chosen_ids = strategy.choose(config, enabled, variant, rng)
-        rec, config = _fire(config, variant, len(records), site, chosen_ids, fires)
-        records.append(rec)
+        records.append(_fire(occupancy, variant, len(records), site, chosen_ids, fires))
         _update_enabled(enabled, config, variant, site)
     return Trace(variant=variant, initial=initial, records=records,
                  strategy=strategy.name, seed=seed, _final=config, n=n, preset=preset)

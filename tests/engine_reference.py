@@ -1,8 +1,12 @@
-"""References for the engine's move and the two position-bound checkers.
+"""References for the engine's move and run and the two position-bound checkers.
 
 ``apply`` is the former sort-based ``LabeledConfiguration.apply``: it
 concatenates each changed site's chips and sorts them again.  It is the
-oracle for the insertion-based ``apply``.  ``check_chip_bounds`` and
+oracle for the insertion-based move rule.  ``run`` is a run loop without
+the engine's shortcuts: a new configuration per move made by ``apply``, a
+fresh scan of the enabled sites before every move, and each record's values
+read off the site's chips.  It is the oracle for ``run_to_completion``,
+which fires in place and carries its enabled sites.  ``check_chip_bounds`` and
 ``check_loop_bounds`` are the former full-scan checkers, which replay the
 trace and test every chip of every configuration, each with its own
 statement of its bounds; they are the oracles for the position lemmas read
@@ -13,7 +17,8 @@ replay.
 from math import ceil, floor
 
 from chipfire.analysis import BoundViolation, _scope_m
-from chipfire.engine import IllegalMoveError, LabeledConfiguration, _chip_key
+from chipfire.engine import (IllegalMoveError, LabeledConfiguration, MoveRecord, RandomDraws,
+                             _chip_key)
 
 
 def apply(config, variant, site, chosen_ids):
@@ -45,6 +50,24 @@ def apply(config, variant, site, chosen_ids):
     child = LabeledConfiguration.__new__(LabeledConfiguration)
     child.occupancy = occ
     return child
+
+
+def run(initial, variant, strategy, seed):
+    """The records and final configuration of a run from ``initial``."""
+    rng = RandomDraws(seed)
+    config = initial
+    records = []
+    fires = {}
+    while enabled := config.enabled_sites(variant):
+        site, chosen_ids = strategy.choose(config, enabled, variant, rng)
+        present = config.chips_at(site)
+        chosen = set(chosen_ids)
+        fires[site] = fires.get(site, 0) + 1
+        records.append(MoveRecord(len(records), site, tuple(sorted(chosen_ids)),
+                                  tuple(c.value for c in present if c.id in chosen),
+                                  len(present), fires[site]))
+        config = apply(config, variant, site, chosen_ids)
+    return records, config
 
 
 def check_chip_bounds(trace):

@@ -58,13 +58,14 @@ def test_every_span_is_called(tmp_path):
 @pytest.mark.parametrize("argv", [["--n", "8"], ["--n", "30"], ["--variant", "loops", "--n", "7"],
                                   ["--variant", "loops", "--n", "11"]])
 def test_verify_replays_each_run_once(argv):
-    """Conservation replays a run on its own, and the bound checkers read a
-    table of chip sites built from the records without replaying, so each
-    move is applied twice: in the run and in conservation's replay."""
+    """The run fires each move in place, without ``apply``; conservation
+    replays the run on its own, and the bound checkers read a table of chip
+    sites built from the records without replaying, so each move goes
+    through ``apply`` once: in conservation's replay."""
     runs = 3
     tracer = _traced(lambda: cli.main(["verify", *argv, "--runs", str(runs)]))
     assert tracer.calls["engine.run"] == runs
     assert tracer.calls["engine.replay"] == runs
     assert tracer.calls["analysis.conservation"] == runs
     assert tracer.calls["analysis.check"] == runs
-    assert tracer.calls["engine.apply"] == 2 * tracer.tallies["engine.moves"]
+    assert tracer.calls["engine.apply"] == tracer.tallies["engine.moves"]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chipfire import closedform as cf
 from chipfire import engine
-from chipfire.engine import (Chip, IllegalMoveError, LabeledConfiguration,
+from chipfire.engine import (Chip, HoldStrategy, IllegalMoveError, LabeledConfiguration,
                              LeftmostStrategy, NonTerminationError, RandomStrategy,
                              ScriptedValuesStrategy, run_to_completion, standard_initial)
 from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
@@ -300,22 +300,104 @@ def test_apply_matches_sort_based_reference(v, n):
             config = children[int(rng.integers(len(children)))]
 
 
-@pytest.mark.parametrize("v,n", REFERENCE_CASES)
-def test_apply_rejects_bad_moves_like_reference(v, n):
-    config = standard_initial(v, n)
+def _bad_moves(config, v):
+    """One illegal move of each kind, against ``config``'s first enabled site."""
     site = config.enabled_sites(v)[0]
     ids = tuple(c.id for c in config.chips_at(site))
     th = v.threshold(site)
     idle = max(config.occupancy) + 2
-    for move_site, chosen in [(idle, ()),                          # not enabled
-                              (site, ids[:th - 1]),                # too few chips
-                              (site, (ids[0],) * th),              # repeated chip
-                              (site, ids[:th - 1] + (10 ** 6,))]:  # chip absent
+    return [(idle, ()),                          # not enabled
+            (site, ids[:th - 1]),                # too few chips
+            (site, (ids[0],) * th),              # repeated chip
+            (site, ids[:th - 1] + (10 ** 6,))]   # chip absent
+
+
+@pytest.mark.parametrize("v,n", REFERENCE_CASES)
+def test_apply_rejects_bad_moves_like_reference(v, n):
+    config = standard_initial(v, n)
+    for move_site, chosen in _bad_moves(config, v):
         with pytest.raises(IllegalMoveError) as got:
             config.apply(v, move_site, chosen)
         with pytest.raises(IllegalMoveError) as want:
             engine_reference.apply(config, v, move_site, chosen)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("v,n", REFERENCE_CASES)
+def test_apply_leaves_its_parent_unchanged(v, n):
+    """``apply`` fires on a copy, and the move rule checks a move before it
+    writes anything, so neither a legal nor an illegal move changes the
+    configuration or dict it was given."""
+    config = standard_initial(v, n)
+    snapshot = dict(config.occupancy)  # site tuples are never mutated
+    site = config.enabled_sites(v)[0]
+    config.apply(v, site, tuple(c.id for c in config.chips_at(site))[:v.threshold(site)])
+    assert config.occupancy == snapshot
+    for move_site, chosen in _bad_moves(config, v):
+        with pytest.raises(IllegalMoveError):
+            config.apply(v, move_site, chosen)
+        assert config.occupancy == snapshot
+        occupancy = dict(snapshot)
+        with pytest.raises(IllegalMoveError):
+            engine._move(occupancy, v, move_site, chosen)
+        assert occupancy == snapshot
+
+
+RUN_STRATEGIES = {"leftmost": LeftmostStrategy, "random": RandomStrategy,
+                  "hold": lambda: HoldStrategy(range(0, 64, 3))}  # every third chip id held
+
+
+def _replayed_final(trace):
+    config = trace.initial
+    for _, _, config in trace.replay(verify=False):
+        pass
+    return config
+
+
+@pytest.mark.parametrize("strategy", RUN_STRATEGIES)
+@pytest.mark.parametrize("v,n", REFERENCE_CASES)
+def test_runs_match_reference_run(v, n, strategy):
+    """The in-place run gives the records and final configuration of a run
+    that rebuilds every configuration, rescans the enabled sites and reads
+    each record's values off the site."""
+    for seed in range(3):
+        trace = run_to_completion(standard_initial(v, n), v, RUN_STRATEGIES[strategy](), seed=seed)
+        records, final = engine_reference.run(standard_initial(v, n), v,
+                                              RUN_STRATEGIES[strategy](), seed)
+        assert trace.records == records
+        assert trace.final_config() == final
+
+
+@pytest.mark.parametrize("strategy", RUN_STRATEGIES)
+@pytest.mark.parametrize("v,n", REFERENCE_CASES)
+def test_run_shares_no_dict_with_its_initial(v, n, strategy):
+    """A run fires on its own copy of the initial occupancy: the initial it
+    was given is left as it was, and the final configuration is the replayed
+    one, over a dict of its own."""
+    initial = standard_initial(v, n)
+    trace = run_to_completion(initial, v, RUN_STRATEGIES[strategy](), seed=1)
+    assert len(trace) > 0
+    assert initial == trace.initial == standard_initial(v, n)
+    assert trace.final_config() == _replayed_final(trace)
+    assert trace.final_config().occupancy is not trace.initial.occupancy
+
+
+@pytest.mark.parametrize("strategy", RUN_STRATEGIES)
+@pytest.mark.parametrize("v,n", REFERENCE_CASES)
+def test_read_trace_shares_no_dict_with_its_initial(v, n, strategy):
+    """``read_jsonl`` fires on its own copy too: its initial is the header's,
+    and its final configuration is the replayed one, over a dict of its own."""
+    buf = io.StringIO()
+    original = run_to_completion(standard_initial(v, n), v, RUN_STRATEGIES[strategy](), seed=1)
+    original.write_jsonl(buf)
+    text = buf.getvalue()
+    trace = engine.Trace.read_jsonl(io.StringIO(text))
+    header = json.loads(text.splitlines()[0])
+    assert len(trace) > 0
+    assert trace.initial == LabeledConfiguration.from_values(
+        {int(site): values for site, values in header["initial"].items()})
+    assert trace.final_config() == _replayed_final(trace)
+    assert trace.final_config().occupancy is not trace.initial.occupancy
 
 
 class ScanCheckingStrategy(RandomStrategy):
