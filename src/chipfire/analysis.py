@@ -126,7 +126,7 @@ _POSITION_LEMMAS = ("chip_bounds", "loop_bounds")
 def _columns(trace: Trace) -> list[tuple[int, Chip]]:
     """Each chip and its initial site, in (value, id) order: the columns of
     the trace's chip-site table."""
-    return sorted(trace.initial.chips(), key=lambda sc: (sc[1].value, sc[1].id))
+    return sorted(trace.initial.chips(), key=itemgetter(1))
 
 
 def _site_dtype(trace: Trace):
@@ -144,7 +144,9 @@ def _chip_sites(trace: Trace) -> Iterator[tuple[int, np.ndarray]]:
     comes from the records alone: a move's chosen chips, in (value, id)
     order, send the first ``left`` of ``site_row`` one site left and the
     last ``right`` one site right, and each row is the one before it plus
-    those steps.
+    those steps.  A block's steps are made from arrays: its records' chosen
+    cells, sorted, are in (row, column) order, and a cell's rank within its
+    row picks its step.
     """
     records, site_row = trace.records, trace.variant.site_row
     columns = _columns(trace)
@@ -154,15 +156,19 @@ def _chip_sites(trace: Trace) -> Iterator[tuple[int, np.ndarray]]:
     row = np.array([site for site, _ in columns], _site_dtype(trace))
     for t0 in range(0, len(records) + 1, height):
         t1 = min(t0 + height, len(records) + 1)
-        lefts, rights = [], []  # the block's flat cells whose chip steps left / right
-        for t in range(max(t0, 1), t1):
-            rec = records[t - 1]
-            left, loop, _, _ = site_row(rec.site)
-            cells = sorted([(t - t0) * width + column[i] for i in rec.chosen_ids])
-            lefts += cells[:left]
-            rights += cells[left + loop:]
         steps = np.zeros((t1 - t0) * width, np.int8)
-        steps[lefts], steps[rights] = -1, 1
+        block = records[max(t0, 1) - 1:t1 - 1]  # row t is row t-1 plus record t-1's steps
+        if block:
+            _, fired_at, chosen, *_ = zip(*block)
+            counts = np.fromiter(map(len, chosen), np.intp, len(block))
+            index = {site: i for i, site in enumerate(set(fired_at))}
+            left, loop = np.array([site_row(site)[:2] for site in index], np.intp)[
+                np.fromiter(map(index.__getitem__, fired_at), np.intp, len(block))].T
+            owner = np.repeat(np.arange(len(block)), counts)  # each cell's record
+            cells = np.sort((owner + max(t0, 1) - t0) * width
+                            + np.array([column[i] for ids in chosen for i in ids], np.intp))
+            rank = np.arange(len(cells)) - np.repeat(np.cumsum(counts) - counts, counts)
+            steps[cells] = (rank >= (left + loop)[owner]).astype(np.int8) - (rank < left[owner])
         sites = row + np.cumsum(steps.reshape(t1 - t0, width), axis=0, dtype=row.dtype)
         row = sites[-1].copy()
         yield t0, sites
@@ -233,62 +239,67 @@ def _position_violations(lemma: str, m: int, chips: list[Chip], lo: np.ndarray, 
     return [violation for _, violation in sorted(found, key=itemgetter(0))]
 
 
-def _diamond_moves(trace: Trace) -> list[tuple[int, MoveRecord, tuple[int, int]]]:
-    """``(t, record, (x, y))`` of each move in the ``poset.diamond`` table, in step order."""
+def _diamond_moves(trace: Trace) -> np.ndarray:
+    """``t, site, x, y``: int arrays of the moves in the ``poset.diamond``
+    table, in step order, with each move's step, site and (x, y)."""
     final = diamond(trace.variant, trace.initial.total_chips())
-    return [(t, rec, xy) for t, rec in enumerate(trace.records)
-            if (xy := final.get((rec.site, rec.fire_index_at_site))) is not None]
+    return np.array([(t, rec.site, *xy) for t, rec in enumerate(trace.records)
+                     if (xy := final.get((rec.site, rec.fire_index_at_site))) is not None],
+                    np.int64).reshape(-1, 4).T
 
 
-def _move_bound_chips(trace: Trace, moves, chips: list[Chip]) -> tuple[np.ndarray, ...]:
+def _move_bound_chips(trace: Trace, moves: np.ndarray, chips: list[Chip]) -> tuple[np.ndarray, ...]:
     """Row, column and side (int arrays) of the cells ``diamond_move_bounds``
     (base variant, even n) reads: right before the diamond move (x, y) fires
     at site s = x - y, the chip valued -(y+1) sits at or left of s (side -1),
     then the one valued x+1 at or right of s (side 1).  Of chips sharing a
     value, the last in ``chips()`` order is read; CheckerNotApplicableError
     if the trace has no chip of a value the bound needs."""
+    t, _, x, y = moves
     column = {chip.id: c for c, chip in enumerate(chips)}
     by_value = {chip.value: column[chip.id] for _, chip in trace.initial.chips()}
     cols = []
-    for _, _, (x, y) in moves:
-        for value in (-(y + 1), x + 1):
-            if value not in by_value:
-                raise CheckerNotApplicableError(
-                    f"diamond_move_bounds needs a chip valued {value}; the trace has none")
-            cols.append(by_value[value])
-    rows = np.repeat(np.array([t for t, _, _ in moves], np.intp), 2)
-    return rows, np.array(cols, np.intp), np.tile(np.array([-1, 1], np.intp), len(moves))
+    for value in np.column_stack((-(y + 1), x + 1)).ravel().tolist():
+        if value not in by_value:
+            raise CheckerNotApplicableError(
+                f"diamond_move_bounds needs a chip valued {value}; the trace has none")
+        cols.append(by_value[value])
+    return np.repeat(t, 2), np.array(cols, np.intp), np.tile(np.array([-1, 1], np.intp), len(t))
 
 
-def _count_violations(m: int, moves, chips: list[Chip], after: np.ndarray) -> list[BoundViolation]:
+def _count_violations(m: int, records: list[MoveRecord], moves: np.ndarray, chips: list[Chip],
+                      after: np.ndarray) -> list[BoundViolation]:
     """The counting bound on each row after a diamond move.
 
     This is ``diamond_count_bounds`` (one self-loop per site, n = 4m-1):
     after the j-th diamond move at site k <= 0 there are at least j+k+m-1
     chips valued below k at positions left of k; mirrored for k >= 0.
     """
+    t, site, x, y = moves
     values = [chip.value for chip in chips]  # ascending: chips valued below k are a column range
     out = []
-    for (_, rec, xy), row in zip(moves, after):
-        k, j = rec.site, m - max(xy)
+    for i, k, j, row in zip(t.tolist(), site.tolist(), (m - np.maximum(x, y)).tolist(), after):
         # side -1 counts below and left of k <= 0, side 1 above and right of k >= 0
         for side, beyond in ((-1, row[:bisect_left(values, k)] < k),
                              (1, row[bisect_right(values, k):] > k)):
             need = j - side * k + m - 1
             if side * k >= 0 and beyond.sum() < need:
-                out.append(BoundViolation(rec.step, None, None, k, "diamond_count_bounds", need))
+                out.append(BoundViolation(records[i].step, None, None, k,
+                                          "diamond_count_bounds", need))
     return out
 
 
-def _attendance(moves, chips: list[Chip], before: np.ndarray) -> dict[int, tuple[int, int, int]]:
+def _attendance(records: list[MoveRecord], moves: np.ndarray, chips: list[Chip],
+                before: np.ndarray) -> dict[int, tuple[int, int, int]]:
     """``diamond_configuration`` read from the rows before the diamond moves."""
-    hit = before == np.array([rec.site for _, rec, _ in moves], before.dtype)[:, None]
+    t, site, _, _ = moves
+    hit = before == site.astype(before.dtype)[:, None]
     attended = hit.any(axis=0)
     if not attended.all():
         raise CheckerNotApplicableError(
             f"only {int(attended.sum())} of {len(chips)} chips attended a diamond move")
     first = hit.argmax(axis=0).tolist() if len(hit) else []
-    recs = [moves[i][1] for i in first]
+    recs = [records[i] for i in t[first].tolist()]
     return {chips[c].id: (chips[c].value, recs[c].site, recs[c].fire_index_at_site)
             for c in np.argsort(first, kind="stable").tolist()}
 
@@ -329,7 +340,7 @@ def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
     if not ms:
         return {}
     chips = [chip for _, chip in _columns(trace)]
-    moves = _diamond_moves(trace) if ms.keys() - set(_POSITION_LEMMAS) else []
+    moves = _diamond_moves(trace) if ms.keys() - set(_POSITION_LEMMAS) else None
     readers = {}  # name -> reader(t0, sites) of one block
     for name, m in ms.items():
         if name in _POSITION_LEMMAS:  # int64 limits clipped to +-_REACH, past every site
@@ -343,7 +354,7 @@ def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
             readers[name] = partial(_cells, rows, cols)
         else:  # row t is before move t, row t+1 after it
             after = name == "diamond_count_bounds"
-            readers[name] = partial(_cells, np.array([t + after for t, _, _ in moves], np.intp), None)
+            readers[name] = partial(_cells, moves[0] + after, None)
     read = {name: [] for name in readers}
     for t0, sites in _chip_sites(trace):
         for name, reader in readers.items():
@@ -355,15 +366,16 @@ def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
             continue
         sites = np.concatenate(read[name])
         if name == "diamond_move_bounds":
-            fired = np.repeat(np.array([rec.site for _, rec, _ in moves], np.int64), 2)
+            fired = np.repeat(moves[1], 2)
             broken = np.flatnonzero(sides * (sites - fired) < 0)
             out[name] = [BoundViolation(trace.records[t].step, chips[c].id, chips[c].value, site,
                                         name, trace.records[t].site) for t, c, site in
                          zip(rows[broken].tolist(), cols[broken].tolist(), sites[broken].tolist())]
         elif name == "diamond_count_bounds":
-            out[name] = _count_violations(m, moves, chips, sites)
+            out[name] = _count_violations(m, trace.records, moves, chips, sites)
         else:
-            out[name] = _config_violations(m, list(_attendance(moves, chips, sites).values()))
+            out[name] = _config_violations(
+                m, list(_attendance(trace.records, moves, chips, sites).values()))
     return out
 
 
@@ -375,7 +387,6 @@ def diamond_configuration(trace: Trace) -> dict[int, tuple[int, int, int]]:
     or not.  CheckerNotApplicableError if some chip never attends one.
     """
     moves = _diamond_moves(trace)
-    rows = np.array([t for t, _, _ in moves], np.intp)
-    before = np.concatenate([_cells(rows, None, t0, sites) for t0, sites in _chip_sites(trace)])
-    return _attendance(moves, [chip for _, chip in _columns(trace)], before)
+    before = np.concatenate([_cells(moves[0], None, t0, sites) for t0, sites in _chip_sites(trace)])
+    return _attendance(trace.records, moves, [chip for _, chip in _columns(trace)], before)
 

@@ -15,7 +15,7 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import itemgetter, mul
+from operator import mul
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -55,17 +55,17 @@ class CapExceededError(ChipFiringError):
 
 
 class Chip(NamedTuple):
-    id: int
+    """A chip; fields in the order chips keep at a site, so plain tuple
+    order is ``(value, id)`` order."""
     value: int
-
-
-_chip_key = itemgetter(1, 0)  # (value, id): the order chips keep at a site
+    id: int
 
 
 class LabeledConfiguration:
     """Sparse mapping from site to the chips currently there.
 
-    Each site's chips are sorted by ``(value, id)`` and no site is empty.
+    Each site's chips are in ``(value, id)`` order, which is plain tuple
+    order for ``Chip``, and no site is empty.
     The move rule is stated once, by ``_move``, which fires in place;
     ``apply`` copies the occupancy dict, then fires, so the configuration it
     is called on never changes.  A run and ``Trace.read_jsonl`` fire in place
@@ -77,7 +77,7 @@ class LabeledConfiguration:
 
     def __init__(self, occupancy: dict[int, Iterable[Chip]]):
         self.occupancy: dict[int, tuple[Chip, ...]] = {
-            site: tuple(sorted(chips, key=_chip_key))
+            site: tuple(sorted(chips))
             for site, chips in occupancy.items()
             if chips
         }
@@ -89,7 +89,7 @@ class LabeledConfiguration:
         next_id = 0
         for site in sorted(values_by_site):
             for value in sorted(values_by_site[site]):
-                occ.setdefault(site, []).append(Chip(next_id, value))
+                occ.setdefault(site, []).append(Chip(value=value, id=next_id))
                 next_id += 1
         return cls(occ)
 
@@ -145,7 +145,7 @@ def _wrap(occupancy: dict[int, tuple[Chip, ...]]) -> LabeledConfiguration:
 
 
 def _move(occupancy: dict[int, tuple[Chip, ...]], variant: Variant, site: int,
-          chosen_ids: Iterable[int]) -> tuple[list[Chip], int]:
+          chosen_ids: Iterable[int]) -> tuple[tuple[Chip, ...] | list[Chip], int]:
     """The move rule: fire ``chosen_ids`` at ``site`` of ``occupancy``, in place.
 
     Returns the fired chips in ``(value, id)`` order and the number of chips
@@ -156,35 +156,51 @@ def _move(occupancy: dict[int, tuple[Chip, ...]], variant: Variant, site: int,
     """
     chosen = tuple(chosen_ids)
     present = occupancy.get(site, ())
-    left, loop, _, th = variant.site_row(site)
+    left, loop, right, th = variant.site_row(site)
     if len(present) < th:
         raise IllegalMoveError(f"site {site} not enabled: {len(present)} chips < threshold {th}")
     chosen_set = set(chosen)
     if len(chosen_set) != len(chosen) or len(chosen) != th:
         raise IllegalMoveError(f"move at site {site} must choose {th} distinct chips, got {chosen}")
     # present is in (value, id) order, so both parts come out in that order
-    fired = [c for c in present if c.id in chosen_set]
-    if len(fired) != th:
+    if len(present) == th:  # every chip present fires
+        fired, stay = present, []
+        complete = {c.id for c in present} == chosen_set
+    else:
+        fired, stay = [], []
+        for c in present:
+            if c.id in chosen_set:
+                fired.append(c)
+            else:
+                stay.append(c)
+        complete = len(fired) == th
+    if not complete:
         ids = {c.id for c in present}
         raise IllegalMoveError(f"chips {[i for i in chosen if i not in ids]} absent from site {site}")
-    stay = [c for c in present if c.id not in chosen_set]
     for c in fired[left:left + loop]:
-        insort(stay, c, key=_chip_key)
+        insort(stay, c)
     if stay:
         occupancy[site] = tuple(stay)
     else:
         del occupancy[site]
-    for dest, moved in ((site - 1, fired[:left]), (site + 1, fired[left + loop:])):
-        if moved:
-            chips = occupancy.get(dest)
-            if chips:
-                chips = list(chips)
-                for c in moved:
-                    insort(chips, c, key=_chip_key)
-                occupancy[dest] = tuple(chips)
-            else:  # a slice of ``fired``, already in order
-                occupancy[dest] = tuple(moved)
+    if left:
+        _insert(occupancy, site - 1, fired[:left])
+    if right:
+        _insert(occupancy, site + 1, fired[left + loop:])
     return fired, len(present)
+
+
+def _insert(occupancy: dict[int, tuple[Chip, ...]], site: int, moved):
+    """Give ``site`` a new tuple of its chips with ``moved``, a sorted slice
+    of fired chips, inserted in order."""
+    chips = occupancy.get(site)
+    if chips:
+        chips = list(chips)
+        for c in moved:
+            insort(chips, c)
+        occupancy[site] = tuple(chips)
+    else:
+        occupancy[site] = tuple(moved)
 
 
 def standard_initial(variant: Variant, n: int, preset: str = "origin") -> LabeledConfiguration:
@@ -366,17 +382,18 @@ def _json_object(line: str, lineno: int) -> dict:
 def _ids_for_values(config: LabeledConfiguration, site: int, values: Iterable[int]) -> tuple[int, ...]:
     """Pick chip ids at ``site`` matching the value multiset, lowest ids first.
 
-    The site's chips are in (value, id) order, so one walk beside the sorted
-    values binds each value to the lowest free ids holding it."""
-    wanted = sorted(values)
+    The site's chips are in (value, id) order, so one walk of them beside the
+    sorted values binds each value to the lowest free id holding it: the
+    first chip at or past the last one bound that is not below ``(value,)``."""
+    chips = config.chips_at(site)
     chosen = []
-    for chip in config.chips_at(site):
-        if len(chosen) == len(wanted) or chip.value > wanted[len(chosen)]:
-            break
-        if chip.value == wanted[len(chosen)]:
-            chosen.append(chip.id)
-    if len(chosen) < len(wanted):
-        raise IllegalMoveError(f"no chip valued {wanted[len(chosen)]} available at site {site}")
+    i = 0
+    for value in sorted(values):
+        i = bisect_left(chips, (value,), i)
+        if i == len(chips) or chips[i].value != value:
+            raise IllegalMoveError(f"no chip valued {value} available at site {site}")
+        chosen.append(chips[i].id)
+        i += 1
     return tuple(sorted(chosen))
 
 
@@ -518,7 +535,7 @@ class HoldStrategy(Strategy):
                 return site, tuple(c.id for c in free[:th])
         site = enabled[0]
         th = variant.threshold(site)
-        chips = sorted(config.chips_at(site), key=lambda c: (c.id in self.held, _chip_key(c)))
+        chips = sorted(config.chips_at(site), key=lambda c: (c.id in self.held, c))
         return site, tuple(sorted(c.id for c in chips[:th]))
 
 

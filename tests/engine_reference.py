@@ -2,7 +2,8 @@
 
 ``apply`` is the former sort-based ``LabeledConfiguration.apply``: it
 concatenates each changed site's chips and sorts them again.  It is the
-oracle for the insertion-based move rule.  ``run`` is a run loop without
+oracle for the insertion-based move rule, and writes out the ``(value, id)``
+order it sorts by rather than share the engine's.  ``run`` is a run loop without
 the engine's shortcuts: a new configuration per move made by ``apply``, a
 fresh scan of the enabled sites before every move, and each record's values
 read off the site's chips.  It is the oracle for ``run_to_completion``,
@@ -17,8 +18,7 @@ replay.
 from math import ceil, floor
 
 from chipfire.analysis import BoundViolation, _scope_m
-from chipfire.engine import (IllegalMoveError, LabeledConfiguration, MoveRecord, RandomDraws,
-                             _chip_key)
+from chipfire.engine import IllegalMoveError, LabeledConfiguration, MoveRecord, RandomDraws
 
 
 def apply(config, variant, site, chosen_ids):
@@ -38,7 +38,7 @@ def apply(config, variant, site, chosen_ids):
         raise IllegalMoveError(f"chips {[i for i in chosen if i not in ids]} absent from site {site}")
     stay = [c for c in present if c.id not in chosen_set]
     if loop:
-        stay = sorted(stay + fired[left:left + loop], key=_chip_key)
+        stay = sorted(stay + fired[left:left + loop], key=lambda c: (c.value, c.id))
     occ = dict(occupancy)
     if stay:
         occ[site] = tuple(stay)
@@ -46,7 +46,8 @@ def apply(config, variant, site, chosen_ids):
         del occ[site]
     for dest, moved in ((site - 1, fired[:left]), (site + 1, fired[left + loop:])):
         if moved:
-            occ[dest] = tuple(sorted(occupancy.get(dest, ()) + tuple(moved), key=_chip_key))
+            occ[dest] = tuple(sorted(occupancy.get(dest, ()) + tuple(moved),
+                                     key=lambda c: (c.value, c.id)))
     child = LabeledConfiguration.__new__(LabeledConfiguration)
     child.occupancy = occ
     return child

@@ -214,7 +214,7 @@ def test_permutation_equivariance(data):
     for (s, c), nid in zip(chips, new_ids):
         perm[c.id] = nid
     relabeled = LabeledConfiguration(
-        {s: [Chip(perm[c.id], c.value) for c in cs] for s, cs in config.occupancy.items()})
+        {s: [Chip(id=perm[c.id], value=c.value) for c in cs] for s, cs in config.occupancy.items()})
     ids2 = engine._ids_for_values(relabeled, site, chosen_values)
     after2 = relabeled.apply(v, site, ids2)
     assert after.values_by_site() == after2.values_by_site()
@@ -341,6 +341,41 @@ def test_apply_leaves_its_parent_unchanged(v, n):
         with pytest.raises(IllegalMoveError):
             engine._move(occupancy, v, move_site, chosen)
         assert occupancy == snapshot
+
+
+MOVE_FORMS = {"list": list, "tuple": tuple, "generator": lambda ids: (i for i in ids)}
+
+
+@pytest.mark.parametrize("form", list(MOVE_FORMS))
+@pytest.mark.parametrize("v", ALL_VARIANTS, ids=str)
+def test_move_rule_paths_match_reference(v, form):
+    """Both paths of the move rule: a site holding exactly its threshold,
+    where every chip present fires, and one holding a chip more, each with
+    tied values and a neighbour on one side only.  A legal choice, a repeated
+    id and an absent id with the right count give the sort-based reference's
+    occupancy or its IllegalMoveError text, and an illegal move leaves the
+    dict it was given untouched."""
+    site = 1
+    th = v.threshold(site)
+    for extra in (0, 1):
+        config = LabeledConfiguration.from_values(
+            {site - 1: [0, 2], site: [k // 2 for k in range(th + extra)]})
+        ids = [c.id for c in config.chips_at(site)]
+        fired = ids[::-1][:th] if extra else ids[::-1]  # given out of order
+        absent = config.chips_at(site - 1)[0].id
+        for chosen in (fired, fired[:th - 1] + fired[:1], fired[:th - 1] + [absent]):
+            occupancy = dict(config.occupancy)
+            try:
+                want = engine_reference.apply(config, v, site, tuple(chosen)).occupancy
+            except IllegalMoveError as exc:
+                assert chosen is not fired
+                with pytest.raises(IllegalMoveError) as got:
+                    engine._move(occupancy, v, site, MOVE_FORMS[form](chosen))
+                assert str(got.value) == str(exc)
+                assert occupancy == config.occupancy
+            else:
+                engine._move(occupancy, v, site, MOVE_FORMS[form](chosen))
+                assert occupancy == want
 
 
 RUN_STRATEGIES = {"leftmost": LeftmostStrategy, "random": RandomStrategy,
