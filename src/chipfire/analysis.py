@@ -243,9 +243,9 @@ def _diamond_moves(trace: Trace) -> np.ndarray:
     """``t, site, x, y``: int arrays of the moves in the ``poset.diamond``
     table, in step order, with each move's step, site and (x, y)."""
     final = diamond(trace.variant, trace.initial.total_chips())
-    return np.array([(t, rec.site, *xy) for t, rec in enumerate(trace.records)
-                     if (xy := final.get((rec.site, rec.fire_index_at_site))) is not None],
-                    np.int64).reshape(-1, 4).T
+    return np.fromiter((v for t, rec in enumerate(trace.records)
+                        if (xy := final.get((rec.site, rec.fire_index_at_site))) is not None
+                        for v in (t, rec.site, *xy)), np.int64).reshape(-1, 4).T
 
 
 def _move_bound_chips(trace: Trace, moves: np.ndarray, chips: list[Chip]) -> tuple[np.ndarray, ...]:

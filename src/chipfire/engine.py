@@ -145,7 +145,7 @@ def _wrap(occupancy: dict[int, tuple[Chip, ...]]) -> LabeledConfiguration:
 
 
 def _move(occupancy: dict[int, tuple[Chip, ...]], variant: Variant, site: int,
-          chosen_ids: Iterable[int]) -> tuple[tuple[Chip, ...] | list[Chip], int]:
+          chosen_ids: Iterable[int]) -> tuple[list[Chip], int]:
     """The move rule: fire ``chosen_ids`` at ``site`` of ``occupancy``, in place.
 
     Returns the fired chips in ``(value, id)`` order and the number of chips
@@ -163,18 +163,13 @@ def _move(occupancy: dict[int, tuple[Chip, ...]], variant: Variant, site: int,
     if len(chosen_set) != len(chosen) or len(chosen) != th:
         raise IllegalMoveError(f"move at site {site} must choose {th} distinct chips, got {chosen}")
     # present is in (value, id) order, so both parts come out in that order
-    if len(present) == th:  # every chip present fires
-        fired, stay = present, []
-        complete = {c.id for c in present} == chosen_set
-    else:
-        fired, stay = [], []
-        for c in present:
-            if c.id in chosen_set:
-                fired.append(c)
-            else:
-                stay.append(c)
-        complete = len(fired) == th
-    if not complete:
+    fired, stay = [], []
+    for c in present:
+        if c.id in chosen_set:
+            fired.append(c)
+        else:
+            stay.append(c)
+    if len(fired) != th:
         ids = {c.id for c in present}
         raise IllegalMoveError(f"chips {[i for i in chosen if i not in ids]} absent from site {site}")
     for c in fired[left:left + loop]:

@@ -349,8 +349,8 @@ MOVE_FORMS = {"list": list, "tuple": tuple, "generator": lambda ids: (i for i in
 @pytest.mark.parametrize("form", list(MOVE_FORMS))
 @pytest.mark.parametrize("v", ALL_VARIANTS, ids=str)
 def test_move_rule_paths_match_reference(v, form):
-    """Both paths of the move rule: a site holding exactly its threshold,
-    where every chip present fires, and one holding a chip more, each with
+    """The move rule on a site holding exactly its threshold, where every
+    chip present fires, and on one holding a chip more, each with
     tied values and a neighbour on one side only.  A legal choice, a repeated
     id and an absent id with the right count give the sort-based reference's
     occupancy or its IllegalMoveError text, and an illegal move leaves the
