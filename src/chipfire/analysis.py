@@ -4,13 +4,15 @@ Each checker reads a complete trace and reports the full list of
 violations (empty on success).  ``check_conservation`` replays the trace
 on its own and recounts every step: it is the independent oracle.  The
 five bound checkers, the names in ``SCOPES``, replay nothing: they read
-one table of chip sites, a row per step and a column per chip, summed from
-the move records (``_chip_sites``).  ``check_bounds(trace, names)`` is
-their one entry: it reads any set of them from one pass over that table,
-in blocks of rows.  A bound checker applies to ``(variant, n)`` when its
-``SCOPES`` entry holds and the closed form gives its ``m`` (``_scope_m``);
-``applicable_checkers`` lists the ones that apply, and one applied outside
-its scope raises CheckerNotApplicableError, never passing silently.
+two int64 tables made from the move records, the chip sites, a row per step
+and a column per chip (``_chip_sites``, RepresentationLimitError where a
+site could leave int64), and the diamond moves (``_diamond_moves``).
+``check_bounds(trace, names)`` is their one entry: it reads any set of them
+from one pass over the chip-site table, in blocks of rows.  A bound checker
+applies to ``(variant, n)`` when its ``SCOPES`` entry holds and the closed
+form gives its ``m`` (``_scope_m``); ``applicable_checkers`` lists the ones
+that apply, and one applied outside its scope raises
+CheckerNotApplicableError, never passing silently.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import closedform
-from .engine import Chip, ChipFiringError, LabeledConfiguration, MoveRecord, Trace
-from .poset import diamond
+from .engine import Chip, ChipFiringError, LabeledConfiguration, Trace
+from .poset import RepresentationLimitError, diamond
 from .variants import Variant
 
 
@@ -119,7 +121,7 @@ def check_conservation(trace: Trace) -> list[BoundViolation]:
 # --- bound checkers: predicates over one table of chip sites -----------------
 
 BLOCK_CELLS = 1 << 16  # sites (rows x chips) of the chip-site table built and read at once
-_REACH = 2 ** 62  # int64 holds sites of smaller magnitude with room to spare
+_REACH = 2 ** 62  # the chip-site table holds sites of smaller magnitude, in int64
 _POSITION_LEMMAS = ("chip_bounds", "loop_bounds")
 
 
@@ -129,14 +131,8 @@ def _columns(trace: Trace) -> list[tuple[int, Chip]]:
     return sorted(trace.initial.chips(), key=itemgetter(1))
 
 
-def _site_dtype(trace: Trace):
-    """int64 if no site the trace can reach is ``_REACH`` or more away from 0, else Python ints."""
-    reach = max(map(abs, trace.initial.occupancy), default=0) + len(trace)  # one site per move
-    return np.int64 if reach < _REACH else object
-
-
 def _chip_sites(trace: Trace) -> Iterator[tuple[int, np.ndarray]]:
-    """The trace's chip-site table as blocks ``(t, sites)`` of about
+    """The trace's chip-site table as int64 blocks ``(t, sites)`` of about
     ``BLOCK_CELLS`` sites, ``sites`` holding rows t, t+1, ...
 
     Row t holds each chip's site before move t, in ``_columns`` order, so
@@ -146,14 +142,19 @@ def _chip_sites(trace: Trace) -> Iterator[tuple[int, np.ndarray]]:
     last ``right`` one site right, and each row is the one before it plus
     those steps.  A block's steps are made from arrays: its records' chosen
     cells, sorted, are in (row, column) order, and a cell's rank within its
-    row picks its step.
+    row picks its step.  RepresentationLimitError, before any block, if the
+    trace's reach (its farthest initial site plus one site per move) is
+    ``_REACH`` or more.
     """
     records, site_row = trace.records, trace.variant.site_row
+    if (reach := max(map(abs, trace.initial.occupancy), default=0) + len(records)) >= _REACH:
+        raise RepresentationLimitError(f"a trace may reach a site {reach} away from 0; the int64 "
+                                       f"chip-site table holds less than {_REACH}")
     columns = _columns(trace)
     column = {chip.id: c for c, (_, chip) in enumerate(columns)}
     width = len(columns)
     height = max(1, BLOCK_CELLS // max(1, width))
-    row = np.array([site for site, _ in columns], _site_dtype(trace))
+    row = np.array([site for site, _ in columns], np.int64)
     for t0 in range(0, len(records) + 1, height):
         t1 = min(t0 + height, len(records) + 1)
         steps = np.zeros((t1 - t0) * width, np.int8)
@@ -169,7 +170,7 @@ def _chip_sites(trace: Trace) -> Iterator[tuple[int, np.ndarray]]:
                             + np.array([column[i] for ids in chosen for i in ids], np.intp))
             rank = np.arange(len(cells)) - np.repeat(np.cumsum(counts) - counts, counts)
             steps[cells] = (rank >= (left + loop)[owner]).astype(np.int8) - (rank < left[owner])
-        sites = row + np.cumsum(steps.reshape(t1 - t0, width), axis=0, dtype=row.dtype)
+        sites = row + np.cumsum(steps.reshape(t1 - t0, width), axis=0, dtype=np.int64)
         row = sites[-1].copy()
         yield t0, sites
 
@@ -222,14 +223,13 @@ def _extreme_clauses(lemma: str, m: int) -> list[tuple[int, int, int]]:
 def _position_violations(lemma: str, m: int, chips: list[Chip], lo: np.ndarray, hi: np.ndarray,
                          t0: int, sites: np.ndarray) -> list[BoundViolation]:
     """Position lemma ``lemma`` on a block (row t is step t-1): each chip
-    outside its limits ``lo``/``hi``, by (step, site, value, id), and after
-    a step's chips, each ``_extreme_clauses`` clause holding two or more."""
-    found = []
-    for t, c in np.argwhere((sites < lo) | (sites > hi)).tolist():
-        chip, site = chips[c], int(sites[t, c])
-        low, high = _position_limits(lemma, m, chip.value)
-        found.append(((t, 0, site, c), BoundViolation(
-            t0 + t - 1, chip.id, chip.value, site, lemma, low if site < low else high)))
+    outside ``lo``/``hi``, bound by the finite limit it breaks, by (step, site,
+    value, id), and after a step's chips, each ``_extreme_clauses`` clause holding two or more."""
+    t, c = np.nonzero((sites < lo) | (sites > hi))
+    site = sites[t, c]
+    bound = np.where(site < lo[c], lo[c], hi[c])
+    found = [((i, 0, s, j), BoundViolation(t0 + i - 1, chips[j].id, chips[j].value, s, lemma, b))
+             for i, j, s, b in zip(t.tolist(), c.tolist(), site.tolist(), bound.tolist())]
     values = [chip.value for chip in chips]  # ascending: a clause's chips are a column range
     for i, (value, site, sign) in enumerate(_extreme_clauses(lemma, m)):
         held = (sites[:, bisect_left(values, value):] <= site if sign > 0
@@ -240,12 +240,12 @@ def _position_violations(lemma: str, m: int, chips: list[Chip], lo: np.ndarray, 
 
 
 def _diamond_moves(trace: Trace) -> np.ndarray:
-    """``t, site, x, y``: int arrays of the moves in the ``poset.diamond``
-    table, in step order, with each move's step, site and (x, y)."""
+    """``t, site, occ, x, y``: int64 arrays of the moves in the ``poset.diamond``
+    table in step order: step (record index), site, occurrence there and (x, y)."""
     final = diamond(trace.variant, trace.initial.total_chips())
-    return np.fromiter((v for t, rec in enumerate(trace.records)
-                        if (xy := final.get((rec.site, rec.fire_index_at_site))) is not None
-                        for v in (t, rec.site, *xy)), np.int64).reshape(-1, 4).T
+    return np.fromiter((v for t, (_, site, *_, occ) in enumerate(trace.records)
+                        if (xy := final.get((site, occ))) is not None
+                        for v in (t, site, occ, *xy)), np.int64).reshape(-1, 5).T
 
 
 def _move_bound_chips(trace: Trace, moves: np.ndarray, chips: list[Chip]) -> tuple[np.ndarray, ...]:
@@ -255,7 +255,7 @@ def _move_bound_chips(trace: Trace, moves: np.ndarray, chips: list[Chip]) -> tup
     then the one valued x+1 at or right of s (side 1).  Of chips sharing a
     value, the last in ``chips()`` order is read; CheckerNotApplicableError
     if the trace has no chip of a value the bound needs."""
-    t, _, x, y = moves
+    t, _, _, x, y = moves
     column = {chip.id: c for c, chip in enumerate(chips)}
     by_value = {chip.value: column[chip.id] for _, chip in trace.initial.chips()}
     cols = []
@@ -267,7 +267,7 @@ def _move_bound_chips(trace: Trace, moves: np.ndarray, chips: list[Chip]) -> tup
     return np.repeat(t, 2), np.array(cols, np.intp), np.tile(np.array([-1, 1], np.intp), len(t))
 
 
-def _count_violations(m: int, records: list[MoveRecord], moves: np.ndarray, chips: list[Chip],
+def _count_violations(m: int, moves: np.ndarray, chips: list[Chip],
                       after: np.ndarray) -> list[BoundViolation]:
     """The counting bound on each row after a diamond move.
 
@@ -275,7 +275,7 @@ def _count_violations(m: int, records: list[MoveRecord], moves: np.ndarray, chip
     after the j-th diamond move at site k <= 0 there are at least j+k+m-1
     chips valued below k at positions left of k; mirrored for k >= 0.
     """
-    t, site, x, y = moves
+    t, site, _, x, y = moves
     values = [chip.value for chip in chips]  # ascending: chips valued below k are a column range
     out = []
     for i, k, j, row in zip(t.tolist(), site.tolist(), (m - np.maximum(x, y)).tolist(), after):
@@ -284,24 +284,23 @@ def _count_violations(m: int, records: list[MoveRecord], moves: np.ndarray, chip
                              (1, row[bisect_right(values, k):] > k)):
             need = j - side * k + m - 1
             if side * k >= 0 and beyond.sum() < need:
-                out.append(BoundViolation(records[i].step, None, None, k,
-                                          "diamond_count_bounds", need))
+                out.append(BoundViolation(i, None, None, k, "diamond_count_bounds", need))
     return out
 
 
-def _attendance(records: list[MoveRecord], moves: np.ndarray, chips: list[Chip],
+def _attendance(moves: np.ndarray, chips: list[Chip],
                 before: np.ndarray) -> dict[int, tuple[int, int, int]]:
     """``diamond_configuration`` read from the rows before the diamond moves."""
-    t, site, _, _ = moves
-    hit = before == site.astype(before.dtype)[:, None]
+    _, site, occ, _, _ = moves
+    hit = before == site[:, None]
     attended = hit.any(axis=0)
     if not attended.all():
         raise CheckerNotApplicableError(
             f"only {int(attended.sum())} of {len(chips)} chips attended a diamond move")
-    first = hit.argmax(axis=0).tolist() if len(hit) else []
-    recs = [records[i] for i in t[first].tolist()]
-    return {chips[c].id: (chips[c].value, recs[c].site, recs[c].fire_index_at_site)
-            for c in np.argsort(first, kind="stable").tolist()}
+    first = hit.argmax(axis=0) if len(hit) else np.zeros(0, np.intp)  # each chip's first move
+    order = np.argsort(first, kind="stable")
+    return {chips[c].id: (chips[c].value, s, o) for c, s, o in
+            zip(order.tolist(), site[first[order]].tolist(), occ[first[order]].tolist())}
 
 
 def _config_violations(m: int, entries: list[tuple[int, int, int]]) -> list[BoundViolation]:
@@ -329,7 +328,8 @@ def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
     (``_chip_sites``).
 
     CheckerNotApplicableError if any of them refuses: outside its scope, or
-    where the trace lacks what its bound needs.
+    where the trace lacks what its bound needs; RepresentationLimitError if
+    the trace's sites could leave int64 (``_chip_sites``).
     """
     n = trace.initial.total_chips()
     ms = {}
@@ -343,11 +343,10 @@ def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
     moves = _diamond_moves(trace) if ms.keys() - set(_POSITION_LEMMAS) else None
     readers = {}  # name -> reader(t0, sites) of one block
     for name, m in ms.items():
-        if name in _POSITION_LEMMAS:  # int64 limits clipped to +-_REACH, past every site
-            dtype = _site_dtype(trace)
-            limits = np.array([[bound if dtype is object else min(max(bound, -_REACH), _REACH)
+        if name in _POSITION_LEMMAS:  # limits clipped to +-_REACH, past every site
+            limits = np.array([[min(max(bound, -_REACH), _REACH)
                                 for bound in _position_limits(name, m, chip.value)]
-                               for chip in chips], dtype).reshape(-1, 2).T
+                               for chip in chips], np.int64).reshape(-1, 2).T
             readers[name] = partial(_position_violations, name, m, chips, *limits)
         elif name == "diamond_move_bounds":
             rows, cols, sides = _move_bound_chips(trace, moves, chips)
@@ -368,14 +367,13 @@ def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
         if name == "diamond_move_bounds":
             fired = np.repeat(moves[1], 2)
             broken = np.flatnonzero(sides * (sites - fired) < 0)
-            out[name] = [BoundViolation(trace.records[t].step, chips[c].id, chips[c].value, site,
-                                        name, trace.records[t].site) for t, c, site in
-                         zip(rows[broken].tolist(), cols[broken].tolist(), sites[broken].tolist())]
+            out[name] = [BoundViolation(t, chips[c].id, chips[c].value, site, name, s)
+                         for t, c, site, s in zip(rows[broken].tolist(), cols[broken].tolist(),
+                                                  sites[broken].tolist(), fired[broken].tolist())]
         elif name == "diamond_count_bounds":
-            out[name] = _count_violations(m, trace.records, moves, chips, sites)
+            out[name] = _count_violations(m, moves, chips, sites)
         else:
-            out[name] = _config_violations(
-                m, list(_attendance(trace.records, moves, chips, sites).values()))
+            out[name] = _config_violations(m, list(_attendance(moves, chips, sites).values()))
     return out
 
 
@@ -384,9 +382,10 @@ def diamond_configuration(trace: Trace) -> dict[int, tuple[int, int, int]]:
     occ_from_start) of that move.
 
     Present means sitting at the firing site when the move executes, chosen
-    or not.  CheckerNotApplicableError if some chip never attends one.
+    or not.  CheckerNotApplicableError if some chip never attends one;
+    RepresentationLimitError as in ``check_bounds``.
     """
     moves = _diamond_moves(trace)
     before = np.concatenate([_cells(moves[0], None, t0, sites) for t0, sites in _chip_sites(trace)])
-    return _attendance(trace.records, moves, [chip for _, chip in _columns(trace)], before)
+    return _attendance(moves, [chip for _, chip in _columns(trace)], before)
 

@@ -163,7 +163,8 @@ def terminal_unlabeled(variant: Variant, n: int) -> dict[int, int]:
         for k in range(1, t + 2):
             out[k] = out[-k] = 2 ** (t + 1 - k)
         out[t + 2] = out[-t - 2] = 1
-    assert sum(out.values()) == n
+    if sum(out.values()) != n:
+        raise AssertionError(f"the terminal holds {sum(out.values())} chips, not n={n}")
     return dict(sorted(out.items()))
 
 

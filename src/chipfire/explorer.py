@@ -345,13 +345,16 @@ def find_unsorted_terminal(initial: LabeledConfiguration, variant: Variant,
     """Replay the witness of ``report``, from ``explore(initial, variant)``.
 
     Returns the trace reaching a non-weakly-sorted terminal, or None if the
-    search found none.
+    search found none.  ChipFiringError if the witness does not end where
+    the run does.
     """
     if report.witness is None:
         return None
     strategy = ScriptedValuesStrategy(report.witness)
     trace = run_to_completion(initial, variant, strategy)
-    assert len(trace) == len(report.witness)
+    if len(trace) != len(report.witness):
+        raise ChipFiringError(f"the witness of {len(report.witness)} moves replayed to a "
+                              f"terminal after {len(trace)} moves")
     return trace
 
 

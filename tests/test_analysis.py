@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -150,7 +152,7 @@ SITE_TABLE_VARIANTS = [(base(), 8), (multi_edge(2), 8), (origin_loops(1), 7),
 def _site_table_traces():
     """Runs of all six kinds from the origin preset and from the displaced,
     scattered and relabeled initials of ``test_checker_violations``, a
-    staircase run, and a run whose sites lie past int64."""
+    staircase run, and a run just inside the chip-site table's int64 limit."""
     for variant, n in SITE_TABLE_VARIANTS:
         yield _run(variant, n, 1)
         for seed in range(3):
@@ -158,8 +160,13 @@ def _site_table_traces():
             yield run_to_completion(initial, variant, RandomStrategy(), seed=seed)
     yield run_to_completion(standard_initial(base(), 4, "staircase"), base(), RandomStrategy(),
                             seed=2)
-    yield run_to_completion(LabeledConfiguration.from_values({2 ** 63: [-2, -1, 1, 2]}), base(),
-                            RandomStrategy(), seed=4)
+    yield _far_run(2 ** 62 - 20)
+
+
+def _far_run(start):
+    """A seeded base n=4 run from all four chips at site ``start``."""
+    return run_to_completion(LabeledConfiguration.from_values({start: [-2, -1, 1, 2]}), base(),
+                             RandomStrategy(), seed=4)
 
 
 def _first_attendance(trace):
@@ -205,6 +212,28 @@ def test_chip_sites_rows_match_replay(monkeypatch, block):
                                    match=f"only {len(want)} of {len(ids)} chips attended"):
                     diamond_configuration(trace)
     assert attended
+
+
+def test_chip_bounds_just_inside_the_int64_limit():
+    """A run whose sites come within 20 of 2**62 is read in int64 and
+    reports what the full scan reports: the 12 violations pinned before the
+    chip-site table became int64 only."""
+    trace = _far_run(2 ** 62 - 20)
+    assert all(sites.dtype == np.int64 for _, sites in analysis._chip_sites(trace))
+    found = [v.to_json() for v in check_bounds(trace, ["chip_bounds"])["chip_bounds"]]
+    assert found == [v.to_json() for v in engine_reference.check_chip_bounds(trace)]
+    assert (len(found), hashlib.sha1(json.dumps(found).encode()).hexdigest()) == (
+        12, "848e711dec269c62579362096b4974a33a351d65")
+
+
+def test_bound_checkers_refuse_a_trace_that_could_leave_int64():
+    """A run from 2**62 - 2 makes 5 moves, so its sites could pass 2**62:
+    both readers of the chip-site table refuse it before reading a row."""
+    trace = _far_run(2 ** 62 - 2)
+    with pytest.raises(poset.RepresentationLimitError, match="int64 chip-site table"):
+        check_bounds(trace, analysis.applicable_checkers(base(), 4))
+    with pytest.raises(poset.RepresentationLimitError, match="int64 chip-site table"):
+        diamond_configuration(trace)
 
 
 def test_bound_checkers_do_not_replay(monkeypatch):

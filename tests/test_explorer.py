@@ -6,8 +6,8 @@ import pytest
 import labeled_reference
 from labeled_reference import successor_outcomes
 from chipfire import analysis, closedform, explorer
-from chipfire.engine import (CapExceededError, LabeledConfiguration, RandomStrategy,
-                             run_to_completion, standard_initial)
+from chipfire.engine import (CapExceededError, ChipFiringError, LabeledConfiguration,
+                             RandomStrategy, run_to_completion, standard_initial)
 from chipfire.explorer import adversarial_1mod4, canonicalize, explore, find_unsorted_terminal
 from chipfire.variants import (Variant, base, exponential, loops_and_edges, loops_everywhere,
                                multi_edge, origin_loops)
@@ -104,6 +104,16 @@ def test_find_unsorted_terminal_replays_a_given_report(monkeypatch):
     monkeypatch.setattr(explorer, "_levels", None)  # no second search
     given = find_unsorted_terminal(initial, base(), report)
     assert [(rec.site, rec.chosen_values) for rec in given.records] == report.witness
+
+
+def test_find_unsorted_terminal_refuses_a_witness_longer_than_its_run():
+    initial = standard_initial(base(), 5)
+    report = explore(initial, base())
+    moves = len(report.witness)
+    report.witness.append(report.witness[-1])  # the run ends before this move
+    with pytest.raises(ChipFiringError,
+                       match=f"witness of {moves + 1} moves replayed to a terminal after {moves} "):
+        find_unsorted_terminal(initial, base(), report)
 
 
 def test_find_unsorted_terminal_none_for_even():

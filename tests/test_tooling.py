@@ -1,10 +1,13 @@
-"""The test tooling itself: a failing test must not end the pytest run."""
+"""The test tooling itself: a failing test must not end the pytest run, and
+no runtime check in the package is an ``assert``, which ``python -O`` drops."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 TWO_TESTS = '''
 from hypothesis import given, strategies as st
@@ -28,3 +31,11 @@ def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def test_package_has_no_assert_statements():
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "chipfire").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
