@@ -1,18 +1,20 @@
 """Trace-level checkers: position bounds, counting bounds, sortedness.
 
 Each checker reads a complete trace and reports the full list of
-violations (empty on success).  ``check_conservation`` replays the trace
-on its own and recounts every step: it is the independent oracle.  The
-five bound checkers, the names in ``SCOPES``, replay nothing: they read
-two int64 tables made from the move records, the chip sites, a row per step
-and a column per chip (``_chip_sites``, RepresentationLimitError where a
-site could leave int64), and the diamond moves (``_diamond_moves``).
-``check_bounds(trace, names)`` is their one entry: it reads any set of them
-from one pass over the chip-site table, in blocks of rows.  A bound checker
-applies to ``(variant, n)`` when its ``SCOPES`` entry holds and the closed
-form gives its ``m`` (``_scope_m``); ``applicable_checkers`` lists the ones
-that apply, and one applied outside its scope raises
-CheckerNotApplicableError, never passing silently.
+violations (empty on success).  ``check_conservation`` is the independent
+oracle: it replays the trace in its own loop, one
+``LabeledConfiguration.apply`` per record and never ``Trace.replay``, and
+recounts every step.  The five bound checkers, the names in ``SCOPES``,
+replay nothing: they read two int64 tables made from the move records, the
+chip sites, a row per step and a column per chip (``_chip_sites``,
+RepresentationLimitError where a site could leave int64), and the diamond
+moves (``_diamond_moves``).  ``check_bounds(trace, names)`` is their one
+entry: it reads any set of them from one pass over the chip-site table, in
+blocks of rows.  A bound checker applies to ``(variant, n)`` when its
+``SCOPES`` entry holds and the closed form gives its ``m``: ``_scope_m``
+returns that m, or None.  ``applicable_checkers`` lists the ones that
+apply, and ``check_bounds`` raises CheckerNotApplicableError for one
+outside its scope, never passing silently.
 """
 
 from __future__ import annotations
@@ -50,29 +52,19 @@ SCOPES: dict[str, Callable[[Variant, int], bool]] = {
 }
 
 
-def _scope_m(name: str, variant: Variant, n: int) -> int:
-    """``m`` for bound checker ``name`` on ``(variant, n)``;
-    CheckerNotApplicableError unless its ``SCOPES`` entry holds and
-    ``closedform.derive_m`` accepts n."""
+def _scope_m(name: str, variant: Variant, n: int) -> int | None:
+    """``m`` for bound checker ``name`` on ``(variant, n)``, or None unless
+    its ``SCOPES`` entry holds and ``closedform.derive_m`` accepts n."""
     try:
-        if SCOPES[name](variant, n):
-            return closedform.derive_m(variant, n)
+        return closedform.derive_m(variant, n) if SCOPES[name](variant, n) else None
     except closedform.UnsupportedVariantError:
-        pass
-    raise CheckerNotApplicableError(f"{name} does not apply to {variant} with n={n}")
+        return None
 
 
 def applicable_checkers(variant: Variant, n: int) -> list[str]:
     """The names of the bound checkers that apply (``_scope_m``), in
     ``SCOPES`` order."""
-    out = []
-    for name in SCOPES:
-        try:
-            _scope_m(name, variant, n)
-        except CheckerNotApplicableError:
-            continue
-        out.append(name)
-    return out
+    return [name for name in SCOPES if _scope_m(name, variant, n) is not None]
 
 
 @dataclass(frozen=True)
@@ -97,22 +89,26 @@ def is_weakly_sorted(config: LabeledConfiguration) -> bool:
 def check_conservation(trace: Trace) -> list[BoundViolation]:
     """Chip count and drift-corrected weighted position sum after every step.
 
-    After a prefix with fire counts c, the weighted sum of positions equals
-    its initial value plus sum_s c[s] * (right - left) of ``site_row(s)``;
-    the drift term vanishes for left/right-symmetric variants.
+    The trace is replayed here, one ``LabeledConfiguration.apply`` per
+    record, not through ``Trace.replay``, and both sums are recounted in full
+    after every move.  After a prefix with fire counts c, the weighted sum of
+    positions equals its initial value plus sum_s c[s] * (right - left) of
+    ``site_row(s)``; the drift term vanishes for left/right-symmetric variants.
     """
     v = trace.variant
-    total0 = trace.initial.total_chips()
-    weighted0 = trace.initial.weighted_sum()
+    config = trace.initial
+    total0 = config.total_chips()
+    weighted0 = config.weighted_sum()
     out = []
     drift = 0
-    for _, rec, after in trace.replay(verify=False):
+    for rec in trace.records:
+        config = config.apply(v, rec.site, rec.chosen_ids)
         left, _, right, _ = v.site_row(rec.site)
         drift += right - left
-        if after.total_chips() != total0:
+        if config.total_chips() != total0:
             out.append(BoundViolation(rec.step, None, None, rec.site,
                                       "chip_conservation", total0))
-        if after.weighted_sum() != weighted0 + drift:
+        if config.weighted_sum() != weighted0 + drift:
             out.append(BoundViolation(rec.step, None, None, rec.site,
                                       "weighted_sum", weighted0 + drift))
     return out
@@ -336,7 +332,9 @@ def check_bounds(trace: Trace, names) -> dict[str, list[BoundViolation]]:
     for name in names:
         if name not in SCOPES:
             raise ValueError(f"{name!r} is not a bound checker")
-        ms[name] = _scope_m(name, trace.variant, n)
+        if (m := _scope_m(name, trace.variant, n)) is None:
+            raise CheckerNotApplicableError(f"{name} does not apply to {trace.variant} with n={n}")
+        ms[name] = m
     if not ms:
         return {}
     chips = [chip for _, chip in _columns(trace)]

@@ -128,9 +128,6 @@ class LabeledConfiguration:
     def __eq__(self, other):
         return isinstance(other, LabeledConfiguration) and self.occupancy == other.occupancy
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.occupancy.items())))
-
     def __repr__(self):
         inner = ", ".join(f"{site}: {sorted(c.value for c in chips)}"
                           for site, chips in sorted(self.occupancy.items()))
@@ -241,23 +238,20 @@ class Trace:
         return len(self.records)
 
     def replay(self, verify: bool = True) -> Iterator[tuple[LabeledConfiguration, MoveRecord, LabeledConfiguration]]:
-        """Yield (state_before, record, state_after) for every move.
+        """Yield (state_before, record, state_after) for every move, each
+        fired by ``_fire`` on a copy of the state before it.
 
-        With ``verify`` each record is derived again from its move and must
-        equal the stored one; any mismatch raises ChipFiringError.
+        With ``verify`` each derived record must equal the stored one and the
+        last state must be terminal; either failure raises ChipFiringError.
         """
         config = self.initial
         fires: dict[int, int] = {}
         for rec in self.records:
-            before = config
-            if verify:
-                occupancy = config.occupancy.copy()
-                if _fire(occupancy, self.variant, rec.step, rec.site,
-                         rec.chosen_ids, fires) != rec:
-                    raise ChipFiringError(f"replay mismatch at step {rec.step}: {rec}")
-                config = _wrap(occupancy)
-            else:
-                config = config.apply(self.variant, rec.site, rec.chosen_ids)
+            occupancy = config.occupancy.copy()
+            derived = _fire(occupancy, self.variant, rec.step, rec.site, rec.chosen_ids, fires)
+            if verify and derived != rec:
+                raise ChipFiringError(f"replay mismatch at step {rec.step}: {rec}")
+            before, config = config, _wrap(occupancy)
             yield before, rec, config
         if verify and config.enabled_sites(self.variant):
             raise ChipFiringError("trace does not end in a terminal configuration")

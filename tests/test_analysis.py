@@ -195,7 +195,7 @@ def test_chip_sites_rows_match_replay(monkeypatch, block):
         starts = [t0 for t0, _ in blocks]
         rows = np.concatenate([sites for _, sites in blocks])
         assert starts == [0] + list(np.cumsum([len(sites) for _, sites in blocks])[:-1])
-        assert (rows.dtype == object) == (max(trace.initial.occupancy) >= 2 ** 62)
+        assert rows.dtype == np.int64
         configs = [trace.initial] + [after for _, _, after in trace.replay(verify=False)]
         assert len(rows) == len(configs) == len(trace) + 1
         for row, config in zip(rows.tolist(), configs):

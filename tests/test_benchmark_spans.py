@@ -59,13 +59,14 @@ def test_every_span_is_called(tmp_path):
                                   ["--variant", "loops", "--n", "11"]])
 def test_verify_replays_each_run_once(argv):
     """The run fires each move in place, without ``apply``; conservation
-    replays the run on its own, and the bound checkers read a table of chip
-    sites built from the records without replaying, so each move goes
-    through ``apply`` once: in conservation's replay."""
+    fires each run's moves once through ``apply``, on its own and not through
+    ``Trace.replay``, and the bound checkers read a table of chip sites built
+    from the records without replaying, so ``verify`` never calls
+    ``Trace.replay`` and each move goes through ``apply`` once."""
     runs = 3
     tracer = _traced(lambda: cli.main(["verify", *argv, "--runs", str(runs)]))
     assert tracer.calls["engine.run"] == runs
-    assert tracer.calls["engine.replay"] == runs
+    assert tracer.calls["engine.replay"] == 0
     assert tracer.calls["analysis.conservation"] == runs
     assert tracer.calls["analysis.check"] == runs
     assert tracer.calls["engine.apply"] == tracer.tallies["engine.moves"]

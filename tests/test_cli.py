@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from chipfire import cli, explorer, poset
+from chipfire import cli, engine, explorer, poset
 from chipfire.cli import main
 
 
@@ -131,6 +131,19 @@ def test_explore_cap_exit(capsys):
     err = capsys.readouterr().err
     assert err == ("cap exceeded: labeled exploration exceeded 40 states "
                    "(states_visited=46, level=2, frontier=15)\n")
+
+
+def test_simulate_move_cap_exit(tmp_path, monkeypatch, capsys):
+    """A run past its move cap exits 3 with one stderr line and writes no
+    trace.  The staircase is not an origin initial, so its cap is
+    ``DEFAULT_MOVE_CAP``."""
+    monkeypatch.setattr(engine, "DEFAULT_MOVE_CAP", 5)
+    trace = tmp_path / "run.jsonl"
+    assert main(["simulate", "--preset", "staircase", "--n", "3", "--trace", str(trace)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "cap exceeded: exceeded move cap 5 without terminating\n"
+    assert not trace.exists()
 
 
 def test_counterexample_odd(tmp_path):

@@ -131,6 +131,28 @@ def test_replay_verifies_metadata():
         list(trace.replay(verify=True))
 
 
+def test_replay_refuses_a_trace_that_stops_before_terminal():
+    """A read trace whose last move line is gone replays every record it
+    has, and verified replay then refuses its non-terminal end."""
+    v = base()
+    buf = io.StringIO()
+    run_to_completion(standard_initial(v, 6), v, RandomStrategy(), seed=2).write_jsonl(buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    trace = engine.Trace.read_jsonl(io.StringIO("".join(lines[:-1])))
+    assert len(trace) == len(lines) - 2
+    with pytest.raises(engine.ChipFiringError,
+                       match="^trace does not end in a terminal configuration$"):
+        list(trace.replay(verify=True))
+    assert len(list(trace.replay(verify=False))) == len(trace)
+
+
+def test_exhausted_script_is_an_illegal_move():
+    config = LabeledConfiguration.from_values({0: [1, 2, 3, 4]})
+    script = ScriptedValuesStrategy([(0, (3, 4))])  # the walkthrough's first of five moves
+    with pytest.raises(IllegalMoveError, match="^script exhausted while sites are still enabled$"):
+        run_to_completion(config, base(), script)
+
+
 def test_trace_jsonl_round_trip():
     v = exponential(1)
     trace = run_to_completion(standard_initial(v, 8), v, RandomStrategy(), seed=9,

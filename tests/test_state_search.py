@@ -1,14 +1,18 @@
-"""Both breadth-first searches against simple references and pinned outputs.
+"""Both breadth-first searches against simple references, pinned outputs
+and each other.
 
 The labeled search in ``explorer`` and the fire-count search in ``poset``
 must keep their visiting order exactly, because witnesses, reports and DOT
 files are derived from it.  The pinned values below were recorded before
-the searches were rewritten and must not change.
+the searches were rewritten and must not change.  Each search states the
+move rule its own way (``explorer._MoveTable`` and the fire-count ``flow``),
+so their levels are compared depth by depth.
 """
 
 import hashlib
 import json
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,7 @@ import pytest
 from chipfire import closedform, explorer, poset
 from chipfire.engine import ChipFiringError, standard_initial
 from chipfire.explorer import canonicalize, explore
-from chipfire.poset import reachable_states
+from chipfire.poset import check_grid_structure, reachable_states
 from chipfire.variants import (Variant, base, exponential, loops_and_edges, loops_everywhere,
                                multi_edge, origin_loops)
 import labeled_reference
@@ -239,3 +243,71 @@ def test_key_limit_rejects_before_searching():
     with pytest.raises(poset.RepresentationLimitError, match="<= 120"):
         explore(standard_initial(base(), 130), base())
     assert time.perf_counter() - start < 5
+
+
+# --- the two searches against each other ------------------------------------
+
+def _chip_patterns(counts: np.ndarray) -> np.ndarray:
+    """The distinct rows of chip counts per site, as sorted byte strings."""
+    assert 0 <= counts.min() and counts.max() < 256
+    return np.unique(counts.astype(np.uint8).view(f"S{counts.shape[1]}").ravel())
+
+
+@pytest.mark.parametrize("variant,n", [
+    (base(), 8), (base(), 9), (base(), 10), (loops_everywhere(), 9), (loops_everywhere(), 11),
+    (multi_edge(2), 8), (origin_loops(1), 7), (exponential(1), 8), (loops_and_edges(2), 6)],
+    ids=str)
+def test_labeled_levels_hold_the_fire_count_levels_chips(variant, n):
+    """At every depth the chip counts per site of the labeled level, each
+    mirror class taken with its mirror, are exactly the chip vectors
+    ``initial + flow.T @ fires`` of the fire-count level, over the window and
+    one site on each side, and no two fire-count states of a level share
+    one: a labeled state's site pattern fixes its fire counts."""
+    space = reachable_states(variant, n)
+    width = space.flow.shape[1]
+    initial = np.concatenate(([0], space.initial, [0]))
+    start = explorer._row(canonicalize(standard_initial(variant, n)))
+    moves = explorer._MoveTable(variant, start.size)
+    mirrored = moves.symmetric and np.array_equal(start, explorer._mirror(start))
+    labeled = explorer._levels(start, moves, mirrored, poset.DEFAULT_STATE_CAP)
+    counted = poset._levels(variant, space.sites, space.totals, space.initial, space.flow,
+                            poset.DEFAULT_STATE_CAP)
+    depth = states = 0
+    for level in zip_longest(labeled, counted):
+        assert None not in level, depth  # one search went deeper than the other
+        (rows, _), (fires, _) = level
+        if mirrored:
+            rows = np.concatenate([rows, explorer._mirror(rows)])
+        cells = (rows >> 8).astype(np.intp) - (explorer.KEY_OFFSET + space.sites[0] - 1)
+        assert 0 <= cells.min() and cells.max() < width
+        counts = np.bincount((cells + width * np.arange(len(rows))[:, None]).ravel(),
+                             minlength=width * len(rows)).reshape(-1, width)
+        want = _chip_patterns(initial + fires.astype(np.int64) @ space.flow)
+        assert len(want) == len(fires)
+        assert np.array_equal(_chip_patterns(counts), want), depth
+        depth += 1
+        states += len(fires)
+    assert (depth, states) == (space.totals.sum() + 1, space.n_states)
+
+
+# (variant, n, (grid check passes, terminals, sorted terminals)); base n=11
+# is left out because its labeled search takes about 12 s
+GRID_VS_EXPLORE = [
+    (base(), 2, (True, 1, 1)), (base(), 3, (False, 3, 1)), (base(), 4, (True, 1, 1)),
+    (base(), 5, (False, 12, 1)), (base(), 6, (True, 1, 1)), (base(), 7, (False, 54, 1)),
+    (base(), 8, (True, 1, 1)), (base(), 9, (False, 232, 1)), (base(), 10, (True, 1, 1)),
+    (loops_everywhere(), 5, (True, 3, 1)), (loops_everywhere(), 9, (True, 4, 1)),
+    (loops_everywhere(), 13, (True, 6, 1)),
+]
+
+
+@pytest.mark.parametrize("variant,n,row", GRID_VS_EXPLORE,
+                         ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_what_a_grid_pass_certifies(variant, n, row):
+    """On the base line the grid check passes exactly when ``explore`` finds
+    a single terminal, the sorted one.  On loops n = 4m+1 it passes although
+    ``explore`` finds several terminals, only one of them sorted, so a loops
+    grid PASS is no sorting proof."""
+    report = explore(standard_initial(variant, n), variant)
+    passed = check_grid_structure(reachable_states(variant, n)).passed
+    assert (passed, report.terminal_count, report.sorted_terminal_count) == row
