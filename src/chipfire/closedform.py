@@ -5,6 +5,8 @@ simulating anything: the canonical label multiset, the number of firing
 moves per site, the unlabeled terminal configuration, and (where a
 sorting result holds) the labeled terminal.  Engine runs are validated
 against these predictions; the flow-balance identity ties them together.
+Each kind's m, fire counts, terminal counts and no-sorting rule are stated
+together, in one branch of ``_forms``; the public functions read it.
 
 Supported grids (all with every chip starting at the origin):
 
@@ -13,7 +15,7 @@ Supported grids (all with every chip starting at the origin):
 * origin_loops(s)  n >= s, n == s (mod 2), m = (n - s) // 2
 * loops_everywhere n = 4m - 1, or n = 4m + 1 (counts derived, no sorting)
 * loops_and_edges(r)  n = r * (4m - 1)
-* exponential(t)   n = 2 ** (t + 2)
+* exponential(t)   n = 2 ** (t + 2), m = 2 ** (t + 1)
 """
 
 from __future__ import annotations
@@ -37,33 +39,59 @@ def _require(cond: bool, msg: str):
         raise UnsupportedVariantError(msg)
 
 
-def derive_m(variant: Variant, n: int) -> int:
-    """Half-width parameter m of the supported grid; raises if n does not fit."""
+def _forms(variant: Variant, n: int) -> tuple[int, list[int], list[int], str | None]:
+    """Every closed form of one (variant, n) pair, stated kind by kind.
+
+    Returns ``(m, fires, chips, no_sort)`` for sites k >= 0, where sites -k
+    and k agree: the half-width m; ``fires[k]``, the fire count of site k,
+    listed up to the last site that fires; ``chips[k]``, the terminal chip
+    count of site k, zeros included; and why no sorting result applies, or
+    None.  Raises UnsupportedVariantError if n does not fit the grid.
+    """
     _require(n >= 0, f"n must be >= 0, got {n}")
     kind = variant.kind
     if kind == "base":
-        return n // 2
+        m = n // 2
+        # triangular counts: site k fires (m-k+1 choose 2) times
+        return (m, [comb(m - k + 1, 2) for k in range(m)], [n % 2] + [1] * m,
+                f"base with odd n={n} does not sort" if n % 2 == 1 and n > 1 else None)
     if kind == "multi_edge":
-        _require(n % (2 * variant.r) == 0, f"multi_edge(r={variant.r}) needs n divisible by 2r, got n={n}")
-        return n // (2 * variant.r)
+        r = variant.r
+        _require(n % (2 * r) == 0, f"multi_edge(r={r}) needs n divisible by 2r, got n={n}")
+        m = n // (2 * r)
+        return m, [comb(m - k + 1, 2) for k in range(m)], [0] + [r] * m, None
     if kind == "origin_loops":
-        _require(n >= variant.s and (n - variant.s) % 2 == 0,
-                 f"origin_loops(s={variant.s}) needs n >= s and n == s mod 2, got n={n}")
-        return (n - variant.s) // 2
+        s = variant.s
+        _require(n >= s and (n - s) % 2 == 0,
+                 f"origin_loops(s={s}) needs n >= s and n == s mod 2, got n={n}")
+        m = (n - s) // 2
+        return m, [comb(m - k + 1, 2) for k in range(m)], [s] + [1] * m, None
     if kind == "loops_everywhere":
         _require(n % 2 == 1, f"loops_everywhere needs odd n, got {n}")
         if n % 4 == 3:
-            return (n + 1) // 4
-        return (n - 1) // 4
+            m = (n + 1) // 4
+            return m, [(m - k) ** 2 for k in range(m)], [1] + [2] * (m - 1) + [1], None
+        m = (n - 1) // 4
+        # derived by solving the flow-balance recurrence for the
+        # 2-per-site terminal: (m-k)(m-k+1)
+        return (m, [(m - k) * (m - k + 1) for k in range(m)], [1] + [2] * m,
+                f"loops_everywhere with n={n} = 4m+1 does not sort" if n > 1 else None)
     if kind == "loops_and_edges":
         r = variant.r
         _require(n % r == 0 and (n // r) % 4 == 3,
                  f"loops_and_edges(r={r}) needs n = r*(4m-1), got n={n}")
-        return (n // r + 1) // 4
+        m = (n // r + 1) // 4
+        return m, [(m - k) ** 2 for k in range(m)], [r] + [2 * r] * (m - 1) + [r], None
     # exponential, the last of the kinds ``Variant`` accepts
-    _require(n == 2 ** (variant.t + 2),
-             f"exponential(t={variant.t}) needs n = 2**(t+2) = {2 ** (variant.t + 2)}, got {n}")
-    return 2 ** (variant.t + 1)
+    t = variant.t
+    _require(n == 2 ** (t + 2), f"exponential(t={t}) needs n = 2**(t+2) = {2 ** (t + 2)}, got {n}")
+    return (2 ** (t + 1), [2 * (t - k) + 3 for k in range(t + 2)],
+            [0] + [2 ** (t + 1 - k) for k in range(1, t + 2)] + [1], None)
+
+
+def derive_m(variant: Variant, n: int) -> int:
+    """Half-width parameter m of the supported grid; raises if n does not fit."""
+    return _forms(variant, n)[0]
 
 
 def canonical_labels(variant: Variant, n: int) -> tuple[int, ...]:
@@ -98,74 +126,23 @@ def initial_values(variant: Variant, n: int, preset: str = "origin") -> dict[int
 
 def total_fires(variant: Variant, n: int, site: int) -> int:
     """Number of firing moves at ``site`` over any complete run from the origin."""
-    m = derive_m(variant, n)
-    k = abs(site)
-    kind = variant.kind
-    if kind in ("base", "multi_edge", "origin_loops"):
-        # triangular counts: site k fires (m-|k|+1 choose 2) times
-        return comb(m - k + 1, 2) if k <= m else 0
-    if kind in ("loops_everywhere", "loops_and_edges"):
-        if kind == "loops_everywhere" and n % 4 == 1:
-            # derived by solving the flow-balance recurrence for the
-            # 2-per-site terminal: (m-|k|)(m-|k|+1)
-            return (m - k) * (m - k + 1) if k <= m else 0
-        return (m - k) ** 2 if k <= m else 0
-    t = variant.t  # exponential
-    return 2 * (t - k) + 3 if k <= t + 1 else 0
+    fires = _forms(variant, n)[1]
+    return fires[abs(site)] if abs(site) < len(fires) else 0
 
 
 def fire_count_table(variant: Variant, n: int) -> dict[int, int]:
     """Per-site firing counts, restricted to sites that fire at least once."""
-    table = {}
-    k = 0
-    while f := total_fires(variant, n, k):
-        table[k] = table[-k] = f
-        k += 1
-    return dict(sorted(table.items()))
+    fires = _forms(variant, n)[1]
+    return {k: fires[abs(k)] for k in range(1 - len(fires), len(fires))}
 
 
 def terminal_unlabeled(variant: Variant, n: int) -> dict[int, int]:
     """Terminal chip count per site (sites with zero chips omitted)."""
-    m = derive_m(variant, n)
-    kind = variant.kind
-    out: dict[int, int] = {}
-    if kind == "base":
-        for k in range(1, m + 1):
-            out[k] = out[-k] = 1
-        if n % 2 == 1:
-            out[0] = 1
-    elif kind == "multi_edge":
-        for k in range(1, m + 1):
-            out[k] = out[-k] = variant.r
-    elif kind == "origin_loops":
-        for k in range(1, m + 1):
-            out[k] = out[-k] = 1
-        if variant.s:
-            out[0] = variant.s
-    elif kind == "loops_everywhere":
-        if n % 4 == 3:
-            out[m] = out[-m] = 1
-            out[0] = 1
-            for k in range(1, m):
-                out[k] = out[-k] = 2
-        else:  # n = 4m + 1
-            out[0] = 1
-            for k in range(1, m + 1):
-                out[k] = out[-k] = 2
-    elif kind == "loops_and_edges":
-        r = variant.r
-        out[m] = out[-m] = r
-        out[0] = r
-        for k in range(1, m):
-            out[k] = out[-k] = 2 * r
-    else:  # exponential
-        t = variant.t
-        for k in range(1, t + 2):
-            out[k] = out[-k] = 2 ** (t + 1 - k)
-        out[t + 2] = out[-t - 2] = 1
+    chips = _forms(variant, n)[2]
+    out = {k: chips[abs(k)] for k in range(1 - len(chips), len(chips)) if chips[abs(k)]}
     if sum(out.values()) != n:
         raise AssertionError(f"the terminal holds {sum(out.values())} chips, not n={n}")
-    return dict(sorted(out.items()))
+    return out
 
 
 def expected_sorted_terminal(variant: Variant, n: int, preset: str = "origin") -> dict[int, tuple[int, ...]]:
@@ -183,10 +160,9 @@ def expected_sorted_terminal(variant: Variant, n: int, preset: str = "origin") -
         # empty.
         return {value - 1: (value,) for values in initial_values(variant, n, preset).values()
                 for value in values}
-    if variant.kind == "base" and n % 2 == 1 and n > 1:
-        raise NoSortingTheoremError(f"base with odd n={n} does not sort")
-    if variant.kind == "loops_everywhere" and n % 4 == 1 and n > 1:
-        raise NoSortingTheoremError(f"loops_everywhere with n={n} = 4m+1 does not sort")
+    no_sort = _forms(variant, n)[3]
+    if no_sort is not None:
+        raise NoSortingTheoremError(no_sort)
     labels = iter(canonical_labels(variant, n))
     return {site: tuple(islice(labels, count))
             for site, count in terminal_unlabeled(variant, n).items()}

@@ -8,6 +8,7 @@ import pytest
 
 from chipfire import cli, engine, explorer, poset
 from chipfire.cli import main
+from chipfire.variants import base
 
 
 def test_simulate_writes_trace_and_report(tmp_path, capsys):
@@ -152,6 +153,26 @@ def test_counterexample_odd(tmp_path):
     assert rc == 0
     lines = trace.read_text().strip().splitlines()
     assert len(lines) == 2  # header + the single move reaching an unsorted terminal
+
+
+def _sorted_trace(m):
+    v = base()
+    return engine.run_to_completion(engine.standard_initial(v, 2), v, engine.LeftmostStrategy())
+
+
+@pytest.mark.parametrize("argv,name,stub,out", [
+    (["--case", "odd", "--n", "3"], "find_unsorted_terminal", lambda *args: None,
+     "no unsorted terminal exists for base n=3\n"),
+    (["--case", "loops-1mod4", "--n", "5"], "adversarial_1mod4", _sorted_trace,
+     "adversarial schedule at m=1 unexpectedly sorted\n"),
+], ids=["odd", "loops-1mod4"])
+def test_counterexample_that_finds_no_witness_exits_1(argv, name, stub, out, tmp_path,
+                                                      monkeypatch, capsys):
+    monkeypatch.setattr(explorer, name, stub)
+    trace = tmp_path / "cx.jsonl"
+    assert main(["counterexample", *argv, "--trace", str(trace)]) == 1
+    assert capsys.readouterr().out == out
+    assert not trace.exists()
 
 
 def test_trace_header_n_is_preset_parameter_or_chip_count(tmp_path):

@@ -1,3 +1,6 @@
+import hashlib
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,3 +236,88 @@ def test_canonical_labels_match_per_kind_reference():
 def test_unknown_preset_is_refused(owner):
     with pytest.raises(cf.UnsupportedVariantError, match="unknown preset 'bogus'"):
         owner(base(), 4, "bogus")
+
+
+def _per_kind_forms(variant, n):
+    """Reference: m, fire counts, unlabeled terminal and no-sorting reason,
+    spelled out kind by kind (Hopkins, McConville and Propp 2016)."""
+    kind, r, s, t = variant.kind, variant.r, variant.s, variant.t
+    four_m_plus_1 = kind == "loops_everywhere" and n % 4 == 1
+    m = {"base": n // 2, "multi_edge": n // (2 * r), "origin_loops": (n - s) // 2,
+         "loops_everywhere": (n - 1) // 4 if four_m_plus_1 else (n + 1) // 4,
+         "loops_and_edges": (n // r + 1) // 4, "exponential": 2 ** (t + 1)}[kind]
+    inner = range(-m + 1, m)
+    triangular = {k: comb(m - abs(k) + 1, 2) for k in inner}
+    squares = {k: (m - abs(k)) ** 2 for k in inner}
+    fires = {
+        "base": triangular, "multi_edge": triangular, "origin_loops": triangular,
+        "loops_everywhere": ({k: (m - abs(k)) * (m - abs(k) + 1) for k in inner}
+                             if four_m_plus_1 else squares),
+        "loops_and_edges": squares,
+        "exponential": {k: 2 * (t - abs(k)) + 3 for k in range(-t - 1, t + 2)},
+    }[kind]
+    ring = [k for k in range(-m, m + 1) if k]
+    two_with_ends = {k: 1 if abs(k) in (0, m) else 2 for k in range(-m, m + 1)}
+    terminal = {
+        "base": {**{k: 1 for k in ring}, 0: n % 2},
+        "multi_edge": {k: r for k in ring},
+        "origin_loops": {**{k: 1 for k in ring}, 0: s},
+        "loops_everywhere": ({**{k: 2 for k in ring}, 0: 1} if four_m_plus_1 else two_with_ends),
+        "loops_and_edges": {k: r * c for k, c in two_with_ends.items()},
+        "exponential": {k: 2 ** (t + 1 - abs(k)) if abs(k) <= t + 1 else 1
+                        for k in range(-t - 2, t + 3) if k},
+    }[kind]
+    no_sort = None
+    if kind == "base" and n % 2 == 1 and n > 1:
+        no_sort = f"base with odd n={n} does not sort"
+    if four_m_plus_1 and n > 1:
+        no_sort = f"loops_everywhere with n={n} = 4m+1 does not sort"
+    return m, fires, {k: c for k, c in sorted(terminal.items()) if c}, no_sort
+
+
+def test_closed_forms_match_per_kind_reference():
+    pairs = _supported_below(80)
+    assert len(pairs) == 392
+    for variant, n in pairs:
+        m, fires, terminal, no_sort = _per_kind_forms(variant, n)
+        assert cf.derive_m(variant, n) == m, (variant, n)
+        assert list(cf.fire_count_table(variant, n).items()) == sorted(fires.items()), (variant, n)
+        assert all(cf.total_fires(variant, n, k) == fires.get(k, 0)
+                   for k in range(-n - 2, n + 3)), (variant, n)
+        assert list(cf.terminal_unlabeled(variant, n).items()) == list(terminal.items()), (variant, n)
+        if no_sort is None:
+            labeled = cf.expected_sorted_terminal(variant, n)
+            assert {site: len(chips) for site, chips in labeled.items()} == terminal, (variant, n)
+        else:
+            with pytest.raises(cf.NoSortingTheoremError) as exc:
+                cf.expected_sorted_terminal(variant, n)
+            assert str(exc.value) == no_sort, (variant, n)
+
+
+# SHA-1 of every refusal on the ``_supported_below(80)`` grid, one
+# "kind r s t n: message" line per unsupported (variant, n) pair
+REFUSALS_SHA1 = "0c237b399a979557954a6da3a90f032f0ea40d4a"
+
+
+def test_unsupported_pairs_are_refused_with_pinned_messages():
+    pairs = _supported_below(80)
+    supported = set(pairs)
+    variants = list(dict.fromkeys(variant for variant, _ in pairs))
+    functions = [cf.derive_m, cf.canonical_labels, cf.initial_values, cf.fire_count_table,
+                 cf.terminal_unlabeled, cf.expected_sorted_terminal, cf.flow_balance_residual,
+                 lambda variant, n: cf.total_fires(variant, n, 0)]
+    lines = []
+    for variant in variants:
+        for n in range(80):
+            if (variant, n) in supported:
+                continue
+            messages = set()
+            for function in functions:
+                with pytest.raises(cf.UnsupportedVariantError) as exc:
+                    function(variant, n)
+                assert type(exc.value) is cf.UnsupportedVariantError
+                messages.add(str(exc.value))
+            assert len(messages) == 1, (variant, n, messages)
+            lines.append(f"{variant.kind} {variant.r} {variant.s} {variant.t} {n}: {messages.pop()}")
+    assert len(lines) == 16 * 80 - 392
+    assert hashlib.sha1("\n".join(lines).encode()).hexdigest() == REFUSALS_SHA1

@@ -25,6 +25,20 @@ def test_enabled_sites():
     assert config.enabled_sites(v) == [0]
 
 
+def test_configuration_repr_lists_values_by_site():
+    config = LabeledConfiguration.from_values({0: [2, 1], -1: [3]})
+    assert repr(config) == "LabeledConfiguration({-1: [3], 0: [1, 2]})"
+
+
+def test_strategy_base_and_unknown_name_are_refused():
+    v = base()
+    config = standard_initial(v, 2)
+    with pytest.raises(NotImplementedError):
+        engine.Strategy().choose(config, config.enabled_sites(v), v, None)
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        engine.make_strategy("bogus")
+
+
 def test_apply_move_split_rule():
     v = base()
     config = LabeledConfiguration.from_values({0: [1, 2, 3, 4]})  # ids 0..3

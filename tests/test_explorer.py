@@ -330,6 +330,9 @@ def test_adversarial_1mod4():
     assert trace.fire_counts() == oracle
     assert not analysis.is_weakly_sorted(trace.final_config())
 
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        adversarial_1mod4(0)
+
 
 def test_hold_empty_control_matches_unlabeled_terminal():
     variant = loops_everywhere()

@@ -361,6 +361,12 @@ def test_move_without_an_index_is_refused():
         space.move(0)
 
 
+def test_move_past_the_last_occurrence_is_refused():
+    space = reachable_states(base(), 6)
+    with pytest.raises(ValueError, match="site 0 fires 6 times, no occurrence 7"):
+        space.move(0, occ_from_start=space.total_fires(0) + 1)
+
+
 @pytest.mark.parametrize("occ_from_start,occ_from_last", [(1, 1), (6, 6), (2, 4)])
 def test_move_with_disagreeing_indices_is_refused(occ_from_start, occ_from_last):
     space = reachable_states(base(), 6)

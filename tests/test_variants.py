@@ -61,6 +61,8 @@ def test_validation():
         Variant("multi_edge", r=0)
     with pytest.raises(ValueError):
         Variant("exponential", t=-1)
+    with pytest.raises(ValueError, match="origin loop count s must be >= 0"):
+        Variant("origin_loops", s=-1)
 
 
 def test_json_round_trip():
