@@ -166,13 +166,11 @@ def _sorted_trace(m):
     (["--case", "loops-1mod4", "--n", "5"], "adversarial_1mod4", _sorted_trace,
      "adversarial schedule at m=1 unexpectedly sorted\n"),
 ], ids=["odd", "loops-1mod4"])
-def test_counterexample_that_finds_no_witness_exits_1(argv, name, stub, out, tmp_path,
-                                                      monkeypatch, capsys):
+def test_counterexample_that_finds_no_witness_exits_1(argv, name, stub, out, monkeypatch,
+                                                      capsys):
     monkeypatch.setattr(explorer, name, stub)
-    trace = tmp_path / "cx.jsonl"
-    assert main(["counterexample", *argv, "--trace", str(trace)]) == 1
+    assert main(["counterexample", *argv]) == 1
     assert capsys.readouterr().out == out
-    assert not trace.exists()
 
 
 def test_trace_header_n_is_preset_parameter_or_chip_count(tmp_path):
