@@ -3,9 +3,9 @@
 Each checker reads a complete trace and reports the full list of
 violations (empty on success).  ``check_conservation`` is the independent
 oracle: it replays the trace in its own loop, one
-``LabeledConfiguration.apply`` per record and never ``Trace.replay``, and
+``LabeledConfiguration.apply`` per move and never ``Trace.replay``, and
 recounts every step.  The five bound checkers, the names in ``SCOPES``,
-replay nothing: they read two int64 tables made from the move records, the
+replay nothing: they read two int64 tables made from the move log's columns, the
 chip sites, a row per step and a column per chip (``_chip_sites``,
 RepresentationLimitError where a site could leave int64), and the diamond
 moves (``_diamond_moves``).  ``check_bounds(trace, names)`` is their one
@@ -90,27 +90,25 @@ def check_conservation(trace: Trace) -> list[BoundViolation]:
     """Chip count and drift-corrected weighted position sum after every step.
 
     The trace is replayed here, one ``LabeledConfiguration.apply`` per
-    record, not through ``Trace.replay``, and both sums are recounted in full
+    move of its log, not through ``Trace.replay``, and both sums are recounted in full
     after every move.  After a prefix with fire counts c, the weighted sum of
     positions equals its initial value plus sum_s c[s] * (right - left) of
     ``site_row(s)``; the drift term vanishes for left/right-symmetric variants.
     """
-    v = trace.variant
+    v, log = trace.variant, trace.log
     config = trace.initial
     total0 = config.total_chips()
     weighted0 = config.weighted_sum()
     out = []
     drift = 0
-    for rec in trace.records:
-        config = config.apply(v, rec.site, rec.chosen_ids)
-        left, _, right, _ = v.site_row(rec.site)
+    for step, (site, a, b, _, _) in enumerate(log.moves()):
+        config = config.apply(v, site, log.ids[a:b])
+        left, _, right, _ = v.site_row(site)
         drift += right - left
         if config.total_chips() != total0:
-            out.append(BoundViolation(rec.step, None, None, rec.site,
-                                      "chip_conservation", total0))
+            out.append(BoundViolation(step, None, None, site, "chip_conservation", total0))
         if config.weighted_sum() != weighted0 + drift:
-            out.append(BoundViolation(rec.step, None, None, rec.site,
-                                      "weighted_sum", weighted0 + drift))
+            out.append(BoundViolation(step, None, None, site, "weighted_sum", weighted0 + drift))
     return out
 
 
@@ -133,17 +131,17 @@ def _chip_sites(trace: Trace) -> Iterator[tuple[int, np.ndarray]]:
 
     Row t holds each chip's site before move t, in ``_columns`` order, so
     row 0 is the initial configuration and the last row the final one.  It
-    comes from the records alone: a move's chosen chips, in (value, id)
+    comes from the move log alone: a move's chosen chips, in (value, id)
     order, send the first ``left`` of ``site_row`` one site left and the
     last ``right`` one site right, and each row is the one before it plus
-    those steps.  A block's steps are made from arrays: its records' chosen
-    cells, sorted, are in (row, column) order, and a cell's rank within its
-    row picks its step.  RepresentationLimitError, before any block, if the
+    those steps.  A block's steps are made from arrays: its moves' chosen
+    cells, one slice of the id column, sorted, are in (row, column) order,
+    and a cell's rank within its row picks its step.  RepresentationLimitError, before any block, if the
     trace's reach (its farthest initial site plus one site per move) is
     ``_REACH`` or more.
     """
-    records, site_row = trace.records, trace.variant.site_row
-    if (reach := max(map(abs, trace.initial.occupancy), default=0) + len(records)) >= _REACH:
+    log, site_row = trace.log, trace.variant.site_row
+    if (reach := max(map(abs, trace.initial.occupancy), default=0) + len(log)) >= _REACH:
         raise RepresentationLimitError(f"a trace may reach a site {reach} away from 0; the int64 "
                                        f"chip-site table holds less than {_REACH}")
     columns = _columns(trace)
@@ -151,20 +149,21 @@ def _chip_sites(trace: Trace) -> Iterator[tuple[int, np.ndarray]]:
     width = len(columns)
     height = max(1, BLOCK_CELLS // max(1, width))
     row = np.array([site for site, _ in columns], np.int64)
-    for t0 in range(0, len(records) + 1, height):
-        t1 = min(t0 + height, len(records) + 1)
+    for t0 in range(0, len(log) + 1, height):
+        t1 = min(t0 + height, len(log) + 1)
         steps = np.zeros((t1 - t0) * width, np.int8)
-        block = records[max(t0, 1) - 1:t1 - 1]  # row t is row t-1 plus record t-1's steps
-        if block:
-            _, fired_at, chosen, *_ = zip(*block)
-            counts = np.fromiter(map(len, chosen), np.intp, len(block))
+        m0, m1 = max(t0, 1) - 1, t1 - 1  # row t is row t-1 plus move t-1's steps
+        if m1 > m0:
+            fired_at = log.sites[m0:m1]
+            ends = np.frombuffer(log.offsets[m0:m1 + 1], np.int64)
+            counts = np.diff(ends)
             index = {site: i for i, site in enumerate(set(fired_at))}
             left, loop = np.array([site_row(site)[:2] for site in index], np.intp)[
-                np.fromiter(map(index.__getitem__, fired_at), np.intp, len(block))].T
-            owner = np.repeat(np.arange(len(block)), counts)  # each cell's record
-            cells = np.sort((owner + max(t0, 1) - t0) * width
-                            + np.array([column[i] for ids in chosen for i in ids], np.intp))
-            rank = np.arange(len(cells)) - np.repeat(np.cumsum(counts) - counts, counts)
+                np.fromiter(map(index.__getitem__, fired_at), np.intp, m1 - m0)].T
+            owner = np.repeat(np.arange(m1 - m0), counts)  # each cell's move
+            cells = np.sort((owner + m0 + 1 - t0) * width + np.fromiter(
+                map(column.__getitem__, log.ids[ends[0]:ends[-1]]), np.intp, len(owner)))
+            rank = np.arange(len(cells)) - np.repeat(ends[:-1] - ends[0], counts)
             steps[cells] = (rank >= (left + loop)[owner]).astype(np.int8) - (rank < left[owner])
         sites = row + np.cumsum(steps.reshape(t1 - t0, width), axis=0, dtype=np.int64)
         row = sites[-1].copy()
@@ -237,11 +236,12 @@ def _position_violations(lemma: str, m: int, chips: list[Chip], lo: np.ndarray, 
 
 def _diamond_moves(trace: Trace) -> np.ndarray:
     """``t, site, occ, x, y``: int64 arrays of the moves in the ``poset.diamond``
-    table in step order: step (record index), site, occurrence there and (x, y)."""
+    table in step order: step, site, occurrence there (the log's fire index)
+    and (x, y)."""
     final = diamond(trace.variant, trace.initial.total_chips())
-    return np.fromiter((v for t, (_, site, *_, occ) in enumerate(trace.records)
-                        if (xy := final.get((site, occ))) is not None
-                        for v in (t, site, occ, *xy)), np.int64).reshape(-1, 5).T
+    return np.fromiter((v for t, move in enumerate(zip(trace.log.sites, trace.log.fire_index_at_site))
+                        if (xy := final.get(move)) is not None
+                        for v in (t, *move, *xy)), np.int64).reshape(-1, 5).T
 
 
 def _move_bound_chips(trace: Trace, moves: np.ndarray, chips: list[Chip]) -> tuple[np.ndarray, ...]:

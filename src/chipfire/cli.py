@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
             detail["terminal_labeled_ok"] = final.values_by_site() == labeled_oracle
         # conservation replays on its own as the independent oracle and is
         # reported first; the bound checkers read one chip-site table built
-        # from the records
+        # from the trace's move log
         detail["violations"]["conservation"] = len(analysis.check_conservation(trace))
         for name, found in analysis.check_bounds(trace, checkers).items():
             detail["violations"][name] = len(found)

@@ -12,9 +12,11 @@ its seed.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import mul
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -220,14 +222,77 @@ class MoveRecord(NamedTuple):
         }
 
 
+class MoveLog(Sequence):
+    """The moves of a run as flat columns, move t at index t.
+
+    ``sites[t]`` is where move t fired, its chosen ids (sorted) and the
+    values of its fired chips (in (value, id) order) are
+    ``ids[offsets[t]:offsets[t + 1]]`` and ``values[...]`` of that slice,
+    and ``present_before[t]`` and ``fire_index_at_site[t]`` are its counts.
+    Sites, ids and values are lists, so they hold any Python int; offsets
+    and counts, bounded by the size of the run, are int64 arrays.
+
+    Read as a sequence it is the run's ``MoveRecord`` list: each record is
+    built on demand and none is stored.  It has no item assignment.
+    """
+
+    __slots__ = ("sites", "ids", "values", "offsets", "present_before", "fire_index_at_site")
+
+    def __init__(self):
+        self.sites: list[int] = []
+        self.ids: list[int] = []
+        self.values: list[int] = []
+        self.offsets = array("q", [0])
+        self.present_before = array("q")
+        self.fire_index_at_site = array("q")
+
+    def append(self, site: int, ids: Iterable[int], values: Iterable[int],
+               present_before: int, fire_index: int):
+        self.sites.append(site)
+        self.ids.extend(ids)
+        self.values.extend(values)
+        self.offsets.append(len(self.ids))
+        self.present_before.append(present_before)
+        self.fire_index_at_site.append(fire_index)
+
+    def moves(self) -> Iterator[tuple[int, int, int, int, int]]:
+        """Per move, in step order: its site, the start and end of its chosen
+        ids and values, ``present_before`` and ``fire_index_at_site``."""
+        offsets = self.offsets
+        return zip(self.sites, offsets, islice(offsets, 1, None),
+                   self.present_before, self.fire_index_at_site)
+
+    def _record(self, t: int) -> MoveRecord:
+        a, b = self.offsets[t], self.offsets[t + 1]
+        return MoveRecord(t, self.sites[t], tuple(self.ids[a:b]), tuple(self.values[a:b]),
+                          self.present_before[t], self.fire_index_at_site[t])
+
+    def __len__(self):
+        return len(self.sites)
+
+    def __getitem__(self, i):
+        steps = range(len(self.sites))[i]  # IndexError past either end
+        return [*map(self._record, steps)] if isinstance(steps, range) else self._record(steps)
+
+    def __iter__(self):
+        return map(self._record, range(len(self.sites)))
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (MoveLog, list)) else NotImplemented
+
+    def __repr__(self):
+        return f"MoveLog({len(self)} moves)"
+
+
 @dataclass
 class Trace:
-    """An initial configuration, the ordered moves of one complete run and
-    the configuration they end in (built with the moves, never replayed)."""
+    """An initial configuration, the ordered moves of one complete run, in
+    one ``MoveLog``, and the configuration they end in (built with the
+    moves, never replayed)."""
 
     variant: Variant
     initial: LabeledConfiguration
-    records: list[MoveRecord]
+    log: MoveLog
     strategy: str
     seed: int
     _final: LabeledConfiguration = field(repr=False)
@@ -235,24 +300,32 @@ class Trace:
     preset: str | None = None
 
     def __len__(self):
-        return len(self.records)
+        return len(self.log)
+
+    @property
+    def records(self) -> MoveLog:
+        """The moves as a read-only sequence of ``MoveRecord``, built on demand."""
+        return self.log
 
     def replay(self, verify: bool = True) -> Iterator[tuple[LabeledConfiguration, MoveRecord, LabeledConfiguration]]:
         """Yield (state_before, record, state_after) for every move, each
         fired by ``_fire`` on a copy of the state before it.
 
-        With ``verify`` each derived record must equal the stored one and the
+        With ``verify`` each derived move must equal the logged one and the
         last state must be terminal; either failure raises ChipFiringError.
         """
         config = self.initial
         fires: dict[int, int] = {}
-        for rec in self.records:
+        log = self.log
+        ids, values = log.ids, log.values
+        for step, (site, a, b, present, fire_index) in enumerate(log.moves()):
+            chosen, fired = ids[a:b], values[a:b]
             occupancy = config.occupancy.copy()
-            derived = _fire(occupancy, self.variant, rec.step, rec.site, rec.chosen_ids, fires)
-            if verify and derived != rec:
-                raise ChipFiringError(f"replay mismatch at step {rec.step}: {rec}")
+            derived = _fire(occupancy, self.variant, site, chosen, fires)
+            if verify and derived != (chosen, fired, present, fire_index):
+                raise ChipFiringError(f"replay mismatch at step {step}: {log[step]}")
             before, config = config, _wrap(occupancy)
-            yield before, rec, config
+            yield before, MoveRecord(step, site, tuple(chosen), tuple(fired), present, fire_index), config
         if verify and config.enabled_sites(self.variant):
             raise ChipFiringError("trace does not end in a terminal configuration")
 
@@ -260,10 +333,8 @@ class Trace:
         return self._final
 
     def fire_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for rec in self.records:
-            counts[rec.site] = counts.get(rec.site, 0) + 1
-        return dict(sorted(counts.items()))
+        """Moves per site; a site's last fire index is its count."""
+        return dict(sorted(dict(zip(self.log.sites, self.log.fire_index_at_site)).items()))
 
     def header_json(self) -> dict:
         """The trace's first JSON line.  Its ``n`` is the preset's parameter
@@ -281,12 +352,14 @@ class Trace:
 
     def write_jsonl(self, fp: IO[str]):
         """The header line, then one line per move, each written as it is
-        formatted.  A move's line is ``json.dumps(rec.to_json())``, spelled
-        out: a list of ints prints as a JSON array."""
+        formatted from the log's columns.  A move's line is
+        ``json.dumps(rec.to_json())``, spelled out: a list of ints prints as
+        a JSON array."""
         fp.write(json.dumps(self.header_json()) + "\n")
-        for step, site, ids, values, present, fire_index in self.records:
-            fp.write(f'{{"step": {step}, "site": {site}, "chosen_values": {list(values)}, '
-                     f'"chosen_ids": {list(ids)}, "present_before": {present}, '
+        ids, values = self.log.ids, self.log.values
+        for step, (site, a, b, present, fire_index) in enumerate(self.log.moves()):
+            fp.write(f'{{"step": {step}, "site": {site}, "chosen_values": {values[a:b]}, '
+                     f'"chosen_ids": {ids[a:b]}, "present_before": {present}, '
                      f'"fire_index_at_site": {fire_index}}}\n')
 
     @classmethod
@@ -313,11 +386,11 @@ class Trace:
         initial = LabeledConfiguration.from_values(values_by_site)
         occupancy = initial.occupancy.copy()  # fired in place
         config = _wrap(occupancy)
-        records = []
+        log = MoveLog()
         fires: dict[int, int] = {}
 
         def where():  # the current line's location, formatted only for an error
-            return f"line {lineno}, step {d.get('step', len(records))}"
+            return f"line {lineno}, step {d.get('step', len(log))}"
 
         for lineno, line in enumerate(fp, 2):
             if not line.strip():
@@ -330,26 +403,29 @@ class Trace:
             if not (type(step) is int and type(site) is int and _int_list(values)):
                 raise ChipFiringError(
                     f"{where()}: step, site and chosen_values must be JSON integers")
-            if step != len(records):
-                raise ChipFiringError(f"{where()}: expected step {len(records)}")
+            if step != len(log.sites):
+                raise ChipFiringError(f"{where()}: expected step {len(log)}")
             try:
-                records.append(_fire(occupancy, variant, step, site,
-                                     _ids_for_values(config, site, values), fires))
+                log.append(site, *_fire(occupancy, variant, site,
+                                        _ids_for_values(config, site, values), fires))
             except IllegalMoveError as exc:
                 raise IllegalMoveError(f"{where()}: {exc}") from exc
-        return cls(variant=variant, initial=initial, records=records,
+        return cls(variant=variant, initial=initial, log=log,
                    strategy=header.get("strategy", "scripted"), seed=header.get("seed", 0),
                    n=header.get("n"), preset=header.get("preset"), _final=config)
 
 
-def _fire(occupancy: dict[int, tuple[Chip, ...]], variant: Variant, step: int, site: int,
-          chosen_ids: tuple[int, ...], fires: dict[int, int]) -> MoveRecord:
-    """Fire one move in place on ``occupancy``, count it in ``fires``, and
-    return its record, whose values are those of the chips that fired."""
+def _fire(occupancy: dict[int, tuple[Chip, ...]], variant: Variant, site: int,
+          chosen_ids: Iterable[int], fires: dict[int, int]) -> tuple[list[int], list[int], int, int]:
+    """Fire one move in place on ``occupancy`` and count it in ``fires``.
+
+    Returns the move as ``MoveLog.append`` takes it after its site: the
+    chosen ids sorted, the values of the chips that fired, the chips the
+    site held and the move's fire index there (a record's last four fields).
+    """
     fired, present_before = _move(occupancy, variant, site, chosen_ids)
     fire_index = fires[site] = fires.get(site, 0) + 1
-    return MoveRecord(step, site, tuple(sorted(chosen_ids)), tuple([c.value for c in fired]),
-                      present_before, fire_index)
+    return sorted(chosen_ids), [c.value for c in fired], present_before, fire_index
 
 
 def _int_list(values) -> bool:
@@ -574,14 +650,14 @@ def run_to_completion(initial: LabeledConfiguration, variant: Variant,
     rng = RandomDraws(seed)
     occupancy = initial.occupancy.copy()  # fired in place, then the final configuration's
     config = _wrap(occupancy)
-    records: list[MoveRecord] = []
+    log = MoveLog()
     fires: dict[int, int] = {}
     enabled = initial.enabled_sites(variant)
     while enabled:
-        if len(records) >= move_cap:
+        if len(log.sites) >= move_cap:
             raise NonTerminationError(f"exceeded move cap {move_cap} without terminating")
         site, chosen_ids = strategy.choose(config, enabled, variant, rng)
-        records.append(_fire(occupancy, variant, len(records), site, chosen_ids, fires))
+        log.append(site, *_fire(occupancy, variant, site, chosen_ids, fires))
         _update_enabled(enabled, config, variant, site)
-    return Trace(variant=variant, initial=initial, records=records,
+    return Trace(variant=variant, initial=initial, log=log,
                  strategy=strategy.name, seed=seed, _final=config, n=n, preset=preset)

@@ -167,10 +167,13 @@ def _sorted_trace(m):
      "adversarial schedule at m=1 unexpectedly sorted\n"),
 ], ids=["odd", "loops-1mod4"])
 def test_counterexample_that_finds_no_witness_exits_1(argv, name, stub, out, monkeypatch,
-                                                      capsys):
+                                                      capsys, tmp_path):
+    """With no counterexample to show, neither ``--trace`` nor ``--report`` is written."""
     monkeypatch.setattr(explorer, name, stub)
-    assert main(["counterexample", *argv]) == 1
+    trace, report = tmp_path / "cx.jsonl", tmp_path / "cx.json"
+    assert main(["counterexample", *argv, "--trace", str(trace), "--report", str(report)]) == 1
     assert capsys.readouterr().out == out
+    assert not trace.exists() and not report.exists()
 
 
 def test_trace_header_n_is_preset_parameter_or_chip_count(tmp_path):

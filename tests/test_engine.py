@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,10 +139,9 @@ def test_replay_verifies_metadata():
     v = base()
     trace = run_to_completion(standard_initial(v, 8), v, RandomStrategy(), seed=3)
     list(trace.replay(verify=True))  # must not raise
-    # corrupt one record and watch the replay catch it
-    rec = trace.records[2]
-    trace.records[2] = rec._replace(present_before=rec.present_before + 1)
-    with pytest.raises(engine.ChipFiringError):
+    # corrupt one move's present_before in its column and watch the replay catch it
+    trace.log.present_before[2] += 1
+    with pytest.raises(engine.ChipFiringError, match="^replay mismatch at step 2: "):
         list(trace.replay(verify=True))
 
 
@@ -437,6 +437,62 @@ def test_runs_match_reference_run(v, n, strategy):
                                               RUN_STRATEGIES[strategy](), seed)
         assert trace.records == records
         assert trace.final_config() == final
+
+
+@pytest.mark.parametrize("v,n", REFERENCE_CASES)
+def test_records_view_reads_as_the_reference_records(v, n):
+    """``Trace.records`` is a read-only sequence over the move log that
+    indexes, slices, iterates and compares like the reference run's list."""
+    trace = run_to_completion(standard_initial(v, n), v, RandomStrategy(), seed=5)
+    records, _ = engine_reference.run(standard_initial(v, n), v, RandomStrategy(), 5)
+    view, k = trace.records, len(records)
+    assert len(view) == len(trace) == k
+    assert [view[i] for i in range(-k, k)] == records + records
+    for i in (k, -k - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    for part in (slice(None), slice(2, 5), slice(-3, None), slice(None, None, -2), slice(k, None)):
+        assert view[part] == records[part]
+    assert list(view) == records and list(reversed(view)) == records[::-1]
+    assert view == records and records == view and view == trace.log
+    assert view != records[:-1] and view != [*records[:-1], records[-1]._replace(site=k)]
+    with pytest.raises(TypeError):
+        view[0] = records[0]
+
+
+def test_move_log_holds_under_100_bytes_per_move():
+    """A base n=80 random run keeps its moves in flat columns: under 100
+    bytes per move under tracemalloc, where one ``MoveRecord`` per move
+    held about 270."""
+    v = base()
+    run_to_completion(standard_initial(v, 4), v, RandomStrategy())  # lazy set-up, not counted
+    initial = standard_initial(v, 80)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_to_completion(initial, v, RandomStrategy(), seed=3101)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 100 * len(trace), held / len(trace)
+
+
+def test_move_log_holds_ints_past_int64():
+    """Sites, ids and values are Python ints in the log: a run whose sites
+    and chip values pass 2**63 writes, reads and replays like any other."""
+    far = 2 ** 70
+    initial = LabeledConfiguration({far: [Chip(-far, 3 * far), Chip(-1, 0), Chip(1, far),
+                                          Chip(far, 1)]})
+    trace = run_to_completion(initial, base(), RandomStrategy(), seed=4)
+    assert {rec.site for rec in trace.records} == {far - 1, far, far + 1}
+    assert {i for rec in trace.records for i in rec.chosen_ids} >= {3 * far}
+    buf = io.StringIO()
+    trace.write_jsonl(buf)
+    back = engine.Trace.read_jsonl(io.StringIO(buf.getvalue()))
+    assert [rec._replace(chosen_ids=()) for rec in back.records] == [
+        rec._replace(chosen_ids=()) for rec in trace.records]
+    assert [rec for _, rec, _ in back.replay(verify=True)] == back.records
+    assert back.fire_counts() == trace.fire_counts()
 
 
 @pytest.mark.parametrize("strategy", RUN_STRATEGIES)
