@@ -5,8 +5,8 @@ violations (empty on success).  ``check_conservation`` is the independent
 oracle: it replays the trace in its own loop, one
 ``LabeledConfiguration.apply`` per move and never ``Trace.replay``, and
 recounts every step.  The five bound checkers, the names in ``SCOPES``,
-replay nothing: they read two int64 tables made from the move log's columns, the
-chip sites, a row per step and a column per chip (``_chip_sites``,
+replay nothing: they read two int64 tables made from the move log's
+columns, the chip sites, a row per step and a column per chip (``_chip_sites``,
 RepresentationLimitError where a site could leave int64), and the diamond
 moves (``_diamond_moves``).  ``check_bounds(trace, names)`` is their one
 entry: it reads any set of them from one pass over the chip-site table, in
@@ -90,8 +90,8 @@ def check_conservation(trace: Trace) -> list[BoundViolation]:
     """Chip count and drift-corrected weighted position sum after every step.
 
     The trace is replayed here, one ``LabeledConfiguration.apply`` per
-    move of its log, not through ``Trace.replay``, and both sums are recounted in full
-    after every move.  After a prefix with fire counts c, the weighted sum of
+    move of its log, not through ``Trace.replay``, and both sums are
+    recounted in full after every move.  After a prefix with fire counts c, the weighted sum of
     positions equals its initial value plus sum_s c[s] * (right - left) of
     ``site_row(s)``; the drift term vanishes for left/right-symmetric variants.
     """
@@ -136,9 +136,9 @@ def _chip_sites(trace: Trace) -> Iterator[tuple[int, np.ndarray]]:
     last ``right`` one site right, and each row is the one before it plus
     those steps.  A block's steps are made from arrays: its moves' chosen
     cells, one slice of the id column, sorted, are in (row, column) order,
-    and a cell's rank within its row picks its step.  RepresentationLimitError, before any block, if the
-    trace's reach (its farthest initial site plus one site per move) is
-    ``_REACH`` or more.
+    and a cell's rank within its row picks its step.
+    RepresentationLimitError, before any block, if the trace's reach (its
+    farthest initial site plus one site per move) is ``_REACH`` or more.
     """
     log, site_row = trace.log, trace.variant.site_row
     if (reach := max(map(abs, trace.initial.occupancy), default=0) + len(log)) >= _REACH:
@@ -238,8 +238,8 @@ def _diamond_moves(trace: Trace) -> np.ndarray:
     """``t, site, occ, x, y``: int64 arrays of the moves in the ``poset.diamond``
     table in step order: step, site, occurrence there (the log's fire index)
     and (x, y)."""
-    final = diamond(trace.variant, trace.initial.total_chips())
-    return np.fromiter((v for t, move in enumerate(zip(trace.log.sites, trace.log.fire_index_at_site))
+    final, log = diamond(trace.variant, trace.initial.total_chips()), trace.log
+    return np.fromiter((v for t, move in enumerate(zip(log.sites, log.fire_index_at_site))
                         if (xy := final.get(move)) is not None
                         for v in (t, *move, *xy)), np.int64).reshape(-1, 5).T
 

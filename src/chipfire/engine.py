@@ -325,7 +325,8 @@ class Trace:
             if verify and derived != (chosen, fired, present, fire_index):
                 raise ChipFiringError(f"replay mismatch at step {step}: {log[step]}")
             before, config = config, _wrap(occupancy)
-            yield before, MoveRecord(step, site, tuple(chosen), tuple(fired), present, fire_index), config
+            rec = MoveRecord(step, site, tuple(chosen), tuple(fired), present, fire_index)
+            yield before, rec, config
         if verify and config.enabled_sites(self.variant):
             raise ChipFiringError("trace does not end in a terminal configuration")
 
@@ -416,7 +417,8 @@ class Trace:
 
 
 def _fire(occupancy: dict[int, tuple[Chip, ...]], variant: Variant, site: int,
-          chosen_ids: Iterable[int], fires: dict[int, int]) -> tuple[list[int], list[int], int, int]:
+          chosen_ids: Iterable[int], fires: dict[int, int]
+          ) -> tuple[list[int], list[int], int, int]:
     """Fire one move in place on ``occupancy`` and count it in ``fires``.
 
     Returns the move as ``MoveLog.append`` takes it after its site: the
