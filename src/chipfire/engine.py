@@ -480,14 +480,19 @@ class RandomDraws:
     halves, low half first, the order of the Generator's ``next_uint32``.
     Nothing else reads the bit generator.  ``tests/test_engine.py`` checks
     every draw against the installed numpy.
+
+    The generator is made on the first draw, so a run that never draws
+    (leftmost, scripted and hold runs) never imports ``numpy.random`` and
+    ignores its seed.  A bad seed is refused there too: ``ValueError`` for a
+    negative one, ``TypeError`` for a non-integer, raised by the first
+    draw, not by the constructor.
     """
 
     __slots__ = ("_half",)
 
     def __init__(self, seed: int):
-        bits = np.random.default_rng(seed).bit_generator
-
         def blocks():
+            bits = np.random.default_rng(seed).bit_generator
             while True:
                 yield bits.random_raw(_RAW_BLOCK).astype("<u8", copy=False).view("<u4").tolist()
         self._half = chain.from_iterable(blocks()).__next__

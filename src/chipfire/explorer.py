@@ -102,7 +102,7 @@ class _MoveTable:
     def __init__(self, variant: Variant, nchips: int):
         table = np.array([variant.site_row(b - KEY_OFFSET) for b in range(256)])
         left, loop, _, thresholds = table.T
-        used = [int(t) for t in np.unique(thresholds) if t <= nchips]
+        used = [t for t in sorted(set(thresholds.tolist())) if t <= nchips]
         cells = sum(math.comb(nchips, t) for t in used)
         if cells > COMBINATION_LIMIT:
             raise CapExceededError(

@@ -237,6 +237,51 @@ def test_poset_past_representation_limits_is_usage_error(argv):
     assert "Traceback" not in proc.stderr
 
 
+_LOADED = '"numpy.random" in sys.modules, "numpy.ma" in sys.modules'
+_PROBE = f"""
+import contextlib, io, sys
+from chipfire import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(rc, {_LOADED})
+"""
+
+
+def _fresh_python(code, *argv, cwd=None):
+    src = Path(poset.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=120, cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.fixture(scope="module")
+def lazy_numpy():
+    """Skip where ``import numpy`` loads the submodules itself, as numpy 1.x does."""
+    if _fresh_python(f"import sys, numpy; print({_LOADED})") != "False False":
+        pytest.skip("import numpy loads numpy.random and numpy.ma")
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore", "--n", "7", "--report", "explore.json"],
+    ["poset", "--n", "6", "--check", "grid", "--dot", "poset.dot"],
+    ["poset", "--variant", "exponential", "--t", "1", "--check", "expgrid"],
+    ["counterexample", "--case", "loops-1mod4", "--n", "9"],
+    ["simulate", "--n", "6", "--strategy", "leftmost"],
+], ids=["explore-witness", "poset-grid-dot", "poset-expgrid", "loops-1mod4", "leftmost"])
+def test_commands_that_never_draw_load_no_numpy_random_or_ma(argv, lazy_numpy, tmp_path):
+    """Searches and runs that make no random draw (the explore witness is
+    replayed by a scripted run, loops-1mod4 by a hold run) never make the
+    generator, and the move table finds its thresholds without np.unique,
+    which imports numpy.ma; each case runs in a fresh interpreter."""
+    assert _fresh_python(_PROBE, *argv, cwd=tmp_path) == "0 False False"
+
+
+def test_random_run_loads_numpy_random(lazy_numpy, tmp_path):
+    """The control for the test above: a random run's first draw makes the generator."""
+    assert _fresh_python(_PROBE, "simulate", "--n", "6", cwd=tmp_path).startswith("0 True ")
+
+
 def test_counterexample_odd_even_n_is_usage_error():
     assert main(["counterexample", "--case", "odd", "--n", "2"]) == 2
 

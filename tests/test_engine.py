@@ -120,6 +120,33 @@ def test_seeded_runs_reproducible():
     assert a.records == b.records
 
 
+@pytest.mark.parametrize("seed,error", [(-1, ValueError), (2.5, TypeError)])
+def test_bad_seed_is_refused_at_the_first_draw(seed, error):
+    """The generator is made on the first draw: making the draws, and a
+    draw that takes no word, accept any seed; the first word refuses it."""
+    draws = engine.RandomDraws(seed)
+    assert draws.integers(1) == 0
+    with pytest.raises(error):
+        draws.integers(2)
+    v = base()
+    with pytest.raises(error):
+        run_to_completion(standard_initial(v, 4), v, RandomStrategy(), seed=seed)
+
+
+def test_runs_that_never_draw_ignore_the_seed():
+    v = loops_everywhere()
+    initial = standard_initial(v, 9)
+    leftmost = run_to_completion(initial, v, LeftmostStrategy())
+    script = [(rec.site, rec.chosen_values) for rec in leftmost.records]
+    for strategy in (LeftmostStrategy, lambda: ScriptedValuesStrategy(script),
+                     lambda: HoldStrategy({0, 1})):
+        expected = run_to_completion(initial, v, strategy())
+        for seed in (-1, 2.5):
+            trace = run_to_completion(initial, v, strategy(), seed=seed)
+            assert trace.records == expected.records
+            assert trace.final_config() == expected.final_config()
+
+
 def test_staircase_run_sorts():
     v = base()
     for q in (1, 2, 3):
