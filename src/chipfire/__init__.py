@@ -9,8 +9,8 @@ states, and per-step lemma checkers.
 from .variants import (Variant, base, exponential, loops_and_edges,
                        loops_everywhere, multi_edge, origin_loops)
 from .engine import (CapExceededError, Chip, ChipFiringError, IllegalMoveError,
-                     LabeledConfiguration, MoveRecord, NonTerminationError,
-                     Trace, run_to_completion, standard_initial, make_strategy)
+                     LabeledConfiguration, NonTerminationError, Trace,
+                     run_to_completion, standard_initial, make_strategy)
 from .closedform import (NoSortingTheoremError, UnsupportedVariantError,
                          canonical_labels, expected_sorted_terminal,
                          fire_count_table, flow_balance_residual,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Variant", "base", "multi_edge", "origin_loops", "loops_everywhere",
     "loops_and_edges", "exponential",
-    "Chip", "LabeledConfiguration", "MoveRecord", "Trace",
+    "Chip", "LabeledConfiguration", "Trace",
     "run_to_completion", "standard_initial", "make_strategy",
     "ChipFiringError", "IllegalMoveError", "NonTerminationError",
     "CapExceededError", "UnsupportedVariantError", "NoSortingTheoremError",

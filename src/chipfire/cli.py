@@ -189,7 +189,7 @@ def cmd_explore(args) -> int:
     payload = report.to_json()
     if report.witness is not None:
         trace = explorer.find_unsorted_terminal(initial, variant, report)
-        payload["witness"] = [trace.header_json()] + [rec.to_json() for rec in trace.records]
+        payload["witness"] = [json.loads(line) for line in trace.lines()]
     _write_report(args, payload)
     print(f"explore {variant} n={n}: states={report.states_visited} "
           f"terminals={report.terminal_count} confluent={report.confluent} "

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import mul
@@ -202,27 +201,7 @@ def standard_initial(variant: Variant, n: int, preset: str = "origin") -> Labele
     return LabeledConfiguration.from_values(closedform.initial_values(variant, n, preset))
 
 
-class MoveRecord(NamedTuple):
-    """A move plus the metadata captured when it fired."""
-    step: int
-    site: int
-    chosen_ids: tuple[int, ...]
-    chosen_values: tuple[int, ...]
-    present_before: int
-    fire_index_at_site: int
-
-    def to_json(self) -> dict:
-        return {
-            "step": self.step,
-            "site": self.site,
-            "chosen_values": list(self.chosen_values),
-            "chosen_ids": list(self.chosen_ids),
-            "present_before": self.present_before,
-            "fire_index_at_site": self.fire_index_at_site,
-        }
-
-
-class MoveLog(Sequence):
+class MoveLog:
     """The moves of a run as flat columns, move t at index t.
 
     ``sites[t]`` is where move t fired, its chosen ids (sorted) and the
@@ -231,9 +210,6 @@ class MoveLog(Sequence):
     and ``present_before[t]`` and ``fire_index_at_site[t]`` are its counts.
     Sites, ids and values are lists, so they hold any Python int; offsets
     and counts, bounded by the size of the run, are int64 arrays.
-
-    Read as a sequence it is the run's ``MoveRecord`` list: each record is
-    built on demand and none is stored.  It has no item assignment.
     """
 
     __slots__ = ("sites", "ids", "values", "offsets", "present_before", "fire_index_at_site")
@@ -262,23 +238,8 @@ class MoveLog(Sequence):
         return zip(self.sites, offsets, islice(offsets, 1, None),
                    self.present_before, self.fire_index_at_site)
 
-    def _record(self, t: int) -> MoveRecord:
-        a, b = self.offsets[t], self.offsets[t + 1]
-        return MoveRecord(t, self.sites[t], tuple(self.ids[a:b]), tuple(self.values[a:b]),
-                          self.present_before[t], self.fire_index_at_site[t])
-
     def __len__(self):
         return len(self.sites)
-
-    def __getitem__(self, i):
-        steps = range(len(self.sites))[i]  # IndexError past either end
-        return [*map(self._record, steps)] if isinstance(steps, range) else self._record(steps)
-
-    def __iter__(self):
-        return map(self._record, range(len(self.sites)))
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (MoveLog, list)) else NotImplemented
 
     def __repr__(self):
         return f"MoveLog({len(self)} moves)"
@@ -302,13 +263,8 @@ class Trace:
     def __len__(self):
         return len(self.log)
 
-    @property
-    def records(self) -> MoveLog:
-        """The moves as a read-only sequence of ``MoveRecord``, built on demand."""
-        return self.log
-
-    def replay(self, verify: bool = True) -> Iterator[tuple[LabeledConfiguration, MoveRecord, LabeledConfiguration]]:
-        """Yield (state_before, record, state_after) for every move, each
+    def replay(self, verify: bool = True) -> Iterator[tuple[LabeledConfiguration, int, LabeledConfiguration]]:
+        """Yield (state_before, step, state_after) for every move, each
         fired by ``_fire`` on a copy of the state before it.
 
         With ``verify`` each derived move must equal the logged one and the
@@ -316,17 +272,17 @@ class Trace:
         """
         config = self.initial
         fires: dict[int, int] = {}
-        log = self.log
-        ids, values = log.ids, log.values
-        for step, (site, a, b, present, fire_index) in enumerate(log.moves()):
+        ids, values = self.log.ids, self.log.values
+        for step, (site, a, b, present, fire_index) in enumerate(self.log.moves()):
             chosen, fired = ids[a:b], values[a:b]
             occupancy = config.occupancy.copy()
             derived = _fire(occupancy, self.variant, site, chosen, fires)
             if verify and derived != (chosen, fired, present, fire_index):
-                raise ChipFiringError(f"replay mismatch at step {step}: {log[step]}")
+                raise ChipFiringError(
+                    f"replay mismatch at step {step}: logged site {site}, ids {chosen}, "
+                    f"values {fired}, present_before {present}, fire_index_at_site {fire_index}")
             before, config = config, _wrap(occupancy)
-            rec = MoveRecord(step, site, tuple(chosen), tuple(fired), present, fire_index)
-            yield before, rec, config
+            yield before, step, config
         if verify and config.enabled_sites(self.variant):
             raise ChipFiringError("trace does not end in a terminal configuration")
 
@@ -351,17 +307,22 @@ class Trace:
                         for site, values in self.initial.values_by_site().items()},
         }
 
-    def write_jsonl(self, fp: IO[str]):
-        """The header line, then one line per move, each written as it is
-        formatted from the log's columns.  A move's line is
-        ``json.dumps(rec.to_json())``, spelled out: a list of ints prints as
-        a JSON array."""
-        fp.write(json.dumps(self.header_json()) + "\n")
+    def lines(self) -> Iterator[str]:
+        """The trace's JSON lines, each ending in a newline: the header, then
+        one line per move, formatted from the log's columns.  A move's line
+        is ``json.dumps`` of its dict of step, site, chosen values, chosen
+        ids, ``present_before`` and ``fire_index_at_site``, spelled out: a
+        list of ints prints as a JSON array."""
+        yield json.dumps(self.header_json()) + "\n"
         ids, values = self.log.ids, self.log.values
         for step, (site, a, b, present, fire_index) in enumerate(self.log.moves()):
-            fp.write(f'{{"step": {step}, "site": {site}, "chosen_values": {values[a:b]}, '
-                     f'"chosen_ids": {ids[a:b]}, "present_before": {present}, '
-                     f'"fire_index_at_site": {fire_index}}}\n')
+            yield (f'{{"step": {step}, "site": {site}, "chosen_values": {values[a:b]}, '
+                   f'"chosen_ids": {ids[a:b]}, "present_before": {present}, '
+                   f'"fire_index_at_site": {fire_index}}}\n')
+
+    def write_jsonl(self, fp: IO[str]):
+        """Write ``lines()``, each as it is made (no string of the whole trace)."""
+        fp.writelines(self.lines())
 
     @classmethod
     def read_jsonl(cls, fp: IO[str]) -> "Trace":
@@ -370,9 +331,10 @@ class Trace:
         Chip ids are reassigned in (site, value) order, then each recorded
         move is re-bound to ids by value at its site (lowest ids first), so
         a round-tripped trace replays to the same value-level run.  Steps,
-        sites and chip values must be JSON integers, and the k-th move record
-        (from 0, blank lines skipped) must carry step k; bad input raises
-        ChipFiringError naming its line.
+        sites and chip values must be JSON integers, each initial site key
+        as ``header_json`` writes it (``"01"`` or ``"1_0"`` is no site), and
+        the k-th move record (from 0, blank lines skipped) must carry step k;
+        bad input raises ChipFiringError naming its line.
         """
         header = _json_object(fp.readline(), 1)
         try:
@@ -382,6 +344,9 @@ class Trace:
             raise ChipFiringError(f"line 1: trace header lacks {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise ChipFiringError(f"line 1: bad trace header: {exc}") from exc
+        if [str(site) for site in values_by_site] != list(header["initial"]):
+            raise ChipFiringError("line 1: initial sites must be keys as header_json writes "
+                                  f"them, got {list(header['initial'])}")
         if not all(_int_list(values) for values in values_by_site.values()):
             raise ChipFiringError("line 1: initial chip values must be lists of JSON integers")
         initial = LabeledConfiguration.from_values(values_by_site)
@@ -423,7 +388,7 @@ def _fire(occupancy: dict[int, tuple[Chip, ...]], variant: Variant, site: int,
 
     Returns the move as ``MoveLog.append`` takes it after its site: the
     chosen ids sorted, the values of the chips that fired, the chips the
-    site held and the move's fire index there (a record's last four fields).
+    site held and the move's fire index there.
     """
     fired, present_before = _move(occupancy, variant, site, chosen_ids)
     fire_index = fires[site] = fires.get(site, 0) + 1

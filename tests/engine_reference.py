@@ -1,24 +1,25 @@
-"""References for the engine's move and run and the two position-bound checkers.
+"""References for the engine's move and run and the two position-bound checkers,
+and ``moves``, a trace's move log read as one tuple per move.
 
 ``apply`` is the former sort-based ``LabeledConfiguration.apply``: it
 concatenates each changed site's chips and sorts them again.  It is the
 oracle for the insertion-based move rule, and writes out the ``(value, id)``
 order it sorts by rather than share the engine's.  ``run`` is a run loop without
 the engine's shortcuts: a new configuration per move made by ``apply``, a
-fresh scan of the enabled sites before every move, and each record's values
+fresh scan of the enabled sites before every move, and each move's values
 read off the site's chips.  It is the oracle for ``run_to_completion``,
 which fires in place and carries its enabled sites.  ``check_chip_bounds`` and
 ``check_loop_bounds`` are the former full-scan checkers, which replay the
 trace and test every chip of every configuration, each with its own
 statement of its bounds; they are the oracles for the position lemmas read
-from the chip-site table, which is summed from the move records without a
+from the chip-site table, which is summed from the move log without a
 replay.
 """
 
 from math import ceil, floor
 
 from chipfire.analysis import BoundViolation, _scope_m
-from chipfire.engine import IllegalMoveError, LabeledConfiguration, MoveRecord, RandomDraws
+from chipfire.engine import IllegalMoveError, LabeledConfiguration, RandomDraws
 
 
 def apply(config, variant, site, chosen_ids):
@@ -53,22 +54,32 @@ def apply(config, variant, site, chosen_ids):
     return child
 
 
+def moves(trace):
+    """Per move of ``trace``'s log, in step order: ``(site, chosen_ids,
+    chosen_values, present_before, fire_index_at_site)``, ids and values as
+    tuples."""
+    log = trace.log
+    return [(site, tuple(log.ids[a:b]), tuple(log.values[a:b]), present, fire_index)
+            for site, a, b, present, fire_index in log.moves()]
+
+
 def run(initial, variant, strategy, seed):
-    """The records and final configuration of a run from ``initial``."""
+    """The moves, in the shape of ``moves``, and final configuration of a
+    run from ``initial``."""
     rng = RandomDraws(seed)
     config = initial
-    records = []
+    out = []
     fires = {}
     while enabled := config.enabled_sites(variant):
         site, chosen_ids = strategy.choose(config, enabled, variant, rng)
         present = config.chips_at(site)
         chosen = set(chosen_ids)
         fires[site] = fires.get(site, 0) + 1
-        records.append(MoveRecord(len(records), site, tuple(sorted(chosen_ids)),
-                                  tuple(c.value for c in present if c.id in chosen),
-                                  len(present), fires[site]))
+        out.append((site, tuple(sorted(chosen_ids)),
+                    tuple(c.value for c in present if c.id in chosen),
+                    len(present), fires[site]))
         config = apply(config, variant, site, chosen_ids)
-    return records, config
+    return out, config
 
 
 def check_chip_bounds(trace):
@@ -87,8 +98,8 @@ def check_chip_bounds(trace):
                                           "chip_bounds", chip.value - m))
 
     scan(trace.initial, -1)
-    for _, rec, after in trace.replay(verify=False):
-        scan(after, rec.step)
+    for _, step, after in trace.replay(verify=False):
+        scan(after, step)
     return out
 
 
@@ -124,6 +135,6 @@ def check_loop_bounds(trace):
                 out.append(BoundViolation(step, None, value, edge, "loop_bounds_extremes", 1))
 
     scan(trace.initial, -1)
-    for _, rec, after in trace.replay(verify=False):
-        scan(after, rec.step)
+    for _, step, after in trace.replay(verify=False):
+        scan(after, step)
     return out

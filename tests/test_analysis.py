@@ -174,10 +174,11 @@ def _first_attendance(trace):
     that finds it at the firing site."""
     final = poset.diamond(trace.variant, trace.initial.total_chips())
     out = {}
-    for before, rec, _ in trace.replay(verify=False):
-        if (rec.site, rec.fire_index_at_site) in final:
-            for chip in before.occupancy[rec.site]:
-                out.setdefault(chip.id, (chip.value, rec.site, rec.fire_index_at_site))
+    for (before, _, _), site, fire_index in zip(trace.replay(verify=False), trace.log.sites,
+                                                trace.log.fire_index_at_site):
+        if (site, fire_index) in final:
+            for chip in before.occupancy[site]:
+                out.setdefault(chip.id, (chip.value, site, fire_index))
     return out
 
 
@@ -237,7 +238,7 @@ def test_bound_checkers_refuse_a_trace_that_could_leave_int64():
 
 
 def test_bound_checkers_do_not_replay(monkeypatch):
-    """``check_bounds`` and ``diamond_configuration`` read the records only."""
+    """``check_bounds`` and ``diamond_configuration`` read the move log only."""
     traces = [_run(base(), 8, 0), _run(loops_everywhere(), 11, 0), _run(multi_edge(2), 8, 0)]
 
     def refuse(*args, **kwargs):
@@ -365,9 +366,9 @@ def test_diamond_count_bounds_example_n7():
     # valued below -1 strictly left of -1
     trace = _run(loops_everywhere(), 7, 5)
     fires = {}
-    for _, rec, after in trace.replay(verify=False):
-        fires[rec.site] = fires.get(rec.site, 0) + 1
-        if rec.site == -1 and fires[-1] == 1:  # f(-1) = 1, so its only (diamond) move
+    for (_, _, after), site in zip(trace.replay(verify=False), trace.log.sites):
+        fires[site] = fires.get(site, 0) + 1
+        if site == -1 and fires[-1] == 1:  # f(-1) = 1, so its only (diamond) move
             low_left = sum(1 for site, chip in after.chips()
                            if chip.value < -1 and site < -1)
             assert low_left >= 1

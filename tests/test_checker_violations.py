@@ -216,24 +216,23 @@ def _shift_last_chip(config):
 def test_conservation_flags_the_tampered_step(monkeypatch, variant, n):
     trace = run_to_completion(_initial(variant, n, "tamper", 0), variant, RandomStrategy(), seed=3)
     k = len(trace) // 2
-    rec = trace.records[k]
+    sites = trace.log.sites
     total0, weighted0 = trace.initial.total_chips(), trace.initial.weighted_sum()
-    drift = sum(variant.site_row(r.site)[2] - variant.site_row(r.site)[0]
-                for r in trace.records[:k + 1])
+    drift = sum(variant.site_row(site)[2] - variant.site_row(site)[0] for site in sites[:k + 1])
     after = [a for _, _, a in trace.replay(verify=False)][k]
     high = max(after.occupancy)
 
     _tampered_apply(monkeypatch, k, _drop_last_chip)
-    want = [{"step": k, "chip_id": None, "chip_value": None, "site": rec.site,
+    want = [{"step": k, "chip_id": None, "chip_value": None, "site": sites[k],
              "lemma": "chip_conservation", "bound": total0}]
     if high != 0:
-        want.append({"step": k, "chip_id": None, "chip_value": None, "site": rec.site,
+        want.append({"step": k, "chip_id": None, "chip_value": None, "site": sites[k],
                      "lemma": "weighted_sum", "bound": weighted0 + drift})
     assert [v.to_json() for v in analysis.check_conservation(trace)] == want
 
     _tampered_apply(monkeypatch, k, _shift_last_chip)
     assert [v.to_json() for v in analysis.check_conservation(trace)] == [
-        {"step": k, "chip_id": None, "chip_value": None, "site": rec.site,
+        {"step": k, "chip_id": None, "chip_value": None, "site": sites[k],
          "lemma": "weighted_sum", "bound": weighted0 + drift}]
 
 

@@ -119,6 +119,18 @@ def test_explore_reports(tmp_path):
     assert header["n"] == 5 and "initial" in header
 
 
+def test_explore_witness_is_the_counterexample_trace(tmp_path):
+    """A move has one JSON form: ``explore --report``'s witness entries,
+    written one ``json.dumps`` per line, are byte for byte the trace that
+    ``counterexample --case odd --trace`` writes for the same n."""
+    report, trace = tmp_path / "explore.json", tmp_path / "cx.jsonl"
+    assert main(["explore", "--n", "5", "--report", str(report)]) == 0
+    assert main(["counterexample", "--case", "odd", "--n", "5", "--trace", str(trace)]) == 0
+    witness = json.loads(report.read_text())["witness"]
+    assert len(witness) > 1
+    assert "".join(json.dumps(entry) + "\n" for entry in witness) == trace.read_text()
+
+
 def test_explore_beyond_key_limit_is_usage_error(capsys):
     assert main(["explore", "--n", "130"]) == 2
     err = capsys.readouterr().err

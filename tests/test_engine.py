@@ -17,6 +17,16 @@ from chipfire.variants import (base, exponential, loops_and_edges, loops_everywh
 import engine_reference
 
 
+def _site_values(trace):
+    """Each move's site and chosen values."""
+    return [(site, values) for site, _, values, _, _ in engine_reference.moves(trace)]
+
+
+def _without_ids(trace):
+    """Each move with its chosen ids left out."""
+    return [(site, *rest) for site, _, *rest in engine_reference.moves(trace)]
+
+
 def test_enabled_sites():
     v = base()
     config = LabeledConfiguration.from_values({0: [1, 2, 3, 4]})
@@ -117,7 +127,7 @@ def test_seeded_runs_reproducible():
     v = loops_everywhere()
     a = run_to_completion(standard_initial(v, 11), v, RandomStrategy(), seed=42)
     b = run_to_completion(standard_initial(v, 11), v, RandomStrategy(), seed=42)
-    assert a.records == b.records
+    assert engine_reference.moves(a) == engine_reference.moves(b)
 
 
 @pytest.mark.parametrize("seed,error", [(-1, ValueError), (2.5, TypeError)])
@@ -137,13 +147,13 @@ def test_runs_that_never_draw_ignore_the_seed():
     v = loops_everywhere()
     initial = standard_initial(v, 9)
     leftmost = run_to_completion(initial, v, LeftmostStrategy())
-    script = [(rec.site, rec.chosen_values) for rec in leftmost.records]
+    script = _site_values(leftmost)
     for strategy in (LeftmostStrategy, lambda: ScriptedValuesStrategy(script),
                      lambda: HoldStrategy({0, 1})):
         expected = run_to_completion(initial, v, strategy())
         for seed in (-1, 2.5):
             trace = run_to_completion(initial, v, strategy(), seed=seed)
-            assert trace.records == expected.records
+            assert engine_reference.moves(trace) == engine_reference.moves(expected)
             assert trace.final_config() == expected.final_config()
 
 
@@ -167,9 +177,15 @@ def test_replay_verifies_metadata():
     trace = run_to_completion(standard_initial(v, 8), v, RandomStrategy(), seed=3)
     list(trace.replay(verify=True))  # must not raise
     # corrupt one move's present_before in its column and watch the replay catch it
-    trace.log.present_before[2] += 1
-    with pytest.raises(engine.ChipFiringError, match="^replay mismatch at step 2: "):
+    log = trace.log
+    log.present_before[2] += 1
+    a, b = log.offsets[2], log.offsets[3]
+    logged = (f"logged site {log.sites[2]}, ids {log.ids[a:b]}, values {log.values[a:b]}, "
+              f"present_before {log.present_before[2]}, fire_index_at_site "
+              f"{log.fire_index_at_site[2]}")
+    with pytest.raises(engine.ChipFiringError) as caught:
         list(trace.replay(verify=True))
+    assert str(caught.value) == f"replay mismatch at step 2: {logged}"
 
 
 def test_replay_refuses_a_trace_that_stops_before_terminal():
@@ -205,8 +221,7 @@ def test_trace_jsonl_round_trip():
     assert back.variant == v
     assert back.initial == trace.initial
     assert len(back) == len(trace)
-    assert [r.site for r in back.records] == [r.site for r in trace.records]
-    assert [r.chosen_values for r in back.records] == [r.chosen_values for r in trace.records]
+    assert _site_values(back) == _site_values(trace)
     assert back.final_config().values_by_site() == trace.final_config().values_by_site()
     header = trace.header_json()
     assert header["n"] == 8 and header["seed"] == 9 and header["strategy"] == "random"
@@ -224,9 +239,9 @@ def test_site_sequence_legal_for_any_chip_choice():
     v = loops_everywhere()
     trace = run_to_completion(standard_initial(v, 11), v, RandomStrategy(), seed=3)
     config = standard_initial(v, 11)
-    for rec in trace.records:
-        chips = sorted(config.chips_at(rec.site), key=lambda c: (-c.value, -c.id))
-        config = config.apply(v, rec.site, tuple(c.id for c in chips[:v.threshold(rec.site)]))
+    for site in trace.log.sites:
+        chips = sorted(config.chips_at(site), key=lambda c: (-c.value, -c.id))
+        config = config.apply(v, site, tuple(c.id for c in chips[:v.threshold(site)]))
     assert not config.enabled_sites(v)
     counts = {s: len(vals) for s, vals in config.values_by_site().items()}
     final = trace.final_config()
@@ -455,41 +470,20 @@ def _replayed_final(trace):
 @pytest.mark.parametrize("strategy", RUN_STRATEGIES)
 @pytest.mark.parametrize("v,n", REFERENCE_CASES)
 def test_runs_match_reference_run(v, n, strategy):
-    """The in-place run gives the records and final configuration of a run
+    """The in-place run gives the moves and final configuration of a run
     that rebuilds every configuration, rescans the enabled sites and reads
-    each record's values off the site."""
+    each move's values off the site."""
     for seed in range(3):
         trace = run_to_completion(standard_initial(v, n), v, RUN_STRATEGIES[strategy](), seed=seed)
-        records, final = engine_reference.run(standard_initial(v, n), v,
-                                              RUN_STRATEGIES[strategy](), seed)
-        assert trace.records == records
+        moves, final = engine_reference.run(standard_initial(v, n), v,
+                                            RUN_STRATEGIES[strategy](), seed)
+        assert engine_reference.moves(trace) == moves
         assert trace.final_config() == final
-
-
-@pytest.mark.parametrize("v,n", REFERENCE_CASES)
-def test_records_view_reads_as_the_reference_records(v, n):
-    """``Trace.records`` is a read-only sequence over the move log that
-    indexes, slices, iterates and compares like the reference run's list."""
-    trace = run_to_completion(standard_initial(v, n), v, RandomStrategy(), seed=5)
-    records, _ = engine_reference.run(standard_initial(v, n), v, RandomStrategy(), 5)
-    view, k = trace.records, len(records)
-    assert len(view) == len(trace) == k
-    assert [view[i] for i in range(-k, k)] == records + records
-    for i in (k, -k - 1):
-        with pytest.raises(IndexError):
-            view[i]
-    for part in (slice(None), slice(2, 5), slice(-3, None), slice(None, None, -2), slice(k, None)):
-        assert view[part] == records[part]
-    assert list(view) == records and list(reversed(view)) == records[::-1]
-    assert view == records and records == view and view == trace.log
-    assert view != records[:-1] and view != [*records[:-1], records[-1]._replace(site=k)]
-    with pytest.raises(TypeError):
-        view[0] = records[0]
 
 
 def test_move_log_holds_under_100_bytes_per_move():
     """A base n=80 random run keeps its moves in flat columns: under 100
-    bytes per move under tracemalloc, where one ``MoveRecord`` per move
+    bytes per move under tracemalloc, where one record object per move
     held about 270."""
     v = base()
     run_to_completion(standard_initial(v, 4), v, RandomStrategy())  # lazy set-up, not counted
@@ -511,14 +505,13 @@ def test_move_log_holds_ints_past_int64():
     initial = LabeledConfiguration({far: [Chip(-far, 3 * far), Chip(-1, 0), Chip(1, far),
                                           Chip(far, 1)]})
     trace = run_to_completion(initial, base(), RandomStrategy(), seed=4)
-    assert {rec.site for rec in trace.records} == {far - 1, far, far + 1}
-    assert {i for rec in trace.records for i in rec.chosen_ids} >= {3 * far}
+    assert set(trace.log.sites) == {far - 1, far, far + 1}
+    assert set(trace.log.ids) >= {3 * far}
     buf = io.StringIO()
     trace.write_jsonl(buf)
     back = engine.Trace.read_jsonl(io.StringIO(buf.getvalue()))
-    assert [rec._replace(chosen_ids=()) for rec in back.records] == [
-        rec._replace(chosen_ids=()) for rec in trace.records]
-    assert [rec for _, rec, _ in back.replay(verify=True)] == back.records
+    assert _without_ids(back) == _without_ids(trace)
+    assert [step for _, step, _ in back.replay(verify=True)] == list(range(len(back)))
     assert back.fire_counts() == trace.fire_counts()
 
 
@@ -683,6 +676,18 @@ def test_read_jsonl_rejects_non_integer_initial_values(initial):
         _read(lines)
 
 
+@pytest.mark.parametrize("initial", [{"1": [2], "01": [3], " 1": [4]}, {"1_0": [2]}])
+def test_read_jsonl_rejects_site_keys_header_json_never_writes(initial):
+    """``int`` reads "01" and " 1" as site 1 and "1_0" as site 10, which would
+    merge three sites into one or move a chip: only a key as ``header_json``
+    writes it names a site."""
+    header = {"variant": base().to_json(), "initial": initial}
+    with pytest.raises(engine.ChipFiringError, match="^line 1: initial sites must be keys "):
+        _read([json.dumps(header)])
+    header["initial"] = {"-1": [2], "1": [3], "10": [4]}
+    assert _read([json.dumps(header)]).initial.values_by_site() == {-1: (2,), 1: (3,), 10: (4,)}
+
+
 @pytest.mark.parametrize("variant", [
     {"kind": "multi_edge", "r": 2.5}, {"kind": "multi_edge", "r": True}, {"kind": "multi_edge", "r": "2"},
     {"kind": "origin_loops", "s": 1.0}, {"kind": "exponential", "t": False},
@@ -727,8 +732,7 @@ def test_seeded_traces_survive_round_trip(case, seed):
     original, text = _jsonl(case, seed)
     trace, final = _read_and_replay(text)
     assert trace.variant == case[0] and len(trace) == len(original)
-    assert [(r.site, r.chosen_values) for r in trace.records] == \
-        [(r.site, r.chosen_values) for r in original.records]
+    assert _site_values(trace) == _site_values(original)
     assert final.values_by_site() == original.final_config().values_by_site()
 
 
@@ -752,8 +756,9 @@ def test_read_trace_keeps_its_final_configuration(case, monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_trace_lines_are_the_records_json(case, seed, strategy):
     """Every line ``write_jsonl`` formats is ``json.dumps`` of the header or
-    record, and reading them back gives the same run: the same records
-    (chip ids too, where no two chips share a value) and final configuration."""
+    of a dict built here from the move's columns, and reading them back gives
+    the same run: the same moves (chip ids too, where no two chips share a
+    value) and final configuration."""
     v, n = case
     original = run_to_completion(standard_initial(v, n), v, strategy(), seed=seed,
                                  n=n, preset="origin")
@@ -761,15 +766,18 @@ def test_trace_lines_are_the_records_json(case, seed, strategy):
     original.write_jsonl(buf)
     text = buf.getvalue()
     assert text.splitlines() == [json.dumps(original.header_json())] + [
-        json.dumps(rec.to_json()) for rec in original.records]
+        json.dumps({"step": step, "site": site, "chosen_values": list(values),
+                    "chosen_ids": list(ids), "present_before": present,
+                    "fire_index_at_site": fire_index})
+        for step, (site, ids, values, present, fire_index)
+        in enumerate(engine_reference.moves(original))]
     assert text.endswith("\n")
     trace = engine.Trace.read_jsonl(io.StringIO(text))
     values = [chip.value for _, chip in original.initial.chips()]
     if len(set(values)) == len(values):
-        assert trace.records == original.records
+        assert engine_reference.moves(trace) == engine_reference.moves(original)
         assert trace.final_config() == original.final_config()
-    assert [rec._replace(chosen_ids=()) for rec in trace.records] == [
-        rec._replace(chosen_ids=()) for rec in original.records]
+    assert _without_ids(trace) == _without_ids(original)
     assert trace.final_config().values_by_site() == original.final_config().values_by_site()
 
 

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import engine_reference
 import labeled_reference
 from labeled_reference import successor_outcomes
 from chipfire import analysis, closedform, explorer
@@ -103,7 +104,8 @@ def test_find_unsorted_terminal_replays_a_given_report(monkeypatch):
     report = explore(initial, base())
     monkeypatch.setattr(explorer, "_levels", None)  # no second search
     given = find_unsorted_terminal(initial, base(), report)
-    assert [(rec.site, rec.chosen_values) for rec in given.records] == report.witness
+    assert [(site, values) for site, _, values, _, _ in engine_reference.moves(given)] == \
+        report.witness
 
 
 def test_find_unsorted_terminal_refuses_a_witness_longer_than_its_run():

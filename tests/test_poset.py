@@ -172,10 +172,10 @@ def test_trace_paths_stay_in_space_and_extend_poset():
         counts = {s: 0 for s in space.sites}
         seen = [tuple(counts[s] for s in space.sites)]
         order = []
-        for rec in trace.records:
-            counts[rec.site] += 1
+        for site in trace.log.sites:
+            counts[site] += 1
             seen.append(tuple(counts[s] for s in space.sites))
-            order.append(space.move(rec.site, occ_from_start=counts[rec.site]))
+            order.append(space.move(site, occ_from_start=counts[site]))
         assert all(s in states for s in seen)
         index = {move: i for i, move in enumerate(order)}
         for a, b in p.relation:
@@ -187,12 +187,10 @@ def test_label_independence_of_fire_count_paths():
     v, n = loops_everywhere(), 7
     t1 = run_to_completion(standard_initial(v, n), v, RandomStrategy(), seed=1)
     t2 = run_to_completion(standard_initial(v, n), v, RandomStrategy(), seed=14)
-    if [r.site for r in t1.records] == [r.site for r in t2.records]:
-        assert [r.fire_index_at_site for r in t1.records] == \
-            [r.fire_index_at_site for r in t2.records]
+    if t1.log.sites == t2.log.sites:
+        assert t1.log.fire_index_at_site == t2.log.fire_index_at_site
     # same-site-sequence replays always agree regardless of chip choices
-    assert [r.fire_index_at_site for r in t1.records] == [
-        idx for idx in _fire_indices([r.site for r in t1.records])]
+    assert list(t1.log.fire_index_at_site) == list(_fire_indices(t1.log.sites))
 
 
 def _fire_indices(sites):
