@@ -333,8 +333,12 @@ class Trace:
         a round-tripped trace replays to the same value-level run.  Steps,
         sites and chip values must be JSON integers, each initial site key
         as ``header_json`` writes it (``"01"`` or ``"1_0"`` is no site), and
-        the k-th move record (from 0, blank lines skipped) must carry step k;
-        bad input raises ChipFiringError naming its line.
+        the k-th move record (from 0, blank lines skipped) must carry step k.
+        A record's ``present_before`` and ``fire_index_at_site``, where it has
+        them, must equal the counts its move gives.  Its ``chosen_ids`` are
+        not checked: ids are re-bound by value, and a run may have chosen
+        other chips of the same values.  Bad input raises ChipFiringError
+        naming its line.
         """
         header = _json_object(fp.readline(), 1)
         try:
@@ -372,10 +376,16 @@ class Trace:
             if step != len(log.sites):
                 raise ChipFiringError(f"{where()}: expected step {len(log)}")
             try:
-                log.append(site, *_fire(occupancy, variant, site,
-                                        _ids_for_values(config, site, values), fires))
+                move = _fire(occupancy, variant, site, _ids_for_values(config, site, values), fires)
             except IllegalMoveError as exc:
                 raise IllegalMoveError(f"{where()}: {exc}") from exc
+            _, _, present, fire_index = move
+            p, f = d.get("present_before", present), d.get("fire_index_at_site", fire_index)
+            if p != present or f != fire_index or type(p) is not int or type(f) is not int:
+                raise ChipFiringError(
+                    f"{where()}: logged present_before {p!r} and fire_index_at_site {f!r}, "
+                    f"but the move gives {present} and {fire_index}")
+            log.append(site, *move)
         return cls(variant=variant, initial=initial, log=log,
                    strategy=header.get("strategy", "scripted"), seed=header.get("seed", 0),
                    n=header.get("n"), preset=header.get("preset"), _final=config)

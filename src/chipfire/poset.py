@@ -2,11 +2,13 @@
 
 Move enabling depends only on chip counts, so the reachable state space of
 fire-count vectors (one counter per site) captures every legal schedule at
-once.  A move instance ``(site, occurrence)`` must precede another exactly
-when no reachable state has the second done but not the first; as fire
-counts only grow along a run, one table of least fire counts decides that,
-which yields the full precedence relation, its transitive reduction (the
-Hasse diagram), and the grid-shape checks on the diamond of final moves.
+once.  A move instance ``a`` must precede ``b`` exactly when no reachable
+state has ``b`` done but not ``a``.  Reachable vectors are closed under
+componentwise max (Björner, Lovász and Shor 1991, "Chip-firing games on
+graphs"), so those with ``a`` not done have a largest, M(a), which a greedy
+run finds (``max_closures``).  One such row per move decides the relation,
+its Hasse diagram and the grid checks on the diamond of final moves; the
+states give only their count and the checks' witness states.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ class MoveInstance(NamedTuple):
 
 @dataclass
 class FireCountSpace:
-    """All reachable fire-count vectors for an origin-preset run."""
+    """All reachable fire-count vectors for an origin-preset run, and the
+    closure rows that decide precedence and exact chips (``closure_rows``)."""
 
     variant: Variant
     n: int
@@ -44,12 +47,13 @@ class FireCountSpace:
     totals: np.ndarray                # (W,) int64, fires per window site
     initial: np.ndarray               # (W,) int64, chips initially per window site
     states: np.ndarray                # (N, W) int16
-    flow: np.ndarray                  # (W, W+2) int64, chip change per fire, see reachable_states
+    flow: np.ndarray                  # (W, W+2) int64, chip change per fire, see _window
 
     def __post_init__(self):
         self._idx = {s: i for i, s in enumerate(self.sites)}
-        # row of a site's first move in nodes() and fire_tables
+        # row of a site's first move in nodes() and closure_rows
         self._first_row = dict(zip(self.sites, (np.cumsum(self.totals) - self.totals).tolist()))
+        self._first_excess: dict[int, np.ndarray] = {}  # per window site, see excess_chips
 
     @property
     def n_states(self) -> int:
@@ -81,60 +85,78 @@ class FireCountSpace:
                 for site in self.sites for j in range(1, self.total_fires(site) + 1)]
 
     @cached_property
-    def fire_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(least_fires, exact)``, a row per node, from one pass per site:
-        ``exact[r]`` is ``excess_chips(nodes()[r])``, ``(0, n_states)`` for
-        None.  A site's chip counts, exact in int32 (``_check_representable``), pick
-        its few rows above threshold and are dropped before its sort and gathers."""
-        w = len(self.sites)
-        least = np.empty((int(self.totals.sum()), w), np.int16)
-        exact = np.tile(np.array([0, self.n_states], np.int64), (len(least), 1))
-        columns = np.ascontiguousarray(self.states.T)  # reduceat runs along long rows
-        for i, (site, first) in enumerate(self._first_row.items()):
-            chips = np.full(self.n_states, self.initial[i], np.int32)
-            for j in range(max(i - 1, 0), min(i + 2, w)):
-                chips += np.multiply(columns[j], self.flow[j, i + 1], dtype=np.int32)
-            hot = np.flatnonzero(chips > self.variant.threshold(site))  # ascending rows
-            rows = first + columns[i, hot].astype(np.intp)  # row of the move next there
-            np.maximum.at(exact[:, 0], rows, chips[hot])
-            np.minimum.at(exact[:, 1], rows, hot)
-            del chips, hot, rows
-            order = np.argsort(columns[i], kind="stable")
-            starts = np.cumsum(np.bincount(columns[i]))[:-1]  # where values 1..total start, sorted
-            least[first:first + len(starts)] = np.minimum.reduceat(
-                columns.take(order, axis=1), starts, axis=1).T
-        return least, exact
+    def closure_rows(self) -> np.ndarray:
+        """(k, W) int16, row r the closure row M(a) of ``a = nodes()[r]``
+        (``max_closures``), built on first use from the window of
+        ``(variant, n)``, never from the states or the other stored fields."""
+        return max_closures(self.variant, *_window(self.variant, self.n),
+                            [(node.site, node.occ_from_start) for node in self.nodes()])
 
-    @property
-    def least_fires(self) -> np.ndarray:
-        """(k, W) int16, row r for ``nodes()[r] = (t, o)``: each window site's
-        least fire count over the states where site t has fired exactly o
-        times.  Fire counts only grow, so every state with move (t, o) done
-        lies above one of those: ``(s, j)`` precedes it iff ``j <= row[s]``."""
-        return self.fire_tables[0]
+    def _row(self, move: MoveInstance) -> np.ndarray:
+        return self.closure_rows[self._first_row[move.site] + move.occ_from_start - 1]
 
     def precedes(self, a: MoveInstance, b: MoveInstance) -> bool:
-        """True iff no reachable state has ``b`` done while ``a`` is not."""
-        row = self._first_row[b.site] + b.occ_from_start - 1
-        return a.occ_from_start <= int(self.least_fires[row, self._idx[a.site]])
+        """True iff no reachable state has ``b`` done while ``a`` is not:
+        the largest state with ``a`` not done, M(a), has ``b`` not done."""
+        return int(self._row(a)[self._idx[b.site]]) < b.occ_from_start
 
     def excess_chips(self, move: MoveInstance) -> tuple[int, int] | None:
-        """``(most chips, first state)`` over the states where ``move`` is the
-        next move at its site and more than threshold chips are there, or
-        None if there is no such state."""
-        row = self._first_row[move.site] + move.occ_from_start - 1
-        chips, state = self.fire_tables[1][row].tolist()
-        return (chips, state) if chips else None
+        """``(most chips, first state)`` over the states where ``move`` is next
+        at its site with more than threshold chips there, or None.  M(move),
+        whose neighbours fired most, has the most; only then is the first
+        state looked up, in one pass per site."""
+        i = self._idx[move.site]
+        chips = int(self.initial[i] + self._row(move) @ self.flow[:, i + 1])
+        if chips <= self.variant.threshold(move.site):
+            return None
+        if i not in self._first_excess:  # per fire count there, n_states for none
+            lo, hi = max(i - 1, 0), i + 2
+            hot = np.flatnonzero(self.states[:, lo:hi] @ self.flow[lo:hi, i + 1]
+                                 > self.variant.threshold(move.site) - self.initial[i])
+            first = self._first_excess[i] = np.full(int(self.totals[i]) + 1, self.n_states)
+            np.minimum.at(first, self.states[hot, i], hot)
+        return chips, int(self._first_excess[i][move.occ_from_start - 1])
+
+
+def max_closures(variant: Variant, sites: tuple[int, ...], totals: np.ndarray,
+                 initial: np.ndarray, flow: np.ndarray, moves: list[tuple[int, int]]) -> np.ndarray:
+    """The closure row M(a) of each move ``a = (s, j)`` (site, occurrence
+    from the start): the largest reachable fire-count vector with site s
+    fired at most j-1 times, a (len(moves), W) int16 row per move.
+
+    A greedy run reaches it: fire enabled sites, s at most j-1 times and the
+    others at most their closed-form totals, until none can.  Were some
+    reachable f with f_s <= j-1 not below where it stops, g, the first move
+    of f's firing sequence to pass g would fire a site u from a prefix
+    p <= g with p_u = g_u.  At g, u's neighbours have fired at least as
+    often as at p, so u holds at least as many chips and is enabled, and u
+    is below its cap (g_u = p_u < f_u, which is at most j-1 for u = s and
+    the total otherwise): the greedy was not stuck.
+
+    Each round fires every enabled site below its cap in every row at once,
+    as moves at distinct sites commute.  A row's chips, less ``initial``, are
+    the float64 product ``F @ flow``, as in ``_levels``, exact below 2**53.
+    """
+    caps = np.tile(totals.astype(np.float64), (len(moves), 1))
+    caps[np.arange(len(moves)), [sites.index(s) for s, _ in moves]] = [j - 1 for _, j in moves]
+    flow_w = flow[:, 1:-1].astype(np.float64)
+    need = np.array([variant.threshold(s) for s in sites], np.float64) - initial
+    fires = np.zeros_like(caps)
+    while True:
+        enabled = fires @ flow_w >= need
+        enabled &= fires < caps
+        if not enabled.any():
+            return fires.astype(np.int16)
+        fires += enabled
 
 
 def _first_unique(rows: np.ndarray) -> np.ndarray:
     """Index of each distinct row's first occurrence, in sorted row order.
 
     Both searches deduplicate with it: the labeled search its rows, the
-    fire-count search its key words.  ``lexsort`` is stable and sorts column
-    by column, which beats ``np.unique(axis=0)``'s sort of whole rows and,
-    on labeled rows, packing several columns into wider words.  One-word
-    keys take a stable ``argsort`` of their one column instead.
+    fire-count search its key words.  A stable ``lexsort``, column by column,
+    beats ``np.unique(axis=0)`` and packing labeled columns into wider words;
+    one-word keys take a stable ``argsort`` of their one column instead.
     """
     if not len(rows):
         return np.zeros(0, np.intp)
@@ -178,11 +200,9 @@ def _key_layout(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _expand(frontier: np.ndarray, keys: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The next level and its keys: the first occurrence of each distinct
-    child, where a child fires site ``cols[c]`` in state ``rows[c]``.
-
-    A child's key is its parent's plus ``step[cols[c]]``, one place value
-    in one word, so children are deduplicated on keys and only the kept
-    ones are built as rows.
+    child, where a child fires site ``cols[c]`` in state ``rows[c]``.  Its key
+    is its parent's plus ``step[cols[c]]``, one place value in one word, so
+    children are deduplicated on keys and only the kept ones built as rows.
     """
     child = keys[rows]
     child += step[cols]
@@ -198,24 +218,29 @@ class RepresentationLimitError(ChipFiringError):
     """The space's fire or chip counts would not fit its arrays exactly."""
 
 
-def _check_representable(totals: np.ndarray, flow: np.ndarray, n: int):
-    """Refuse, with RepresentationLimitError, a space the search cannot
-    represent exactly: a fire count above the int16 rows' maximum, chip
-    counts whose float64 product ``flow.T @ F.T`` could pass 2**53, where
-    doubles stop holding every integer, or a partial sum past 2**31 of the
-    int32 chip counts of ``FireCountSpace.fire_tables``' pass per site."""
+def _window(variant: Variant, n: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """``(sites, totals, initial, flow)`` of the firing window from the closed
+    forms, all that ``_levels`` and ``max_closures`` read; ``flow[i]`` is what
+    one fire at window site i moves, over the window and one virtual site on
+    each side.  RepresentationLimitError refuses a total above the int16
+    rows' maximum, or chip counts whose float64 products could pass 2**53."""
+    table = closedform.fire_count_table(variant, n)
+    sites = tuple(sorted(table))
+    totals = np.array([table[s] for s in sites], np.int64)
+    initial = np.array([n if s == 0 else 0 for s in sites], np.int64)
+    flow = np.zeros((len(sites), len(sites) + 2), np.int64)
+    for i, site in enumerate(sites):
+        left, _, right, _ = variant.site_row(site)
+        flow[i, i:i + 3] = left, -(left + right), right
     fires = np.iinfo(np.int16).max
-    if totals.max() > fires:
+    if sites and totals.max() > fires:
         raise RepresentationLimitError(
             f"a site fires {int(totals.max())} times, above the int16 bound {fires}")
     worst = fires * int(np.abs(flow).sum(axis=0).max())
     if worst >= 2 ** 53:
         raise RepresentationLimitError(
             f"chip counts up to {worst} pass the float64 exactness bound 2**53")
-    partial = n + int((totals @ np.abs(flow)).max())
-    if partial >= 2 ** 31:
-        raise RepresentationLimitError(
-            f"chip partial sums up to {partial} pass the int32 bound 2**31")
+    return sites, totals, initial, flow
 
 
 def _levels(variant: Variant, sites: tuple[int, ...], totals: np.ndarray,
@@ -227,7 +252,7 @@ def _levels(variant: Variant, sites: tuple[int, ...], totals: np.ndarray,
     w = len(sites)
     # each level's chips, one row per extended site and one column per state:
     # init + flow.T @ F.T, in float64 so BLAS computes it, and compared in
-    # float64 too, exact below 2**53 (see _check_representable)
+    # float64 too, exact below 2**53 (see _window)
     ext = range(sites[0] - 1, sites[0] + w + 1)
     flow_t = flow.T.astype(np.float64)
     init_col = np.concatenate(([0], initial, [0])).astype(np.float64)[:, None]
@@ -289,31 +314,19 @@ def reachable_states(variant: Variant, n: int,
     the closed-form window or totals, and its subclass
     RepresentationLimitError if a total or a chip count would not fit.
     """
-    table = closedform.fire_count_table(variant, n)
-    sites = tuple(sorted(table))
+    sites, totals, initial, flow = _window(variant, n)
     w = len(sites)
-    totals = np.array([table[s] for s in sites], np.int64)
-    initial = np.array([n if s == 0 else 0 for s in sites], np.int64)
-    if w == 0:
-        return FireCountSpace(variant, n, sites, totals, initial,
-                              np.zeros((1, 0), np.int16), np.zeros((0, 2), np.int64))
-    # row i of flow is what one fire at window site i moves, over the window
-    # plus one virtual site on each side
-    flow = np.zeros((w, w + 2), np.int64)
-    for i, site in enumerate(sites):
-        left, _, right, _ = variant.site_row(site)
-        flow[i, i:i + 3] = left, -(left + right), right
-    _check_representable(totals, flow, n)
     # each level is appended to ``states`` as it is made, so the states are
     # never held twice.  ``resize`` reallocates in place (glibc remaps a
     # large block's pages rather than copying them) and zero-fills new rows,
     # so the array grows by a quarter at a time and is trimmed at the end.
     states = np.zeros((1, w), np.int16)
-    for rows, visited in _levels(variant, sites, totals, initial, flow, state_cap):
-        if visited > states.shape[0]:
-            states.resize((max(visited, states.shape[0] * 5 // 4), w), refcheck=False)
-        states[visited - rows.shape[0]:visited] = rows
-    states.resize((visited, w), refcheck=False)
+    if w:
+        for rows, visited in _levels(variant, sites, totals, initial, flow, state_cap):
+            if visited > states.shape[0]:
+                states.resize((max(visited, states.shape[0] * 5 // 4), w), refcheck=False)
+            states[visited - rows.shape[0]:visited] = rows
+        states.resize((visited, w), refcheck=False)
     return FireCountSpace(variant, n, sites, totals, initial, states, flow)
 
 
@@ -349,14 +362,15 @@ def build_poset(space: FireCountSpace) -> FiringPoset:
     """Precedence matrix over all move instances, plus cover edges.
 
     The matrix is ``FireCountSpace.precedes`` for all pairs at once, one
-    comparison against ``space.least_fires``.  A pair is a cover when no
-    move lies between its ends.  Covers are listed here, the relation's
-    pairs on first use of ``FiringPoset.relation``.
+    comparison of the closure rows, ``M[:, site_of] < occ``, with the
+    diagonal (a move's own row has it not done) cleared.  A pair is a cover
+    when no move lies between its ends.  Covers are listed here, the
+    relation's pairs on first use of ``FiringPoset.relation``.
     """
     nodes = tuple(space.nodes())  # by site, then occurrence
     occ = np.array([node.occ_from_start for node in nodes], np.int16)
     site_of = np.repeat(np.arange(len(space.sites)), space.totals)
-    before = occ[:, None] <= space.least_fires[:, site_of].T
+    before = space.closure_rows[:, site_of] < occ
     np.fill_diagonal(before, False)
     b = before.astype(np.float64)
     covers = _pairs(nodes, before & (b @ b == 0))
@@ -395,13 +409,8 @@ class CheckReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "violations": self.violations,
-            "states_explored": self.states_explored,
-            "passed": self.passed,
-            **self.details,
-        }
+        return {"check": self.check, "violations": self.violations,
+                "states_explored": self.states_explored, "passed": self.passed, **self.details}
 
 
 def check_grid_structure(space: FireCountSpace) -> CheckReport:
@@ -419,20 +428,15 @@ def check_grid_structure(space: FireCountSpace) -> CheckReport:
     for (x, y), node in grid.items():
         for pred in (grid.get((x + 1, y)), grid.get((x, y + 1))):
             if pred is not None and not space.precedes(pred, node):
-                violations.append({
-                    "node": node.node_id(), "clause": "precedence",
-                    "detail": f"{pred.node_id()} does not always precede {node.node_id()}",
-                })
+                violations.append({"node": node.node_id(), "clause": "precedence", "detail":
+                                   f"{pred.node_id()} does not always precede {node.node_id()}"})
         excess = space.excess_chips(node)
         if excess is not None:
             chips, witness = excess
             violations.append({
                 "node": node.node_id(), "clause": "exact_chips",
-                "detail": f"fires with {chips} chips present",
-                "chips": chips,
-                "witness_state": {str(s): int(v) for s, v in
-                                  zip(space.sites, space.states[witness])},
-            })
+                "detail": f"fires with {chips} chips present", "chips": chips,
+                "witness_state": dict(zip(map(str, space.sites), space.states[witness].tolist()))})
     return CheckReport("grid", violations, space.n_states,
                        {"m": closedform.derive_m(space.variant, space.n),
                         "diamond_nodes": len(grid)})
@@ -453,9 +457,7 @@ def check_exponential_grid(space: FireCountSpace) -> CheckReport:
     t = space.variant.t
     sandwich: dict[str, list[dict]] = {"occ_from_start": [], "occ_from_last": []}
     for indexing in sandwich:
-        for site in space.sites:
-            if site == 0:
-                continue
+        for site in (s for s in space.sites if s != 0):
             nb = site - 1 if site > 0 else site + 1
             for j in range(1, space.total_fires(site) + 1):
                 mid = space.move(site, **{indexing: j})
@@ -467,9 +469,7 @@ def check_exponential_grid(space: FireCountSpace) -> CheckReport:
                             "node": mid.node_id(), "clause": clause,
                             "detail": f"{a.node_id()} does not always precede {b.node_id()}"})
     exact: list[dict] = []
-    for site in space.sites:
-        if abs(site) > t:
-            continue
+    for site in (s for s in space.sites if abs(s) <= t):
         for occ in range(2, space.total_fires(site) + 1):
             node = space.move(site, occ_from_start=occ)
             excess = space.excess_chips(node)
@@ -478,8 +478,7 @@ def check_exponential_grid(space: FireCountSpace) -> CheckReport:
                               "detail": f"fires with {excess[0]} chips present"})
     readings_ok = {k: not v for k, v in sandwich.items()}
     canonical = next((k for k, ok in readings_ok.items() if ok), None)
-    violations = exact + (sandwich[canonical] if canonical else
-                          sandwich["occ_from_start"])
+    violations = exact + sandwich[canonical or "occ_from_start"]
     return CheckReport("expgrid", violations, space.n_states, {
         "t": t,
         "sandwich_ok_from_start": readings_ok["occ_from_start"],

@@ -224,13 +224,13 @@ def test_explore_searches_once(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "r.json").read_text())["witness"] is not None
 
 
-def test_poset_without_check_or_dot_builds_no_least_fires(monkeypatch):
+def test_poset_without_check_or_dot_builds_no_closure_rows(monkeypatch):
     def refuse(space):
-        raise AssertionError("fire tables built")
+        raise AssertionError("closure rows built")
 
-    monkeypatch.setattr(poset.FireCountSpace, "fire_tables", property(refuse))
+    monkeypatch.setattr(poset.FireCountSpace, "closure_rows", property(refuse))
     assert main(["poset", "--n", "10"]) == 0
-    with pytest.raises(AssertionError, match="fire tables built"):
+    with pytest.raises(AssertionError, match="closure rows built"):
         main(["poset", "--n", "10", "--check", "grid"])
 
 

@@ -701,6 +701,55 @@ def test_read_jsonl_rejects_non_integer_variant_parameters(variant):
         _read(lines)
 
 
+def _tamper_written(tmp_path, step, field, value) -> engine.Trace:
+    """Write a base n=8 run to a file, set one move line's field, read it back."""
+    v = base()
+    path = tmp_path / "trace.jsonl"
+    with open(path, "w") as fp:
+        run_to_completion(standard_initial(v, 8), v, RandomStrategy(), seed=3).write_jsonl(fp)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[step + 1])
+    record[field] = value
+    lines[step + 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with open(path) as fp:
+        return engine.Trace.read_jsonl(fp)
+
+
+@pytest.mark.parametrize("step,field,bad", [
+    (2, "present_before", 999), (2, "fire_index_at_site", 42), (2, "fire_index_at_site", 2),
+    (0, "fire_index_at_site", True), (0, "fire_index_at_site", 1.0), (2, "present_before", None)])
+def test_read_jsonl_refuses_logged_counts_its_move_does_not_give(tmp_path, step, field, bad):
+    """A file whose logged ``present_before`` or ``fire_index_at_site``
+    disagrees with its move, in value or as a JSON integer, is refused
+    with the line named, not read and then replayed as if it matched."""
+    with pytest.raises(engine.ChipFiringError,
+                       match=rf"^line {step + 2}, step {step}: logged present_before .*, but "
+                             "the move gives \\d+ and \\d+$") as caught:
+        _tamper_written(tmp_path, step, field, bad)
+    assert f"{field} {bad!r}" in str(caught.value)
+
+
+def test_read_jsonl_leaves_logged_chosen_ids_unchecked(tmp_path):
+    """Ids are re-bound by value, lowest first, so a file's ``chosen_ids``
+    are not compared: tampered ones read back as the re-bound ids."""
+    v = base()
+    original = run_to_completion(standard_initial(v, 8), v, RandomStrategy(), seed=3)
+    trace = _tamper_written(tmp_path, 2, "chosen_ids", [77, 78])
+    assert engine_reference.moves(trace) == engine_reference.moves(original)
+    assert list(trace.replay(verify=True))
+
+
+@pytest.mark.parametrize("field", ["present_before", "fire_index_at_site"])
+def test_read_jsonl_takes_a_line_without_its_counts(field):
+    """The counts are checked where a line carries them, and derived where not."""
+    lines = _trace_lines()
+    record = json.loads(lines[2])
+    del record[field]
+    lines[2] = json.dumps(record)
+    assert list(_read(lines).lines()) == [line + "\n" for line in _trace_lines()]
+
+
 # --- trace round trip and mutated traces ----------------------------------------
 
 ROUND_TRIP_CASES = [(base(), 7), (base(), 8), (multi_edge(2), 8), (origin_loops(2), 6),

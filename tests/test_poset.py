@@ -9,7 +9,7 @@ from chipfire.poset import (build_poset, check_exponential_grid, check_grid_stru
                             diamond, export_dot, reachable_states)
 from chipfire.variants import (base, exponential, loops_and_edges, loops_everywhere, multi_edge,
                                origin_loops)
-from poset_reference import chips_at, containment_relation, must_precede
+from poset_reference import chips_at, containment_relation, enumerated_tables, must_precede
 
 
 def test_chips_at_examples():
@@ -283,12 +283,12 @@ REFERENCE_SPACES = [(base(), n) for n in range(2, 11)] + [
 @pytest.mark.parametrize("variant,n", REFERENCE_SPACES, ids=str)
 def test_build_poset_matches_pairwise_reference(variant, n):
     space = reachable_states(variant, n)
-    assert "fire_tables" not in vars(space)  # built on first use only
+    assert "closure_rows" not in vars(space)  # built on first use only
     p = build_poset(space)
     nodes = space.nodes()
     assert p.nodes == tuple(nodes)
-    assert space.least_fires.shape == (len(nodes), len(space.sites))
-    assert space.least_fires.dtype == np.int16
+    assert space.closure_rows.shape == (len(nodes), len(space.sites))
+    assert space.closure_rows.dtype == np.int16
     relation = set()
     for a in nodes:
         for b in nodes:
@@ -301,12 +301,93 @@ def test_build_poset_matches_pairwise_reference(variant, n):
     assert p.covers == relation - between
 
 
+# base n=2..18, loops_everywhere n=3..17 odd, multi_edge r=2 and r=3,
+# origin_loops s=1 at odd n and s=2 at even n, loops_and_edges r=2 and r=3,
+# and exponential t=0..3: 55 spaces
+ORACLE_SPACES = ([(base(), n) for n in range(2, 19)]
+                 + [(loops_everywhere(), n) for n in range(3, 18, 2)]
+                 + [(multi_edge(2), n) for n in (4, 8, 12, 16)]
+                 + [(multi_edge(3), n) for n in (6, 12, 18)]
+                 + [(origin_loops(1), n) for n in range(3, 18, 2)]
+                 + [(origin_loops(2), n) for n in range(4, 19, 2)]
+                 + [(loops_and_edges(2), 6), (loops_and_edges(2), 14), (loops_and_edges(3), 9)]
+                 + [(exponential(t), 2 ** (t + 2)) for t in range(4)])
+
+
+@pytest.mark.parametrize("variant,n", ORACLE_SPACES, ids=str)
+def test_closure_rows_match_enumerated_tables(variant, n):
+    """``precedes`` for every pair of moves, ``build_poset``'s matrix and
+    ``excess_chips`` for every move, all read from the closure rows, equal
+    the tables enumerated over every state."""
+    space = reachable_states(variant, n)
+    least, exact = enumerated_tables(space)
+    nodes = space.nodes()
+    site_of = [space.sites.index(node.site) for node in nodes]
+    occ = np.array([node.occ_from_start for node in nodes])
+    want = occ[:, None] <= least[:, site_of].T  # want[a, b]: a precedes b
+    assert [[space.precedes(a, b) for b in nodes] for a in nodes] == want.tolist()
+    np.fill_diagonal(want, False)
+    assert np.array_equal(build_poset(space).before, want)
+    assert [space.excess_chips(node) for node in nodes] == [
+        (chips, state) if chips else None for chips, state in exact.tolist()]
+
+
+# every oracle space the bit-packed containment test runs in about a second
+# or less (base n=17 and 18 take 2 s and more), and origin_loops s=3
 @pytest.mark.parametrize("variant,n", [(base(), n) for n in range(17)] + [
-    (loops_everywhere(), 15), (exponential(2), 16), (multi_edge(2), 16), (origin_loops(3), 13),
-    (loops_and_edges(2), 14)], ids=str)
+    (variant, n) for variant, n in ORACLE_SPACES if variant.kind != "base"] + [
+    (origin_loops(3), 13)], ids=str)
 def test_build_poset_matches_containment_relation(variant, n):
     space = reachable_states(variant, n)
     assert build_poset(space).relation == containment_relation(space)
+
+
+def _grid_from_window(variant, n) -> tuple[list[str], list[tuple[str, int]]]:
+    """The grid check's precedence and exact-chips clauses read from the
+    closure rows of the diamond's moves alone, made from ``(variant, sites,
+    totals, initial, flow)`` with no search: the nodes whose precedence
+    fails, once per predecessor, and ``(node, chips)`` per excess."""
+    table = diamond(variant, n)
+    sites, totals, initial, flow = poset._window(variant, n)
+    rows = dict(zip(table, poset.max_closures(variant, sites, totals, initial, flow,
+                                              list(table)).tolist()))
+    at = {xy: move for move, xy in table.items()}
+    precedence, excess = [], []
+    for (site, occ), (x, y) in table.items():
+        node = f"s{site}_j{min(x, y) + 1}"
+        for pred in (at.get((x + 1, y)), at.get((x, y + 1))):
+            if pred is not None and rows[pred][sites.index(site)] >= occ:
+                precedence.append(node)
+        chips = chips_at(dict(zip(sites, rows[site, occ])), site, variant, {0: n})
+        if chips > variant.threshold(site):
+            excess.append((node, chips))
+    return precedence, excess
+
+
+@pytest.mark.parametrize("variant,n", [(base(), n) for n in range(10, 16)] + [
+    (loops_everywhere(), 15), (multi_edge(2), 16), (origin_loops(1), 15)], ids=str)
+def test_grid_from_window_matches_the_grid_check(variant, n):
+    report = check_grid_structure(reachable_states(variant, n))
+    precedence, excess = _grid_from_window(variant, n)
+    assert precedence == [v["node"] for v in report.violations if v["clause"] == "precedence"]
+    assert excess == [(v["node"], v["chips"]) for v in report.violations
+                      if v["clause"] == "exact_chips"]
+
+
+@pytest.mark.parametrize("variant,n", [(base(), n) for n in range(22, 41, 2)]
+                         + [(loops_everywhere(), n) for n in range(19, 40, 4)], ids=str)
+def test_grid_theorem_past_the_search(variant, n):
+    """Even base n and loops n = 4m-1 keep the grid far past what the
+    search reaches (base n=21 has 12.7M states)."""
+    assert _grid_from_window(variant, n) == ([], [])
+
+
+def test_grid_at_base_21_fails_only_where_odd_n_does():
+    """Odd n breaks the exact-chips clause, 3 chips at each of 100 moves,
+    and the precedence clause at 90 pairs, as base n=13 does at 36 and 30."""
+    precedence, excess = _grid_from_window(base(), 21)
+    assert [chips for _, chips in excess] == [3] * 100
+    assert len(precedence) == 90
 
 
 # flow coefficients above 2: bundles of 16 at exponential t=4, 6 chips a

@@ -167,19 +167,6 @@ def test_chips_past_float64_exactness_are_refused():
         reachable_states(_Heavy(), 4)
 
 
-class _Weighty(Variant):
-    """Bundles whose chip counts stay exact in float64 but whose partial
-    sums, one neighbour at a time, could pass int32."""
-
-    def site_row(self, site):
-        return 2 ** 30, 0, 2 ** 30, 2 ** 31
-
-
-def test_chip_partial_sums_past_int32_are_refused():
-    with pytest.raises(ChipFiringError, match="int32 bound 2\\*\\*31"):
-        reachable_states(_Weighty(), 4)
-
-
 def test_premature_deadlock_is_detected(monkeypatch):
     expand = poset._expand
     table = closedform.fire_count_table(base(), 4)
